@@ -746,14 +746,15 @@ void run_combine_sweep(ScenarioContext& ctx) {
 }
 
 // snapshot_consistency: acquisition cost of the linearizable cross-shard
-// snapshot (epoch fetch_add + per-shard root-history resolution) against
-// the default quiescent read-the-roots path.  Each pair runs the same
-// composite-query mixes — rank queries, which are pure snapshot
-// acquisition plus one descent, so any per-acquisition overhead shows
-// directly — on the quiescent structure and its "-Lin" twin; both share
-// the same write path (epoch stamping is on in both), so the series
-// ratio isolates what linearizability costs at acquisition time.  The
-// per-pair geomean ratio is emitted as a metric-only run
+// snapshot (an epoch-clock cut, which advances the clock only when a root
+// was stamped since the previous cut, + per-shard root-history
+// resolution) against the default quiescent read-the-roots path.  Each
+// pair runs the same composite-query mixes — rank queries, which are pure
+// snapshot acquisition plus one descent, so any per-acquisition overhead
+// shows directly — on the quiescent structure and its "-Lin" twin; both
+// share the same write path (epoch stamping is on in both), so the
+// series ratio isolates what linearizability costs at acquisition time.
+// The per-pair geomean ratio is emitted as a metric-only run
 // (`lin_over_quiescent_geomean`); the acceptance bar is >= 0.85 on the
 // smoke grid (ROADMAP records the measured value).
 void run_snapshot_consistency(ScenarioContext& ctx) {

@@ -163,18 +163,13 @@ class CombinedSet {
     return inner_.root_version_unsafe();
   }
 
-  // Epoch-source passthrough for the shard layer's linearizable snapshots:
+  // Epoch-clock passthrough for the shard layer's linearizable snapshots:
   // a combined batch stamps once per root CAS, exactly like a solo update,
-  // and every response (combined or solo) is preceded by that stamp.  The
-  // shard layer's aggregate caches additionally request unique
-  // (fetch_add-minted) stamps — see version_epoch_unique.
-  void set_epoch_source(std::atomic<std::uint64_t>* counter,
-                        bool unique_stamps = false)
-    requires requires(Inner t, std::atomic<std::uint64_t>* c) {
-      t.set_epoch_source(c);
-    }
+  // and every response (combined or solo) is preceded by that stamp.
+  void set_epoch_source(EpochClock* clock)
+    requires requires(Inner t, EpochClock* c) { t.set_epoch_source(c); }
   {
-    inner_.set_epoch_source(counter, unique_stamps);
+    inner_.set_epoch_source(clock);
   }
 
   // Capability hooks for the registry's StructureInfo: updates here go

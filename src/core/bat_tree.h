@@ -170,17 +170,20 @@ class BatTree {
   }
 
   // --- queries (linearized at the read of Root.version) ------------------
+  //
+  // Every public read, Snapshot included, takes the root through
+  // read_root(), which help-stamps it when a clock is attached.
 
   bool contains(Key k) const {
     EbrGuard g;
-    return version_contains<Aug>(root_version(), k);
+    return version_contains<Aug>(read_root(), k);
   }
 
   std::int64_t size() const
     requires SizedAugmentation<Aug>
   {
     EbrGuard g;
-    return version_size<Aug>(root_version());
+    return version_size<Aug>(read_root());
   }
 
   // Number of keys <= k.
@@ -188,7 +191,7 @@ class BatTree {
     requires SizedAugmentation<Aug>
   {
     EbrGuard g;
-    return version_rank<Aug>(root_version(), k);
+    return version_rank<Aug>(read_root(), k);
   }
 
   // i-th smallest key (1-based).
@@ -196,7 +199,7 @@ class BatTree {
     requires SizedAugmentation<Aug>
   {
     EbrGuard g;
-    return version_select<Aug>(root_version(), i);
+    return version_select<Aug>(read_root(), i);
   }
 
   // Number of keys in [lo, hi].
@@ -204,23 +207,23 @@ class BatTree {
     requires SizedAugmentation<Aug>
   {
     EbrGuard g;
-    return version_range_count<Aug>(root_version(), lo, hi);
+    return version_range_count<Aug>(read_root(), lo, hi);
   }
 
   // Aggregate of the augmentation over keys in [lo, hi].
   AugValue range_aggregate(Key lo, Key hi) const {
     EbrGuard g;
-    return version_range_aggregate<Aug>(root_version(), lo, hi);
+    return version_range_aggregate<Aug>(read_root(), lo, hi);
   }
 
   // Largest key <= k / smallest key >= k (paper §8's predecessor queries).
   std::optional<Key> floor(Key k) const {
     EbrGuard g;
-    return version_floor<Aug>(root_version(), k);
+    return version_floor<Aug>(read_root(), k);
   }
   std::optional<Key> ceiling(Key k) const {
     EbrGuard g;
-    return version_ceiling<Aug>(root_version(), k);
+    return version_ceiling<Aug>(read_root(), k);
   }
 
   // i-th smallest key within [lo, hi] (1-based).
@@ -228,14 +231,14 @@ class BatTree {
     requires SizedAugmentation<Aug>
   {
     EbrGuard g;
-    return version_select_in_range<Aug>(root_version(), lo, hi, i);
+    return version_select_in_range<Aug>(read_root(), lo, hi, i);
   }
 
   // All keys in [lo, hi], in order (limit = 0 means unlimited).
   std::vector<Key> range_collect(Key lo, Key hi, std::size_t limit = 0) const {
     EbrGuard g;
     std::vector<Key> out;
-    version_collect_range<Aug>(root_version(), lo, hi, &out, limit);
+    version_collect_range<Aug>(read_root(), lo, hi, &out, limit);
     return out;
   }
 
@@ -250,7 +253,7 @@ class BatTree {
       // guard: guard_ is constructed before this body runs; TSA does not
       // track member-subobject guards, so assert the capability it pinned.
       ebr_assert_held();
-      root_ = t.root_version();
+      root_ = t.read_root();
     }
     ~Snapshot() CBAT_RELEASE() {}
     Snapshot(const Snapshot&) = delete;
@@ -318,29 +321,32 @@ class BatTree {
 
   // --- configuration & introspection --------------------------------------
 
-  // Attaches the global epoch counter that root installations stamp
-  // (cross-shard linearizable snapshots; the shard layer owns the counter
-  // and calls this once per shard before any update runs).  With a source
-  // attached, every top-level root refresh links the new root version to
-  // the one it replaced (`prev_root`) and the stamps follow the vcas
-  // discipline: the superseded root's stamp is finalized before the
-  // install CAS, the new root is stamped right after it, and Propagate
-  // help-finalizes the current root's stamp before returning — so an
-  // update's stamp is always assigned no later than its response, and
-  // stamps are monotone along every root's prev_root chain.  Null (the
-  // default) disables stamping; standalone trees pay only a dead branch.
-  //
-  // `unique_stamps` switches stamp finalization from a counter load to a
-  // fetch_add (version_epoch_unique), guaranteeing no two root versions
-  // ever share a stamp.  Forests that validate epoch-stamped aggregate
-  // caches by stamp comparison (ReadPath::kCombined; see
-  // src/shard/aggregate_cache.h) require it; everyone else keeps the
-  // cheaper load-based stamps.  The mode must match the resolve walk the
-  // snapshot layer uses (version_resolve_epoch vs ..._unique).
-  void set_epoch_source(std::atomic<std::uint64_t>* counter,
-                        bool unique_stamps = false) {
-    epoch_source_ = counter;
-    unique_epoch_stamps_ = unique_stamps;
+  // Attaches the epoch clock that root installations stamp (cross-shard
+  // linearizable snapshots; the shard layer owns the clock and calls this
+  // once per shard before any update runs).  With a clock attached, every
+  // top-level root refresh links the new root version to the one it
+  // replaced (`prev_root`) and the stamps follow the vcas discipline: the
+  // superseded root's stamp is finalized before the install CAS, the new
+  // root is stamped right after it, Propagate help-finalizes the current
+  // root's stamp before returning, and every public read help-finalizes
+  // the root it answers from (read_root) — so an update's stamp is
+  // assigned no later than its response or the first read that observes
+  // it, and stamps are monotone along every root's prev_root chain.  Each
+  // stamp marks the clock's current epoch as stamped, which is what makes
+  // the next cut advance the clock (EpochClock::cut); the clock's mode
+  // (shared or unique stamps) is the forest's choice, made once, so every
+  // stamper of a forest agrees on it.  Null (the default) disables
+  // stamping; standalone trees pay only a dead branch.
+  void set_epoch_source(EpochClock* clock) { epoch_source_ = clock; }
+
+  // Test-only seam: called on the installing thread right after a stamped
+  // root's install CAS and before its stamp, so deterministic tests can
+  // park an updater with an unstamped root published.  Set it before the
+  // tree sees concurrent updates; unstamped trees never reach the call.
+  using RootInstallHook = void (*)(void* ctx);
+  void set_root_install_hook(RootInstallHook hook, void* ctx) {
+    root_install_hook_ = hook;
+    root_install_ctx_ = ctx;
   }
 
   // Spin budget a delegating Propagate waits before resuming on its own
@@ -387,6 +393,17 @@ class BatTree {
     // constructor and only ever CAS'd non-nil -> non-nil afterwards.
     return static_cast<V*>(
         tree_.root()->version.load(std::memory_order_acquire));
+  }
+
+  // The root version a public read answers from.  With a clock attached it
+  // is help-stamped first, like vcas's read() running init_ts: an updater
+  // stamps its root only after the install CAS, and a reader that
+  // observed the unstamped root must not let a later cut — even one taken
+  // by the same thread — resolve past the root it already answered from.
+  const V* read_root() const CBAT_REQUIRES(ebr_capability) {
+    const V* r = root_version();
+    if (epoch_source_ != nullptr) stamp_epoch(r);
+    return r;
   }
 
   static V* version_of(const Node* n) CBAT_REQUIRES(ebr_capability) {
@@ -484,7 +501,12 @@ class BatTree {
       if (x->version.compare_exchange_strong(expected, nv,
                                              std::memory_order_acq_rel,
                                              std::memory_order_acquire)) {
-        if (stamped_root) stamp_epoch(nv);
+        if (stamped_root) {
+          if (root_install_hook_ != nullptr) {
+            root_install_hook_(root_install_ctx_);
+          }
+          stamp_epoch(nv);
+        }
         r.success = true;
         r.old = old;
         return r;
@@ -741,19 +763,19 @@ class BatTree {
     return true;
   }
 
-  // Finalizes a root version's stamp in the mode the attached source
-  // selected (see set_epoch_source).  Caller has checked epoch_source_.
+  // Finalizes a root version's stamp from the attached clock.  Caller has
+  // checked epoch_source_.
   std::uint64_t stamp_epoch(const V* v) const CBAT_REQUIRES(ebr_capability) {
-    return unique_epoch_stamps_ ? version_epoch_unique<Aug>(v, *epoch_source_)
-                                : version_epoch<Aug>(v, *epoch_source_);
+    return version_epoch<Aug>(v, *epoch_source_);
   }
 
   static inline std::uint64_t delegation_timeout_spins_ = 1u << 16;
 
-  // Global epoch counter for root stamping; null (default) disables it.
-  // Set once, before the tree sees concurrent updates (see the setter).
-  std::atomic<std::uint64_t>* epoch_source_ = nullptr;
-  bool unique_epoch_stamps_ = false;
+  // Epoch clock for root stamping; null (default) disables it.  Set once,
+  // before the tree sees concurrent updates (see the setter).
+  EpochClock* epoch_source_ = nullptr;
+  RootInstallHook root_install_hook_ = nullptr;
+  void* root_install_ctx_ = nullptr;
 
   ChromaticTree<detail::BatVersionPolicy<Aug>> tree_;
 };

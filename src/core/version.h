@@ -12,6 +12,7 @@
 #include <cstdint>
 
 #include "core/augmentations.h"
+#include "core/epoch_clock.h"
 #include "reclamation/ebr.h"
 #include "util/keys.h"
 
@@ -27,11 +28,6 @@ struct PropStatus {
   std::atomic<PropStatus*> delegatee{nullptr};
 };
 
-// Sentinel for a root version whose epoch stamp has not been assigned yet
-// (vcas-style deferred timestamping; see the epoch helpers below).  Real
-// stamps are >= 1, so value-initialized versions start unstamped.
-inline constexpr std::uint64_t kEpochTbd = 0;
-
 template <Augmentation Aug>
 struct Version {
   using Value = typename Aug::Value;
@@ -43,12 +39,12 @@ struct Version {
   PropStatus* status;  // Propagate that installed this version (may be null)
 
   // Root-history fields, used only by versions installed at a tree's root
-  // node when an epoch source is attached (BatTree::set_epoch_source; the
+  // node when an epoch clock is attached (BatTree::set_epoch_source; the
   // shard layer's linearizable snapshots).  `prev_root` links to the root
   // version this one replaced (written before publication, immutable
-  // after); `epoch` is the global-counter stamp assigned *after* the
-  // install — mutable so readers can help-finalize it through const
-  // snapshot pointers.  Both stay zero/null on non-root versions.
+  // after); `epoch` is the clock stamp assigned *after* the install —
+  // mutable so readers can help-finalize it through const snapshot
+  // pointers.  Both stay zero/null on non-root versions.
   //
   // Deliberate tradeoff: these 16 bytes ride on EVERY version, including
   // the interior/leaf versions that never use them, rather than splitting
@@ -66,85 +62,44 @@ struct Version {
 };
 
 // Finalizes v's epoch stamp if still unassigned and returns the stamp.
-// The counter value is read only after `v` is known (program order), which
-// is what keeps stamps monotone along a root's prev_root chain: a version
-// can only be help-stamped by threads that saw it installed, and every
-// stamp CAS that completed before that install used a smaller-or-equal
-// counter value.  First CAS wins; losers return the established stamp.
+// The clock is read only after `v` is known (program order), which is
+// what keeps stamps monotone along a root's prev_root chain: a version can
+// only be help-stamped by threads that saw it installed, and every stamp
+// that completed before that install drew a smaller-or-equal epoch.  The
+// clock's mode decides the stamp: a shared clock hands out the current
+// epoch (marking it stamped), a unique clock mints a fresh one, so no two
+// roots of a read-combined forest ever share a stamp — which is what
+// makes stamp-compare validation sound for the aggregate caches
+// (src/shard/aggregate_cache.h).
 template <Augmentation Aug>
-std::uint64_t version_epoch(const Version<Aug>* v,
-                            const std::atomic<std::uint64_t>& counter)
+std::uint64_t version_epoch(const Version<Aug>* v, EpochClock& clock)
     CBAT_REQUIRES(ebr_capability) {
-  std::uint64_t s = v->epoch.load(std::memory_order_acquire);
-  if (s != kEpochTbd) return s;
-  const std::uint64_t now = counter.load(std::memory_order_seq_cst);
-  if (v->epoch.compare_exchange_strong(s, now, std::memory_order_acq_rel,
-                                       std::memory_order_acquire)) {
-    return now;
-  }
-  return s;
-}
-
-// Unique-stamp finalize: like version_epoch, but draws the stamp from a
-// fetch_add on the counter, so no two versions ever carry the same stamp
-// (losing helpers waste a counter value — a gap, never a duplicate).  This
-// is what makes stamp-compare validation sound for the aggregate caches
-// (src/shard/aggregate_cache.h): with load-based stamps two roots installed
-// between counter advances share a value, and a cache keyed on the stamp
-// alone could serve one root's aggregate for the other.  The linearizable-
-// snapshot invariant is preserved: a stamp assigned before an acquisition's
-// fetch_add is <= the epoch that fetch_add returns (the stamp's own
-// fetch_add already advanced the counter past it), and a stamp assigned
-// after it is strictly greater.  Every stamper of a given forest must use
-// the same mode — BatTree::set_epoch_source carries the choice.
-template <Augmentation Aug>
-std::uint64_t version_epoch_unique(const Version<Aug>* v,
-                                   std::atomic<std::uint64_t>& counter)
-    CBAT_REQUIRES(ebr_capability) {
-  std::uint64_t s = v->epoch.load(std::memory_order_acquire);
-  if (s != kEpochTbd) return s;
-  const std::uint64_t now = counter.fetch_add(1, std::memory_order_seq_cst) + 1;
-  if (v->epoch.compare_exchange_strong(s, now, std::memory_order_acq_rel,
-                                       std::memory_order_acquire)) {
-    return now;
-  }
-  return s;
+  return clock.finalize(v->epoch);
 }
 
 // Introspection: the stamp as currently assigned, without helping to
 // finalize it (kEpochTbd while unassigned).  Tests and diagnostics only —
-// a reader that needs a *final* stamp must use version_epoch[_unique].
+// a reader that needs a *final* stamp must use version_epoch.
 template <Augmentation Aug>
 std::uint64_t version_epoch_peek(const Version<Aug>* v)
     CBAT_REQUIRES(ebr_capability) {
   return v->epoch.load(std::memory_order_acquire);
 }
 
-// Resolves a root version against snapshot epoch `e`: walks the root
-// history backward to the newest root stamped at or before `e`, helping to
-// finalize unassigned stamps on the way.  Safe under an EBR guard taken
-// before `e` was acquired: a stamp observed to be > `e` (or helped past it)
-// was assigned after the guard began, and a superseded root is only
-// retired after its stamp is final, so every prev_root this walk
+// Resolves a root version against cut epoch `e` (EpochClock::cut): walks
+// the root history backward to the newest root stamped at or before `e`,
+// helping to finalize unassigned stamps on the way.  Safe under an EBR
+// guard taken before the cut: a stamp above `e` is published only after
+// the clock's stamped bit was set for its epoch, which happened after the
+// cut read the clock word (the cut saw that bit clear, or advanced past
+// it) and so inside the guard; a superseded root is retired only after
+// its successor's stamp is final, so every prev_root this walk
 // dereferences was retired — if at all — inside the guard's epoch.
 template <Augmentation Aug>
-const Version<Aug>* version_resolve_epoch(
-    const Version<Aug>* v, std::uint64_t e,
-    const std::atomic<std::uint64_t>& counter) CBAT_REQUIRES(ebr_capability) {
-  while (v->prev_root != nullptr && version_epoch(v, counter) > e) {
-    v = v->prev_root;
-  }
-  return v;
-}
-
-// version_resolve_epoch for unique-stamp forests: identical walk, but any
-// helping along the way must mint unique stamps too (a load-mode helper
-// inside a unique forest could duplicate a fetch_add-minted stamp).
-template <Augmentation Aug>
-const Version<Aug>* version_resolve_epoch_unique(
-    const Version<Aug>* v, std::uint64_t e,
-    std::atomic<std::uint64_t>& counter) CBAT_REQUIRES(ebr_capability) {
-  while (v->prev_root != nullptr && version_epoch_unique(v, counter) > e) {
+const Version<Aug>* version_resolve_epoch(const Version<Aug>* v,
+                                          std::uint64_t e, EpochClock& clock)
+    CBAT_REQUIRES(ebr_capability) {
+  while (v->prev_root != nullptr && version_epoch(v, clock) > e) {
     v = v->prev_root;
   }
   return v;

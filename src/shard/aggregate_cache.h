@@ -13,12 +13,12 @@
 // free, performed by the very counter the roots already carry.
 //
 // Soundness requires stamps to be *unique* per root: with the default
-// load-based stamping two roots installed between counter advances share a
+// shared stamping two roots installed between clock advances share a
 // stamp, and the cache could serve one root's aggregate for the other
-// (under a quiescent forest the counter never advances at all, so every
-// root would share stamp 1).  Forests that enable the cache switch their
-// shards to fetch_add-minted stamps (version_epoch_unique; see
-// BatTree::set_epoch_source) — ShardedSet does this for
+// (under a quiescent forest the clock never advances at all, so every
+// root would share stamp 1).  Forests that enable the cache construct
+// their EpochClock in unique-stamp mode, which mints a fresh epoch per
+// stamp (src/core/epoch_clock.h) — ShardedSet does this for
 // ReadPath::kCombined.
 //
 // Entry protocol: a seqlock per entry (util/seqlock.h; even seq = stable,

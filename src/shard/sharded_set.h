@@ -26,19 +26,23 @@
 //     sees every update that completed before the Snapshot was taken and
 //     no update that started after it, but may observe a later update
 //     while missing an earlier one on a different shard.
-//   * kLinearizable: the set owns a global epoch counter that every
-//     shard-root installation stamps (BatTree::set_epoch_source, vcas-
-//     style deferred timestamps as in Wei et al.'s constant-time
-//     snapshots).  Acquisition is two-phase: fetch_add the counter — the
-//     snapshot's linearization point — then resolve each shard's root to
-//     the newest version stamped at or before that epoch, walking the
+//   * kLinearizable: the set owns an EpochClock that every shard-root
+//     installation stamps (BatTree::set_epoch_source, vcas-style deferred
+//     timestamps as in Wei et al.'s constant-time snapshots).
+//     Acquisition is two-phase: take a cut of the clock — the snapshot's
+//     linearization point — then resolve each pinned shard's root to the
+//     newest version stamped at or before the cut's epoch, walking the
 //     root's prev_root history backward when an installation raced past
 //     the cut.  Every composite query on the snapshot then linearizes at
-//     the fetch_add, closing the gap the quiescent mode leaves (and the
+//     the cut, closing the gap the quiescent mode leaves (and the
 //     correctness gap that blocks hot-shard rebalancing; see ROADMAP).
-//     Updates pay one counter load plus one uncontended stamp CAS per
-//     root refresh; acquisition pays the fetch_add plus a usually-empty
-//     history walk (see the snapshot_consistency bench scenario).
+//     A cut advances the clock only when some root was stamped since the
+//     previous cut (EpochClock::cut); otherwise it is one shared load, so
+//     a read burst shares one epoch.  Updates pay one stamp per root
+//     refresh (a CAS on the clock only for the first stamp of an epoch);
+//     acquisition pays the cut plus a usually-empty history walk per
+//     pinned shard, and range_aggregate pins only the shards its range
+//     covers (see the snapshot_consistency bench scenario).
 //
 // Shard map: shard_of(k) = clamp(k / width) with width = ceil(keyspace /
 // NumShards).  The keyspace defaults to `default_keyspace()` and can be
@@ -76,14 +80,14 @@
 //     publish into a forest-level CombiningBuffer; the elected combiner
 //     acquires ONE Snapshot — one epoch cut — and answers the whole read
 //     burst against it, so a burst of N queries pays one acquisition
-//     (and, under kLinearizable, one counter fetch_add) instead of N.
+//     (and, under kLinearizable, one clock cut) instead of N.
 //     Each request linearizes at the shared cut's linearization point,
 //     which lies between its publication and its response, so leased
 //     queries inherit exactly the policy of the underlying cut — never
 //     weaker.  (2) Epoch-stamped aggregate caches: per-shard sizes and
 //     hot-range aggregates are memoized in an AggregateCache keyed by the
 //     pinned root's stamp (src/shard/aggregate_cache.h); shards switch to
-//     unique (fetch_add-minted) stamps so stamp equality implies root
+//     unique (clock-minted) stamps so stamp equality implies root
 //     identity.  Both halves are toggleable process-wide
 //     (set_lease_reads / set_aggregate_cache) for benchmark attribution;
 //     semantics are identical with either off.
@@ -148,12 +152,12 @@ concept ShardableInner = requires(Inner t, const Inner ct, Key k) {
 };
 
 // Inner structures whose root installations can stamp a shared epoch
-// counter (BatTree and wrappers that forward set_epoch_source).  Required
-// by SnapshotPolicy::kLinearizable; quiescent forests stamp too when the
+// clock (BatTree and wrappers that forward set_epoch_source).  Required by
+// SnapshotPolicy::kLinearizable; quiescent forests stamp too when the
 // inner supports it, so the two policies differ only in acquisition.
 template <class Inner>
 concept EpochStampedInner =
-    requires(Inner t, std::atomic<std::uint64_t>* c) { t.set_epoch_source(c); };
+    requires(Inner t, EpochClock* c) { t.set_epoch_source(c); };
 
 // Cross-shard snapshot acquisition mode; see the header comment.
 enum class SnapshotPolicy { kQuiescent, kLinearizable };
@@ -235,24 +239,22 @@ class ShardedSet {
   ShardedSet() : ShardedSet(shard_detail::default_keyspace()) {}
   explicit ShardedSet(Key keyspace) {
     repartition(keyspace);
-    // Attach the epoch counter before any update can run, so every root
+    // Attach the epoch clock before any update can run, so every root
     // the forest ever installs (beyond the initial empty roots, which the
     // resolve walk accepts as the oldest state) is stamped.  Stamping is
     // on under BOTH policies, deliberately: (a) it is what keeps the
     // snapshot_consistency ratio a pure *acquisition*-cost measurement
     // (the write paths are identical), and (b) the planned hot-shard
     // migration protocol (ROADMAP) needs epoch cuts on the *default*
-    // quiescent forests.  The quiescent-side cost is one counter load
-    // plus one uncontended CAS on a just-written line per root refresh —
-    // inside smoke-gate noise.
-    // kCombined additionally selects unique (fetch_add-minted) stamps:
-    // the aggregate caches validate by stamp equality, which is only
-    // meaningful when no two roots can share a stamp (see
+    // quiescent forests.  The quiescent-side cost is one clock read
+    // (a CAS for an epoch's first stamp) plus one uncontended stamp CAS
+    // on a just-written line per root refresh — inside smoke-gate noise.
+    // kCombined forests construct the clock in unique-stamp mode (see
+    // epoch_): the aggregate caches validate by stamp equality, which is
+    // only meaningful when no two roots can share a stamp (see
     // aggregate_cache.h).
     if constexpr (EpochStampedInner<Inner>) {
-      for (auto& s : shards_) {
-        s->set_epoch_source(&*epoch_, RPath == ReadPath::kCombined);
-      }
+      for (auto& s : shards_) s->set_epoch_source(&epoch_);
     }
   }
 
@@ -299,11 +301,9 @@ class ShardedSet {
 
   Key keyspace() const { return keyspace_; }
 
-  // Current value of the snapshot epoch counter (tests; advanced only by
-  // linearizable snapshot acquisitions, read by every root stamp).
-  std::uint64_t current_epoch() const {
-    return epoch_->load(std::memory_order_seq_cst);
-  }
+  // Current epoch of the snapshot clock (tests; advanced only by cuts
+  // that follow a root stamp — and by unique mints — read by every stamp).
+  std::uint64_t current_epoch() const { return epoch_.now(); }
 
   // Adapts the shard map to keys drawn from [0, max_key).  Only honored
   // while the set is empty — repartitioning a populated forest would strand
@@ -401,6 +401,14 @@ class ShardedSet {
   AugValue range_aggregate(Key lo, Key hi) const {
     if constexpr (RPath == ReadPath::kCombined) {
       return read_op(RBuffer::kRangeAggregate, lo, hi).value;
+    } else if constexpr (!Adaptive) {
+      // Pin only the shards the range covers: the answer reads no other
+      // root, so resolving them would be pure acquisition cost.  (rank,
+      // select and size read the prefix sums over every shard and keep
+      // the single all-shard pass.)
+      if (lo > hi) return Aug::sentinel();
+      const Snapshot snap(*this, shard_of(lo), shard_of(hi), nullptr, nullptr);
+      return snap.range_aggregate(lo, hi);
     } else {
       const Snapshot snap(*this);
       return snap.range_aggregate(lo, hi);
@@ -431,12 +439,15 @@ class ShardedSet {
   // the constructor runs, and it spans every query made through the
   // snapshot — composite queries never re-enter the EBR per shard.  Under
   // SnapshotPolicy::kLinearizable the pinning loop is the second phase of
-  // the two-phase acquisition: phase one increments the owner's epoch
-  // counter (the snapshot's linearization point), phase two resolves each
-  // shard's root against that epoch, walking the root's prev_root history
-  // backward past any installation stamped after the cut.  The shard-size
-  // prefix sums are materialized lazily, once, on the first query that
-  // needs them (rank/select/size); order-free queries such as floor or
+  // the two-phase acquisition: phase one takes a cut of the owner's epoch
+  // clock (the snapshot's linearization point; it advances the clock only
+  // if a root was stamped since the last cut), phase two resolves each
+  // shard's root against the cut's epoch, walking the root's prev_root
+  // history backward past any installation stamped after the cut.  The
+  // forest's own range_aggregate builds a partial snapshot that pins only
+  // the shards its range covers.  The shard-size prefix sums are
+  // materialized lazily, once, on the first query that needs them
+  // (rank/select/size); order-free queries such as floor or
   // range_aggregate skip the O(NumShards) size reads entirely.
   //
   // For Thread Safety Analysis the Snapshot IS a scoped ebr_capability
@@ -454,70 +465,15 @@ class ShardedSet {
         : Snapshot(s, nullptr, nullptr) {}
     Snapshot(const ShardedSet& s, MidAcquireHook hook, void* hook_ctx)
         CBAT_ACQUIRE(ebr_capability)
-        : owner_(&s) {
-      // guard: guard_ is constructed before this body runs (it is the
-      // first member); TSA does not track member-subobject guards, so
-      // assert the capability it already pinned.
-      ebr_assert_held();
-      if constexpr (Policy == SnapshotPolicy::kLinearizable) {
-        // fetch_add (not a plain read): every root stamped after this
-        // point reads a counter value > epoch_, so it resolves past the
-        // cut — and every update whose response preceded this call was
-        // stamped <= epoch_, so it resolves inside it.
-        epoch_ = s.epoch_->fetch_add(1, std::memory_order_seq_cst);
-        if constexpr (Adaptive) {
-          // Resolve the map the same way the roots are resolved: newest
-          // table whose flip was stamped at or before the cut.  Any
-          // (map@E, roots@E) pair is consistent — the owned-range
-          // restriction below hides a destination's pre-flip copies and
-          // a source's post-flip leftovers on every cut.
-          map_ = s.resolve_map_epoch(
-              s.map_.load(std::memory_order_seq_cst), epoch_);
-        }
-      } else if constexpr (Adaptive) {
-        map_ = s.map_.load(std::memory_order_acquire);
-      }
-      for (;;) {
-        for (int i = 0; i < NumShards; ++i) {
-          if (hook != nullptr) hook(hook_ctx, i);
-          const V* r = s.shards_[i]->root_version_unsafe();
-          if constexpr (Policy == SnapshotPolicy::kLinearizable) {
-            // The resolve walk helps finalize stamps, so it must mint them
-            // in the forest's mode: unique forests (kCombined) may never
-            // let a load-based helper duplicate a fetch_add-minted stamp.
-            if constexpr (RPath == ReadPath::kCombined) {
-              r = version_resolve_epoch_unique<Aug>(r, epoch_, *s.epoch_);
-            } else {
-              r = version_resolve_epoch<Aug>(r, epoch_, *s.epoch_);
-            }
-          }
-          roots_[i] = r;
-        }
-        if constexpr (Adaptive && Policy == SnapshotPolicy::kQuiescent) {
-          // A quiescent cut must not pair an OLD map with roots pinned
-          // after a newer map's post-flip cleanup (the cleanup's erases
-          // would make the migrated range vanish from both shards under
-          // the old restriction).  Re-check the map after pinning: flips
-          // are rare, the loop virtually never retries, and the guard
-          // held across the whole loop rules out map-pointer ABA (a
-          // retired map cannot be freed and reallocated while we run).
-          const ShardMap* cur = s.map_.load(std::memory_order_acquire);
-          if (cur != map_) {
-            map_ = cur;
-            continue;
-          }
-        }
-        break;
-      }
-    }
+        : Snapshot(s, 0, NumShards - 1, hook, hook_ctx) {}
     Snapshot(const Snapshot&) = delete;
     Snapshot& operator=(const Snapshot&) = delete;
 
     ~Snapshot() CBAT_RELEASE() {}
 
-    // The acquisition epoch (kLinearizable; 0 under kQuiescent).  All
-    // composite queries on this snapshot linearize at the counter
-    // increment that returned it.
+    // The cut's epoch (kLinearizable; 0 under kQuiescent, and 0 too for a
+    // cut of a clock nothing has stamped yet).  All composite queries on
+    // this snapshot linearize at the cut that returned it.
     std::uint64_t epoch() const { return epoch_; }
 
     bool contains(Key k) const CBAT_REQUIRES(ebr_capability) {
@@ -681,6 +637,63 @@ class ShardedSet {
     }
 
    private:
+    friend ShardedSet;
+
+    // Pins shards first..last only; the forest's own range_aggregate takes
+    // a partial snapshot, whose answer reads no other root.
+    Snapshot(const ShardedSet& s, int first, int last, MidAcquireHook hook,
+             void* hook_ctx) CBAT_ACQUIRE(ebr_capability)
+        : owner_(&s) {
+      // guard: guard_ is constructed before this body runs (it is the
+      // first member); TSA does not track member-subobject guards, so
+      // assert the capability it already pinned.
+      ebr_assert_held();
+      if constexpr (Policy == SnapshotPolicy::kLinearizable) {
+        // Every update whose response preceded this call was stamped
+        // <= epoch_, so it resolves inside the cut, and every root stamped
+        // after the cut reads a larger epoch, so it resolves past it
+        // (EpochClock::cut; the walk's reclamation argument is at
+        // version_resolve_epoch).
+        epoch_ = s.epoch_.cut();
+        if constexpr (Adaptive) {
+          // Resolve the map the same way the roots are resolved: newest
+          // table whose flip was stamped at or before the cut.  Any
+          // (map@E, roots@E) pair is consistent — the owned-range
+          // restriction below hides a destination's pre-flip copies and
+          // a source's post-flip leftovers on every cut.
+          map_ = s.resolve_map_epoch(
+              s.map_.load(std::memory_order_seq_cst), epoch_);
+        }
+      } else if constexpr (Adaptive) {
+        map_ = s.map_.load(std::memory_order_acquire);
+      }
+      for (;;) {
+        for (int i = first; i <= last; ++i) {
+          if (hook != nullptr) hook(hook_ctx, i);
+          const V* r = s.shards_[i]->root_version_unsafe();
+          if constexpr (Policy == SnapshotPolicy::kLinearizable) {
+            r = version_resolve_epoch<Aug>(r, epoch_, s.epoch_);
+          }
+          roots_[i] = r;
+        }
+        if constexpr (Adaptive && Policy == SnapshotPolicy::kQuiescent) {
+          // A quiescent cut must not pair an OLD map with roots pinned
+          // after a newer map's post-flip cleanup (the cleanup's erases
+          // would make the migrated range vanish from both shards under
+          // the old restriction).  Re-check the map after pinning: flips
+          // are rare, the loop virtually never retries, and the guard
+          // held across the whole loop rules out map-pointer ABA (a
+          // retired map cannot be freed and reallocated while we run).
+          const ShardMap* cur = s.map_.load(std::memory_order_acquire);
+          if (cur != map_) {
+            map_ = cur;
+            continue;
+          }
+        }
+        break;
+      }
+    }
+
     // Shard routing on THIS snapshot's view: the pinned map under
     // Adaptive (the live map may flip while the snapshot is open), the
     // static division otherwise.
@@ -748,7 +761,7 @@ class ShardedSet {
       if constexpr (RPath == ReadPath::kCombined) {
         if (aggregate_cache_enabled()) {
           const std::uint64_t stamp =
-              version_epoch_unique<Aug>(roots_[s], *owner_->epoch_);
+              version_epoch<Aug>(roots_[s], owner_->epoch_);
           std::int64_t v;
           if (owner_->rc_.cache.load_range(s, lo, hi, stamp, &v)) {
             ++snap_lease().unflushed_hits;
@@ -1172,45 +1185,31 @@ class ShardedSet {
   }
 
   // Resolve shard s's root to the newest version stamped at or before
-  // epoch e, in the forest's stamp-minting mode.  Caller holds a guard.
+  // epoch e.  Caller holds a guard.
   const V* resolve_root(int s, std::uint64_t e) const
       CBAT_REQUIRES(ebr_capability)
     requires(Adaptive)
   {
-    const V* r = shards_[s]->root_version_unsafe();
-    if constexpr (RPath == ReadPath::kCombined) {
-      return version_resolve_epoch_unique<Aug>(r, e, *epoch_);
-    } else {
-      return version_resolve_epoch<Aug>(r, e, *epoch_);
-    }
+    return version_resolve_epoch<Aug>(shards_[s]->root_version_unsafe(), e,
+                                      epoch_);
   }
 
   // Walk the map chain to the newest table whose flip was stamped at or
   // before epoch e.  The same deferred-timestamp argument as the root
   // history walk (version_resolve_epoch) makes the prev dereference safe
   // under the caller's guard: the migrator finalizes flip_epoch BEFORE
-  // retiring the replaced table, so a stamp observed > e was minted after
-  // this snapshot's fetch_add — which means the retire of the table we
-  // are stepping to happened after our guard was announced, and EBR keeps
-  // it live for us.  A table we accept is never walked past.
+  // retiring the replaced table, so a stamp observed > e was published
+  // after this snapshot's cut read the clock — which means the retire of
+  // the table we are stepping to happened after our guard was announced,
+  // and EBR keeps it live for us.  A table we accept is never walked past.
   const ShardMap* resolve_map_epoch(const ShardMap* m, std::uint64_t e) const
       CBAT_REQUIRES(ebr_capability)
     requires(Adaptive)
   {
-    for (;;) {
-      std::uint64_t fe = m->flip_epoch.load(std::memory_order_acquire);
-      if (fe == kEpochTbd) {
-        std::uint64_t want = epoch_->load(std::memory_order_seq_cst);
-        if (m->flip_epoch.compare_exchange_strong(fe, want,
-                                                  std::memory_order_acq_rel,
-                                                  std::memory_order_acquire)) {
-          fe = want;
-        }
-        // On failure fe holds the winner's stamp.
-      }
-      if (fe <= e || m->prev == nullptr) return m;
+    while (epoch_.finalize(m->flip_epoch) > e && m->prev != nullptr) {
       m = m->prev;
     }
+    return m;
   }
 
   void run_hook(int stage)
@@ -1346,8 +1345,7 @@ class ShardedSet {
     std::vector<Key> moved;
     {
       EbrGuard g;
-      const std::uint64_t e0 =
-          epoch_->fetch_add(1, std::memory_order_seq_cst);
+      const std::uint64_t e0 = epoch_.cut();
       version_collect_range<Aug>(resolve_root(src, e0), cut_lo, cut_hi,
                                  &moved, 0);
     }
@@ -1398,10 +1396,7 @@ class ShardedSet {
       nm->gen = m->gen + 1;
       nm->prev = m;
       map_.store(nm, std::memory_order_seq_cst);
-      std::uint64_t expect = kEpochTbd;
-      nm->flip_epoch.compare_exchange_strong(
-          expect, epoch_->load(std::memory_order_seq_cst),
-          std::memory_order_acq_rel, std::memory_order_acquire);
+      epoch_.finalize(nm->flip_epoch);
       if constexpr (RPath == ReadPath::kCombined) {
         // Range-cache entries are keyed by (range, root stamp) and old
         // owned ranges never recur with different contents, so survivors
@@ -1454,8 +1449,7 @@ class ShardedSet {
     std::vector<Key> ins, del;
     {
       EbrGuard g;
-      const std::uint64_t e1 =
-          epoch_->fetch_add(1, std::memory_order_seq_cst);
+      const std::uint64_t e1 = epoch_.cut();
       const V* sr = resolve_root(src, e1);
       if (mig_.log_overflow.load(std::memory_order_acquire)) {
         std::vector<Key> truth, copied;
@@ -1512,7 +1506,7 @@ class ShardedSet {
       EbrGuard g;
       const int s = shard_of(k);
       const V* cur = shards_[s]->root_version_unsafe();
-      const std::uint64_t stamp = version_epoch_unique<Aug>(cur, *epoch_);
+      const std::uint64_t stamp = version_epoch<Aug>(cur, epoch_);
       if (stamp != lease.stamps[s]) {
         const std::int64_t sz = version_size<Aug>(cur);
         const std::int64_t delta =
@@ -1725,9 +1719,8 @@ class ShardedSet {
   // top of its descent.  Revalidating on EVERY read (rather than trusting
   // the lease for some grace period) is what keeps the semantics exactly
   // those of a fresh quiescent acquisition.  kLinearizable snapshots must
-  // advance the epoch counter to order against concurrent stamping, so
-  // they are acquired fresh per read and leasing contributes only
-  // combiner cuts.
+  // take a clock cut to order against concurrent stamping, so they are
+  // acquired fresh per read and leasing contributes only combiner cuts.
   ReadRes direct_read(typename RBuffer::Op op, Key a, Key b) const
     requires(RPath == ReadPath::kCombined)
   {
@@ -1749,8 +1742,8 @@ class ShardedSet {
   // Validate-or-renew the thread's lease under a fresh guard, then answer
   // on it.  Validation is by STAMP identity, not pointer identity: without
   // a guard held since the cut was taken, a cached pointer could have been
-  // freed and its address reused (ABA), but stamps are fetch_add-minted
-  // and unique per version, so `stamp(current root) == cached stamp`
+  // freed and its address reused (ABA), but stamps are clock-minted and
+  // unique per version, so `stamp(current root) == cached stamp`
   // proves the current root IS the cached version object — and a root
   // still installed was never retired, so the whole cached cut (interior
   // version nodes included: they are only retired after a replacement
@@ -1794,7 +1787,7 @@ class ShardedSet {
       bool dirty = false;
       for (int i = 0; i < NumShards; ++i) {
         const V* cur = shards_[i]->root_version_unsafe();
-        const std::uint64_t stamp = version_epoch_unique<Aug>(cur, *epoch_);
+        const std::uint64_t stamp = version_epoch<Aug>(cur, epoch_);
         if (stamp == lease.stamps[i]) {
           ++lease.unflushed_hits;
           if (delta != 0) lease.prefix[i] += delta;
@@ -1851,7 +1844,7 @@ class ShardedSet {
     lease.prefix[0] = 0;
     for (int i = 0; i < NumShards; ++i) {
       const V* r = shards_[i]->root_version_unsafe();
-      const std::uint64_t stamp = version_epoch_unique<Aug>(r, *epoch_);
+      const std::uint64_t stamp = version_epoch<Aug>(r, epoch_);
       lease.roots[i] = r;
       lease.stamps[i] = stamp;
       std::int64_t sz;
@@ -2030,8 +2023,9 @@ class ShardedSet {
       // Fresh generation-1 map matching the static division; the plain
       // delete is covered by this function's single-threaded contract
       // (constructor, or key_range_hint on an empty idle set).  The stamp
-      // is 1 (not kEpochTbd): the epoch counter starts at 1, so every cut
-      // accepts the initial table — it has no predecessor to resolve to.
+      // is 1 (not kEpochTbd), the clock's first epoch, so later flips
+      // stamp monotonically above it; every cut accepts the initial table
+      // because it has no predecessor to resolve to.
       ShardMap* nm = new ShardMap;
       for (int i = 0; i + 1 < NumShards; ++i) {
         nm->upper[i] = width_ * (i + 1) - 1;
@@ -2048,12 +2042,13 @@ class ShardedSet {
 
   Key keyspace_ = 0;
   Key width_ = 1;
-  // Snapshot epoch counter.  Starts at 1 so every assigned stamp is
-  // distinguishable from kEpochTbd (0).  Padded: every update's root
-  // stamp loads it, every linearizable acquisition fetch_adds it.
-  // Mutable: acquisition advances it from const composite queries; it is
+  // Snapshot clock; its epochs start at 1 so every assigned stamp is
+  // distinguishable from kEpochTbd (0).  Unique-stamp mode under
+  // kCombined (the aggregate caches key on stamps).  Cache-line aligned
+  // by its type: every root stamp and every linearizable cut touches it.
+  // Mutable: cuts advance it from const composite queries; it is
   // bookkeeping for the cut, not observable set state.
-  mutable Padded<std::atomic<std::uint64_t>> epoch_{{1}};
+  mutable EpochClock epoch_{RPath == ReadPath::kCombined};
   // Read-side state, materialized only for ReadPath::kCombined: the
   // forest-level publication buffer for leased cuts and the epoch-stamped
   // aggregate caches.  Mutable for the same reason as epoch_: both are

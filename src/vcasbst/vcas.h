@@ -27,9 +27,18 @@ class VcasClock {
  public:
   static std::uint64_t now() { return ts_.load(std::memory_order_seq_cst); }
   // Returns a snapshot timestamp t: all versions stamped <= t are visible,
-  // all later writes get stamps > t.
+  // all later writes get stamps > t.  Wei et al.'s takeSnapshot: advance
+  // the clock only if it still reads t, and return t whatever the CAS
+  // does — a failed CAS means a concurrent snapshot already moved the
+  // clock past t, which is all this one needs, so a burst of snapshots
+  // shares one advance instead of serializing on a fetch_add.  Callers
+  // announce now() before calling (SnapshotRegistry), and that value is
+  // <= t, so truncate() never drops a version this snapshot can read.
   static std::uint64_t take_snapshot() {
-    return ts_.fetch_add(1, std::memory_order_seq_cst);
+    const std::uint64_t t = ts_.load(std::memory_order_seq_cst);
+    std::uint64_t expected = t;
+    ts_.compare_exchange_strong(expected, t + 1, std::memory_order_seq_cst);
+    return t;
   }
 
  private:

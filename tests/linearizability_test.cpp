@@ -25,6 +25,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <set>
 #include <thread>
 #include <vector>
@@ -75,13 +76,21 @@ std::vector<std::vector<bool>> pair_prefix_states() {
   return {{false, false}, {true, false}, {true, true}};
 }
 
-// Acquires one Snapshot of an initially empty set, injecting both inserts
-// after shard 0's root is pinned and before shard 1's is read.  Returns
-// the observation with its (trivially known) real-time bounds: no op had
-// completed at acquisition, both had begun by the response.
+// Acquires one Snapshot of a set holding no tracked key, injecting both
+// inserts after shard 0's root is pinned and before shard 1's is read.
+// With `stamp_first`, an untracked key is inserted and erased beforehand,
+// so the epoch clock reads stamped when the cut is taken (a fresh set's
+// clock reads clean).  Returns the observation with its (trivially known)
+// real-time bounds: no tracked op had completed at acquisition, both had
+// begun by the response.
 template <class Set>
-TrackedObservation observe_with_mid_acquire_writes() {
+TrackedObservation observe_with_mid_acquire_writes(bool stamp_first = false) {
+  constexpr Key kUntracked = 2000;  // shard 2
   Set set(kKeyspace);
+  if (stamp_first) {
+    EXPECT_TRUE(set.insert(kUntracked));
+    EXPECT_TRUE(set.erase(kUntracked));
+  }
   const auto hook = [](void* ctx, int next_shard) {
     if (next_shard != 1) return;
     auto* s = static_cast<Set*>(ctx);
@@ -119,14 +128,21 @@ TEST(CrossShardLinearizability, CheckerRejectsQuiescentCut) {
 }
 
 // Same interleaving, epoch-stamped acquisition: both inserts are stamped
-// after the snapshot's counter increment, so resolving shard 3's root
-// walks its history back past b's installation and the observation is the
-// (legal) empty prefix.
+// after the snapshot's cut, so resolving shard 3's root walks its history
+// back past b's installation and the observation is the (legal) empty
+// prefix.  Run from both clock states a cut can find: on a clean word the
+// cut returns c-1 without writing (the inserts then stamp c — a clean
+// path that returned c would accept b and fail here), on a stamped word
+// it advances the clock and returns c (the inserts stamp c+1).
 TEST(CrossShardLinearizability, CheckerAcceptsEpochStampedCut) {
-  const TrackedObservation o = observe_with_mid_acquire_writes<Lin4>();
-  EXPECT_FALSE(o.members[0]);
-  EXPECT_FALSE(o.members[1]) << "b's root must resolve past the cut";
-  EXPECT_TRUE(observation_linearizes(pair_prefix_states(), o));
+  for (const bool stamped_word : {false, true}) {
+    SCOPED_TRACE(stamped_word ? "stamped word" : "clean word");
+    const TrackedObservation o =
+        observe_with_mid_acquire_writes<Lin4>(stamped_word);
+    EXPECT_FALSE(o.members[0]);
+    EXPECT_FALSE(o.members[1]) << "b's root must resolve past the cut";
+    EXPECT_TRUE(observation_linearizes(pair_prefix_states(), o));
+  }
 }
 
 // --- epoch bookkeeping ----------------------------------------------------
@@ -161,6 +177,88 @@ TEST(CrossShardLinearizability, EpochAdvancesPerAcquisitionAndCutsPin) {
   EXPECT_EQ(q.current_epoch(), 1u);
 }
 
+// The skip rule: a cut advances the clock only when a root was stamped
+// since the previous cut.  A read burst with no update shares one epoch
+// and writes nothing; one completed update between two cuts costs
+// exactly one advance, and the cut after it sees the update.
+TEST(CrossShardLinearizability, ReadBurstSharesOneEpoch) {
+  Lin4 set(kKeyspace);
+  ASSERT_TRUE(set.insert(kKeyA));
+  std::uint64_t e0 = 0;
+  {
+    Lin4::Snapshot s(set);  // the insert stamped: this cut advances
+    e0 = s.epoch();
+    EXPECT_TRUE(s.contains(kKeyA));
+  }
+  const std::uint64_t c0 = set.current_epoch();
+  EXPECT_EQ(c0, e0 + 1);
+
+  for (int i = 0; i < 8; ++i) {
+    Lin4::Snapshot s(set);
+    EXPECT_EQ(s.epoch(), e0) << i;
+    EXPECT_TRUE(s.contains(kKeyA)) << i;
+  }
+  // The public composite queries and point reads cut (or read) without
+  // stamping too.
+  EXPECT_EQ(set.size(), 1);
+  EXPECT_EQ(set.rank(kKeyA), 1);
+  EXPECT_EQ(set.range_aggregate(0, kKeyspace - 1), 1);
+  EXPECT_TRUE(set.contains(kKeyA));
+  EXPECT_EQ(set.current_epoch(), c0) << "a read burst advanced the clock";
+
+  Lin4::Snapshot before(set);
+  EXPECT_EQ(before.epoch(), e0);
+  ASSERT_TRUE(set.insert(kKeyB));
+  Lin4::Snapshot after(set);
+  EXPECT_EQ(after.epoch(), c0);
+  EXPECT_EQ(set.current_epoch(), c0 + 1);
+  EXPECT_FALSE(before.contains(kKeyB));
+  EXPECT_TRUE(after.contains(kKeyB));
+  EXPECT_EQ(after.size(), 2);
+}
+
+// A read that observes an installed root must finalize its stamp before
+// returning: an updater stamps its new root only after the install CAS,
+// and if a reader answered from the unstamped root, a cut taken next (by
+// the same thread, so strictly later) would help-stamp that root past its
+// own epoch and resolve back to the predecessor — losing an update the
+// reader already saw.  The root-install seam parks insert(a) right
+// between its root CAS and its stamp.
+TEST(CrossShardLinearizability, ReadsFinalizeTheRootStampTheyObserve) {
+  struct Park {
+    std::atomic<bool> armed{true};
+    std::atomic<bool> parked{false};
+    std::atomic<bool> release{false};
+  };
+  Lin4 set(kKeyspace);
+  Park park;
+  set.shard_at(0).set_root_install_hook(
+      [](void* ctx) {
+        auto* p = static_cast<Park*>(ctx);
+        if (!p->armed.exchange(false)) return;
+        p->parked.store(true);
+        while (!p->release.load()) std::this_thread::yield();
+      },
+      &park);
+  std::thread updater([&] { EXPECT_TRUE(set.insert(kKeyA)); });
+  while (!park.parked.load()) std::this_thread::yield();
+
+  // insert(a) is still running; its root is installed but unstamped.
+  const bool seen = set.contains(kKeyA);
+  EXPECT_TRUE(seen) << "the parked root already carries a";
+  {
+    Lin4::Snapshot snap(set);
+    EXPECT_EQ(snap.contains(kKeyA), seen)
+        << "a cut taken after a read that saw a must see a";
+    EXPECT_EQ(snap.size(), 1);
+  }
+  EXPECT_EQ(set.range_count(0, kKeyspace - 1), 1);
+
+  park.release.store(true);
+  updater.join();
+  set.shard_at(0).set_root_install_hook(nullptr, nullptr);
+}
+
 // Resolution must hand back the current root in the no-race case even
 // after the counter has advanced far past the stamps in the tree: a
 // std::set oracle equivalence run with snapshots interleaved to keep the
@@ -192,6 +290,22 @@ TEST(CrossShardLinearizability, LinearizableForestMatchesOracle) {
       ASSERT_TRUE(mid.has_value());
       ASSERT_EQ(snap.rank(*mid), (n + 1) / 2);
     }
+    // range_aggregate (SizeAug: the key count) through the forest's own
+    // partial pin and through the full snapshot: one shard, a shard's
+    // exact span, a boundary pair, several shards, all shards, and an
+    // empty range.
+    const auto check_range = [&](Key lo, Key hi) {
+      const auto want = static_cast<std::int64_t>(
+          std::distance(oracle.lower_bound(lo), oracle.upper_bound(hi)));
+      ASSERT_EQ(set.range_aggregate(lo, hi), want) << lo << ".." << hi;
+      ASSERT_EQ(snap.range_aggregate(lo, hi), want) << lo << ".." << hi;
+    };
+    check_range(100, 900);
+    check_range(1000, 1999);
+    check_range(999, 1000);
+    check_range(500, 3500);
+    check_range(0, kKeyspace - 1);
+    ASSERT_EQ(set.range_aggregate(2000, 1000), 0);
   }
 }
 
