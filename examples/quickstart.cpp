@@ -64,12 +64,12 @@ int main() {
               static_cast<long long>(erased->rank(2)));
 
   // Tuning goes through one front door: configure() takes a SetOptions
-  // bag and applies every engaged field the structure can honor.  Here
-  // the adaptive sharded forest aligns its shard map to the keyspace and
-  // turns on online hot-shard rebalancing; configure() returns false if
-  // any engaged field could not be applied (e.g. the same options on a
-  // non-adaptive structure).
-  auto forest = registry.create("Sharded16-Combined-BAT-Adapt");
+  // bag and applies its engaged fields all or nothing.  Here the adaptive
+  // sharded forest aligns its shard map to the keyspace and turns on
+  // online hot-shard rebalancing; configure() applies nothing and returns
+  // false if any engaged field cannot be honored (e.g. the same options
+  // on a non-adaptive structure).
+  auto forest = registry.create("Sharded16-BAT-Adapt");
   cbat::api::SetOptions opts;
   opts.key_range_hint = 1 << 20;
   opts.adaptive_rebalance = true;

@@ -2,10 +2,9 @@
 # Smoke-scale benchmark run: every scenario at --smoke parameters, one
 # JSON file out.  Used by the CI smoke-bench job and for refreshing the
 # committed baseline (bench/baselines/BENCH_smoke.json).  --all includes
-# the shard-layer scenarios (shard_sweep is regression-gated alongside
-# the figure scenarios; shard_hotspot stays informational) and the
-# combining layer's combine_sweep (gated on throughput, with its
-# batch-occupancy metrics surfaced by compare_bench.py).
+# the shard-layer scenarios (shard_sweep, snapshot_consistency, read_burst
+# and rebalance are regression-gated alongside the figure scenarios;
+# shard_hotspot stays informational).
 #
 #   scripts/bench_smoke.sh [OUT.json]       # default: BENCH_smoke.json
 #

@@ -19,6 +19,9 @@ Modes:
       scheduler noise in short smoke runs, which is what CI uses.
       --scenarios restricts the gate to the named scenarios (others stay
       in the report but cannot fail the comparison).
+      --hit-rate-drop gates the cached series' aggregate-cache hit rate;
+      --adaptive-floor gates the adaptive series against their static
+      twins within the current run.
 
 Exit codes: 0 ok, 1 regression found, 2 schema/usage error.
 """
@@ -111,80 +114,6 @@ def indexed_runs(doc):
     return out
 
 
-# Occupancy below this excess over 1.0 cannot be *ratio*-gated: on
-# low-core hosts batches beyond the combiner's own request come from rare
-# lock-collision events (one per scheduler preemption), so the excess is
-# pure scheduling noise and a ratio against it would amplify that noise
-# into spurious failures.  Such series are still reported, and still
-# subject to the collapse check below — a current occupancy of exactly
-# 1.0 (zero requests ever drained over a whole scenario) or 0.0 (no
-# batches at all) cannot be produced by scheduler noise, only by a
-# combining-protocol regression, so it fails regardless of the floor.
-MIN_GATEABLE_OCCUPANCY_EXCESS = 0.05
-
-
-def indexed_occupancy(doc, scenarios=None):
-    """Per-(scenario, series) mean of the combining layer's batch-occupancy
-    metric (avg requests per combiner batch, >= 1 when combining ran),
-    restricted to `scenarios` when given (the gate's scenario set)."""
-    groups = {}
-    for sc in doc["scenarios"]:
-        if scenarios is not None and sc["name"] not in scenarios:
-            continue
-        for run in sc["runs"]:
-            occ = run.get("metrics", {}).get("batch_occupancy")
-            if occ is None:
-                continue
-            groups.setdefault((sc["name"], run["series"]), []).append(
-                float(occ))
-    return {k: sum(v) / len(v) for k, v in groups.items()}
-
-
-def report_occupancy(base_doc, cur_doc, drop_threshold, scenarios):
-    """Surfaces combining effectiveness next to the throughput gate.
-
-    Occupancy is compared on its *excess* over 1.0 (a batch always carries
-    at least the combiner's own request, so `occ - 1` is the part combining
-    actually contributed).  Only series whose baseline excess is at least
-    MIN_GATEABLE_OCCUPANCY_EXCESS can fail the gate.  Returns the list of
-    regressions beyond drop_threshold (empty when the flag is unset)."""
-    base = indexed_occupancy(base_doc, scenarios)
-    cur = indexed_occupancy(cur_doc, scenarios)
-    # Mirror the throughput gate's dropped-scenario check: a baseline
-    # series whose occupancy metric vanished from the current run (renamed
-    # series, renamed metric key, metrics no longer emitted) must not
-    # silently un-gate itself.
-    missing = sorted(set(base) - set(cur))
-    if missing and drop_threshold is not None:
-        fail_schema(
-            "baseline combining series carry no batch_occupancy in the "
-            "current run (renamed series or dropped metrics? refresh "
-            "bench/baselines/): "
-            + ",".join("/".join(k) for k in missing))
-    shared = sorted(set(base) & set(cur))
-    if not shared:
-        return []
-    print("compare_bench: combining batch occupancy (avg requests/batch):")
-    regressions = []
-    for key in shared:
-        b, c = base[key], cur[key]
-        line = f"  {key[0]}/{key[1]}: {b:.3f} -> {c:.3f}"
-        if drop_threshold is not None and b > 1.0 and c <= 1.0:
-            # Collapse: combining stopped draining requests entirely.
-            line += "  REGRESSED (occupancy collapsed to no combining)"
-            regressions.append((key, b, c))
-        elif drop_threshold is not None and \
-                b - 1.0 >= MIN_GATEABLE_OCCUPANCY_EXCESS:
-            excess_ratio = (c - 1.0) / (b - 1.0)
-            if excess_ratio < 1.0 - drop_threshold:
-                line += f"  REGRESSED (excess {excess_ratio - 1.0:+.0%})"
-                regressions.append((key, b, c))
-        elif drop_threshold is not None:
-            line += "  (excess below ratio-gate floor)"
-        print(line)
-    return regressions
-
-
 def indexed_hit_rate(doc, scenarios=None):
     """Per-(scenario, series) mean of the read layer's aggregate-cache
     hit-rate metric, restricted to `scenarios` when given.  Runs without
@@ -209,12 +138,11 @@ def report_hit_rate(base_doc, cur_doc, drop_threshold, scenarios):
     """Surfaces aggregate-cache effectiveness next to the throughput gate.
 
     A cache whose hit rate collapses stops contributing while the cached
-    series' throughput may still pass the (noisy) throughput gate — the
-    same failure mode the occupancy gate closes for update combining.
-    Gated on the absolute drop in hit rate: the metric is already a
-    bounded ratio, so a fractional-of-baseline gate (occupancy's shape)
-    would over-trigger near 1.0 and under-trigger near 0.  Returns the
-    regressions beyond drop_threshold (empty when the flag is unset)."""
+    series' throughput may still pass the (noisy) throughput gate.  Gated
+    on the absolute drop in hit rate: the metric is already a bounded
+    ratio, so a fractional-of-baseline gate would over-trigger near 1.0
+    and under-trigger near 0.  Returns the regressions beyond
+    drop_threshold (empty when the flag is unset)."""
     base = indexed_hit_rate(base_doc, scenarios)
     cur = indexed_hit_rate(cur_doc, scenarios)
     # A baseline series whose metric vanished entirely (renamed series or
@@ -342,12 +270,6 @@ def main():
     ap.add_argument("--min-ops-per-sec", type=float, default=1000.0,
                     help="ignore cells whose baseline throughput is below "
                          "this (too noisy to gate on)")
-    ap.add_argument("--occupancy-drop", type=float, default=None,
-                    metavar="FRAC",
-                    help="fail if a series' combining batch occupancy "
-                         "(its excess over the always-present own request) "
-                         "drops by more than this fraction; occupancy is "
-                         "always reported either way")
     ap.add_argument("--hit-rate-drop", type=float, default=None,
                     metavar="ABS",
                     help="fail if a series' aggregate-cache hit rate falls "
@@ -467,11 +389,9 @@ def main():
               f"{b:,.0f} -> {c:,.0f} ops/s "
               f"({(c / scale) / b - 1.0:+.1%} after scaling)")
 
-    # Combining effectiveness rides along with the throughput gate: a
-    # protocol regression can halve batch occupancy while throughput noise
-    # still passes, so surface (and optionally gate) it here.
-    occ_regressions = report_occupancy(base_doc, cur_doc,
-                                       args.occupancy_drop, gated)
+    # Cache effectiveness rides along with the throughput gate: a cache
+    # that stops hitting can hide inside throughput noise, so surface (and
+    # optionally gate) it here.
     hit_regressions = report_hit_rate(base_doc, cur_doc,
                                       args.hit_rate_drop, gated)
     adaptive_failures = report_adaptive(cur_doc, args.adaptive_floor, gated)
@@ -482,14 +402,6 @@ def main():
         for key, b, c, ratio in regressions[:20]:
             print(f"  {'/'.join(key[:3])} x={key[3]}: "
                   f"{b:,.0f} -> {c:,.0f} ops/s ({ratio - 1.0:+.1%})",
-                  file=sys.stderr)
-        return 1
-    if occ_regressions:
-        print(f"compare_bench: FAIL — {len(occ_regressions)} series lost "
-              f"more than {args.occupancy_drop:.0%} of their combining "
-              f"batch occupancy:", file=sys.stderr)
-        for key, b, c in occ_regressions[:20]:
-            print(f"  {key[0]}/{key[1]}: {b:.2f} -> {c:.2f}",
                   file=sys.stderr)
         return 1
     if hit_regressions:

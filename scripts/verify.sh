@@ -47,7 +47,7 @@ if [[ "${1:-}" == "--chaos" ]]; then
   cmake -B "$BUILD_DIR" -S . "${CMAKE_ARGS[@]}"
   cmake --build "$BUILD_DIR" -j
   ctest --test-dir "$BUILD_DIR" --output-on-failure --no-tests=error \
-    -j "$(nproc)" -R 'fault_injection|sharded_set|combining|ebr'
+    -j "$(nproc)" -R 'fault_injection|sharded_set|ebr'
   python3 scripts/check_markdown.py
   python3 scripts/check_concurrency.py
   exit 0

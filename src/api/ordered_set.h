@@ -101,33 +101,22 @@ concept ConsistencyIntrospectable = requires {
 };
 
 // One bag of tuning knobs for every structure, applied through
-// AbstractOrderedSet::configure.  Each field is optional; a disengaged
-// field means "leave that knob alone".  This replaces the accumulated
-// ad-hoc setters (set_key_range_hint on the abstract set plus the
-// process-wide set_combine_max_batch / set_delegation_timeout /
-// set_lease_reads / set_aggregate_cache free functions) as the single
-// front door the benchmark driver and the examples go through; the old
-// setters remain as thin deprecated wrappers so existing callers and
-// tests keep working.
+// AbstractOrderedSet::configure — the single front door the benchmark
+// driver and the examples go through.  Each field is optional; a
+// disengaged field means "leave that knob alone".
 //
-// Scope caveat, inherited from the knobs themselves: everything except
-// key_range_hint and the rebalancing fields is PROCESS-WIDE (the knobs
-// gate layers, not instances), so configure() on one structure adjusts
-// every structure sharing the process.  The benchmark harness already
-// relies on exactly that to toggle layers between series.
+// Scope caveat, inherited from the knobs themselves: delegation_timeout
+// and ebr_limbo_high_water are PROCESS-WIDE (they tune layers, not
+// instances), so configure() on one structure adjusts every structure
+// sharing the process.
 struct SetOptions {
-  // Advisory: keys will be drawn from [0, key_range_hint).  Per instance.
+  // Advisory: keys will be drawn from [0, key_range_hint).  Honored by
+  // the shard forests while they are empty.  Per instance.
   std::optional<Key> key_range_hint;
-  // Max requests one flat-combining drain applies (<= 1 disables
-  // combining).  Process-wide.
-  std::optional<int> combine_max_batch;
-  // Spin budget (iterations) for delegation waits, combining publication
-  // waits, and read-lease waits; 0 means never wait.  Process-wide.
+  // Spin budget (iterations) a delegating Propagate waits on another
+  // update before resuming on its own; 0 disables the timeout.
+  // Process-wide.
   std::optional<std::uint64_t> delegation_timeout;
-  // Snapshot leasing for composite reads ("-RC" forests).  Process-wide.
-  std::optional<bool> lease_reads;
-  // Epoch-stamped per-shard aggregate caches.  Process-wide.
-  std::optional<bool> aggregate_cache;
   // EBR limbo-pressure guardrail: when a thread's unreclaimed limbo bags
   // hold at least this many objects, its next retire forces an epoch
   // advance + sweep and counts an ebr_pressure_events.  0 disables the
@@ -143,17 +132,33 @@ struct SetOptions {
   std::optional<std::uint32_t> rebalance_check_period;
 };
 
+// Optional extension: structures with the online hot-shard rebalancer's
+// knobs (the adaptive shard forests) take SetOptions' rebalancing fields.
+template <class S>
+concept Rebalanceable = requires(S s, bool on, double f, std::uint32_t p) {
+  s.set_adaptive_enabled(on);
+  s.set_rebalance_hot_factor(f);
+  s.set_rebalance_check_period(p);
+};
+
+namespace detail {
+// The process-wide SetOptions fields (delegation_timeout,
+// ebr_limbo_high_water), checked and applied in registry.cpp so this
+// header stays free of the layers that own the knobs.  apply cannot fail
+// once valid returned true.
+bool process_options_valid(const SetOptions& o);
+void apply_process_options(const SetOptions& o);
+}  // namespace detail
+
 // Static capabilities of a registered structure, derived from its type at
 // registration (never parsed back out of its name).  The benchmark
 // records these in every run's JSON config and `cbat_bench --list
 // --verbose` prints them.
 struct StructureInfo {
-  bool ranked = false;          // order statistics (RankedSet)
+  bool ranked = false;    // order statistics (RankedSet)
   Consistency consistency = Consistency::kLinearizable;  // composite queries
-  bool combining = false;       // updates go through flat combining
-  bool read_combining = false;  // composite reads lease shared cuts
-  bool adaptive = false;        // online hot-shard rebalancing
-  int shards = 1;               // forest width (1 = single tree)
+  bool adaptive = false;  // online hot-shard rebalancing
+  int shards = 1;         // forest width (1 = single tree)
 };
 
 // Type-erased view of a registered structure.
@@ -163,9 +168,9 @@ struct StructureInfo {
 // operations and single-structure queries are linearizable; composite
 // queries give the guarantee reported by consistency().  All operations
 // are non-blocking toward *other* threads' progress except where a
-// concrete structure documents bounded waiting (the combining layer's
-// publication spin and delegation's WaitForDelegatee, both bounded by
-// set_delegation_timeout and falling back to solo execution).
+// concrete structure documents bounded waiting (delegation's
+// WaitForDelegatee, bounded by the delegation timeout and falling back to
+// solo execution).
 class AbstractOrderedSet {
  public:
   virtual ~AbstractOrderedSet() = default;
@@ -194,21 +199,12 @@ class AbstractOrderedSet {
     return range_count(lo, hi);
   }
 
-  // Applies every engaged field of `o` that this structure (or the
-  // process-wide layer knobs) can honor; returns true iff ALL engaged
-  // fields were applied.  The base implementation (registry.cpp) handles
-  // the generic fields — key_range_hint via the virtual below, the four
-  // layer knobs via their process-wide slots — and reports false for the
-  // rebalancing fields; SetModel overrides it to forward those to
-  // structures that expose the matching setters.  This is the preferred
-  // configuration front door; see SetOptions.
-  virtual bool configure(const SetOptions& o);
-
-  // Deprecated: use configure({.key_range_hint = max_key}).  Advisory:
-  // keys will be drawn from [0, max_key); structures without a use for it
-  // (all the single trees) keep the no-op default.  Returns whether it
-  // was applied.
-  virtual bool set_key_range_hint(Key /*max_key*/) { return false; }
+  // Applies the engaged fields of `o` all or nothing: every engaged field
+  // is validated first, and if this structure cannot honor one of them
+  // (a malformed value, a field the structure has no use for, a
+  // key-range hint on a populated forest) configure() applies nothing
+  // and returns false.  See SetOptions.
+  virtual bool configure(const SetOptions& o) = 0;
 
   // The guarantee this structure's composite queries (size/rank/select/
   // range_*) give under concurrent updates; see the Consistency enum.  The
@@ -272,54 +268,50 @@ class SetModel final : public AbstractOrderedSet {
     }
   }
 
-  bool set_key_range_hint(Key max_key) override {
-    if constexpr (KeyRangeHintable<T>) return t_.key_range_hint(max_key);
-    return false;
-  }
-
-  // Generic fields go through the base (process-wide knobs + the hint);
-  // the rebalancing fields bind to the concrete type's setters when it
-  // has them — the concept detection mirrors every other bridge here.
+  // All or nothing: every engaged field is checked against what T can
+  // honor before anything is applied.  The key-range hint is the one
+  // field whose acceptance depends on state (an empty forest), so it is
+  // tried last among the checks; what remains after it cannot fail.
   bool configure(const SetOptions& o) override {
-    SetOptions rest = o;
-    rest.adaptive_rebalance.reset();
-    rest.rebalance_hot_factor.reset();
-    rest.rebalance_check_period.reset();
-    bool ok = AbstractOrderedSet::configure(rest);
-    if (o.adaptive_rebalance.has_value()) {
-      if constexpr (requires(T t, bool on) { t.set_adaptive_enabled(on); }) {
+    if (!detail::process_options_valid(o)) return false;
+    if (o.key_range_hint.has_value() && !KeyRangeHintable<T>) return false;
+    if ((o.adaptive_rebalance.has_value() ||
+         o.rebalance_hot_factor.has_value() ||
+         o.rebalance_check_period.has_value()) &&
+        !Rebalanceable<T>) {
+      return false;
+    }
+    // The policy compares against hot_factor * mean rate: NaN/inf never
+    // triggers, <= 1.0 makes every shard "hot" — both malformed.
+    if (o.rebalance_hot_factor.has_value() &&
+        !(std::isfinite(*o.rebalance_hot_factor) &&
+          *o.rebalance_hot_factor > 1.0)) {
+      return false;
+    }
+    // Zero would ask for a policy check on every update.
+    if (o.rebalance_check_period.has_value() &&
+        *o.rebalance_check_period == 0) {
+      return false;
+    }
+    if constexpr (KeyRangeHintable<T>) {
+      if (o.key_range_hint.has_value() &&
+          !t_.key_range_hint(*o.key_range_hint)) {
+        return false;
+      }
+    }
+    detail::apply_process_options(o);
+    if constexpr (Rebalanceable<T>) {
+      if (o.adaptive_rebalance.has_value()) {
         t_.set_adaptive_enabled(*o.adaptive_rebalance);
-      } else {
-        ok = false;
       }
-    }
-    if (o.rebalance_hot_factor.has_value()) {
-      // The policy compares against hot_factor * mean rate: NaN/inf never
-      // triggers, <= 1.0 makes every shard "hot" — both malformed.
-      if (!std::isfinite(*o.rebalance_hot_factor) ||
-          *o.rebalance_hot_factor <= 1.0) {
-        ok = false;
-      } else if constexpr (requires(T t, double f) {
-                             t.set_rebalance_hot_factor(f);
-                           }) {
+      if (o.rebalance_hot_factor.has_value()) {
         t_.set_rebalance_hot_factor(*o.rebalance_hot_factor);
-      } else {
-        ok = false;
       }
-    }
-    if (o.rebalance_check_period.has_value()) {
-      // Zero would ask for a policy check on every update.
-      if (*o.rebalance_check_period == 0) {
-        ok = false;
-      } else if constexpr (requires(T t, std::uint32_t p) {
-                             t.set_rebalance_check_period(p);
-                           }) {
+      if (o.rebalance_check_period.has_value()) {
         t_.set_rebalance_check_period(*o.rebalance_check_period);
-      } else {
-        ok = false;
       }
     }
-    return ok;
+    return true;
   }
 
   Consistency consistency() const override {
@@ -385,16 +377,6 @@ class StructureRegistry {
       e.info.consistency = T::composite_queries_linearizable()
                                ? Consistency::kLinearizable
                                : Consistency::kQuiescentlyConsistent;
-    }
-    if constexpr (requires {
-                    { T::combines_updates() } -> std::convertible_to<bool>;
-                  }) {
-      e.info.combining = T::combines_updates();
-    }
-    if constexpr (requires {
-                    { T::combines_reads() } -> std::convertible_to<bool>;
-                  }) {
-      e.info.read_combining = T::combines_reads();
     }
     if constexpr (requires {
                     { T::adaptive_rebalancing() } -> std::convertible_to<bool>;

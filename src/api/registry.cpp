@@ -6,10 +6,7 @@
 #include "btree/verbtree.h"
 #include "bundled/bundled_tree.h"
 #include "chromatic/chromatic_set.h"
-#include "combine/combined_set.h"
-#include "combine/combining_buffer.h"
 #include "core/bat_tree.h"
-#include "shard/aggregate_cache.h"
 #include "frbst/frbst.h"
 #include "reclamation/ebr.h"
 #include "shard/sharded_set.h"
@@ -33,75 +30,46 @@ static_assert(RankedSet<ShardedSet<Bat<SizeAug>, 16>>);
 static_assert(KeyRangeHintable<ShardedSet<Bat<SizeAug>, 16>>);
 static_assert(RankedSet<ShardedSet<BatDel<SizeAug>, 16>>);
 static_assert(!KeyRangeHintable<Bat<SizeAug>>);
-// The combining layer wraps a BAT without weakening its contract, and the
-// sharded-combined forest keeps the shard layer's key-range hint.
-static_assert(RankedSet<CombinedSet<Bat<SizeAug>>>);
-static_assert(CombinableInner<Bat<SizeAug>>);
-static_assert(RankedSet<ShardedSet<CombinedSet<Bat<SizeAug>>, 16>>);
-static_assert(KeyRangeHintable<ShardedSet<CombinedSet<Bat<SizeAug>>, 16>>);
 // Consistency introspection: the shard layer reports its composite-query
 // guarantee per snapshot policy (quiescent by default, linearizable for
-// the epoch-stamped "-Lin" variants); the epoch source reaches a BAT both
-// directly and through the combining layer.
+// the epoch-stamped "-Lin" variants).
 static_assert(ConsistencyIntrospectable<ShardedSet<Bat<SizeAug>, 16>>);
 static_assert(!ShardedSet<Bat<SizeAug>, 16>::composite_queries_linearizable());
 static_assert(ShardedSet<Bat<SizeAug>, 16, SnapshotPolicy::kLinearizable>::
                   composite_queries_linearizable());
 static_assert(EpochStampedInner<Bat<SizeAug>>);
-static_assert(EpochStampedInner<CombinedSet<Bat<SizeAug>>>);
 static_assert(RankedSet<ShardedSet<Bat<SizeAug>, 16,
-                                   SnapshotPolicy::kLinearizable>>);
-static_assert(RankedSet<ShardedSet<CombinedSet<Bat<SizeAug>>, 16,
                                    SnapshotPolicy::kLinearizable>>);
 // Single trees keep the default: no hook, composite queries linearizable.
 static_assert(!ConsistencyIntrospectable<Bat<SizeAug>>);
-// The read-combined forests keep the full contract; leasing and caching
-// inherit the underlying cut's consistency, never weaken it, so the "-RC"
-// twins report exactly their policy's guarantee.
-static_assert(RankedSet<ShardedSet<CombinedSet<Bat<SizeAug>>, 16,
-                                   SnapshotPolicy::kQuiescent,
-                                   ReadPath::kCombined>>);
-static_assert(KeyRangeHintable<ShardedSet<CombinedSet<Bat<SizeAug>>, 16,
-                                          SnapshotPolicy::kQuiescent,
-                                          ReadPath::kCombined>>);
-static_assert(RankedSet<ShardedSet<CombinedSet<Bat<SizeAug>>, 16,
-                                   SnapshotPolicy::kLinearizable,
-                                   ReadPath::kCombined>>);
-static_assert(!ShardedSet<CombinedSet<Bat<SizeAug>>, 16,
-                          SnapshotPolicy::kQuiescent,
-                          ReadPath::kCombined>::composite_queries_linearizable());
-static_assert(ShardedSet<CombinedSet<Bat<SizeAug>>, 16,
-                         SnapshotPolicy::kLinearizable,
-                         ReadPath::kCombined>::composite_queries_linearizable());
-static_assert(ShardedSet<CombinedSet<Bat<SizeAug>>, 16,
-                         SnapshotPolicy::kQuiescent,
-                         ReadPath::kCombined>::read_path() ==
-              ReadPath::kCombined);
+// The cached forests keep the full contract; the cache serves exactly the
+// answers of a direct read, so the "-Cached" twins report exactly their
+// policy's guarantee.
+using Cached16 = ShardedSet<Bat<SizeAug>, 16, SnapshotPolicy::kQuiescent,
+                            ReadPath::kCached>;
+using Cached16Lin = ShardedSet<Bat<SizeAug>, 16,
+                               SnapshotPolicy::kLinearizable,
+                               ReadPath::kCached>;
+static_assert(RankedSet<Cached16> && KeyRangeHintable<Cached16>);
+static_assert(RankedSet<Cached16Lin>);
+static_assert(!Cached16::composite_queries_linearizable());
+static_assert(Cached16Lin::composite_queries_linearizable());
+static_assert(Cached16::read_path() == ReadPath::kCached);
 // The adaptive forests keep the whole contract — ranked, hintable,
 // consistency-introspectable — and additionally report their rebalancer
-// through the capability hooks the registry derives StructureInfo from.
-using Adapt16 = ShardedSet<CombinedSet<Bat<SizeAug>>, 16,
-                           SnapshotPolicy::kQuiescent, ReadPath::kDirect,
-                           /*Adaptive=*/true>;
-using Adapt16Lin = ShardedSet<CombinedSet<Bat<SizeAug>>, 16,
+// through the capability hook the registry derives StructureInfo from.
+using Adapt16 = ShardedSet<Bat<SizeAug>, 16, SnapshotPolicy::kQuiescent,
+                           ReadPath::kDirect, /*Adaptive=*/true>;
+using Adapt16Lin = ShardedSet<Bat<SizeAug>, 16,
                               SnapshotPolicy::kLinearizable,
                               ReadPath::kDirect, /*Adaptive=*/true>;
 static_assert(RankedSet<Adapt16> && KeyRangeHintable<Adapt16>);
 static_assert(RankedSet<Adapt16Lin>);
-static_assert(Adapt16::adaptive_rebalancing());
+static_assert(Adapt16::adaptive_rebalancing() && Rebalanceable<Adapt16>);
 static_assert(!Adapt16::composite_queries_linearizable());
 static_assert(Adapt16Lin::composite_queries_linearizable());
-// Capability hooks: combining comes from the inner CombinedSet, read
-// combining only from the forest-level "-RC" path, adaptivity only from
-// the Adaptive parameter — names no longer carry any of this.
-static_assert(Adapt16::combines_updates());
-static_assert(!Adapt16::combines_reads());
-static_assert(!ShardedSet<Bat<SizeAug>, 16>::combines_updates());
 static_assert(!ShardedSet<Bat<SizeAug>, 16>::adaptive_rebalancing());
-static_assert(CombinedSet<Bat<SizeAug>>::combines_updates());
-static_assert(ShardedSet<CombinedSet<Bat<SizeAug>>, 16,
-                         SnapshotPolicy::kQuiescent,
-                         ReadPath::kCombined>::combines_reads());
+static_assert(!Rebalanceable<ShardedSet<Bat<SizeAug>, 16>>);
 
 namespace {
 std::mutex& registry_mutex() {
@@ -132,52 +100,33 @@ StructureRegistry::StructureRegistry() {
   register_type<ShardedSet<Bat<SizeAug>, 16>>("Sharded16-BAT");
   register_type<ShardedSet<Bat<SizeAug>, 64>>("Sharded64-BAT");
   register_type<ShardedSet<BatDel<SizeAug>, 16>>("Sharded16-BAT-Del");
-  // The combining layer (combine_sweep scenario): a combined single BAT
-  // and the sharded forest whose shards each own a combining buffer.
-  register_type<CombinedSet<Bat<SizeAug>>>("Combined-BAT");
-  register_type<ShardedSet<CombinedSet<Bat<SizeAug>>, 16>>(
-      "Sharded16-Combined-BAT");
-  // Linearizable-snapshot forests (snapshot_consistency scenario): same
-  // write path as their quiescent counterparts — epoch stamping is on in
+  // Linearizable-snapshot forest (snapshot_consistency scenario): same
+  // write path as its quiescent counterpart — epoch stamping is on in
   // both — but snapshot acquisition is the two-phase epoch cut, so every
   // cross-shard composite query linearizes.
   register_type<ShardedSet<Bat<SizeAug>, 16, SnapshotPolicy::kLinearizable>>(
       "Sharded16-BAT-Lin");
-  register_type<
-      ShardedSet<CombinedSet<Bat<SizeAug>>, 16, SnapshotPolicy::kLinearizable>>(
-      "Sharded16-Combined-BAT-Lin");
-  // Read-combined forests (read_burst scenario): composite reads publish
-  // alongside updates, lease shared epoch cuts, and validate against the
-  // epoch-stamped per-shard aggregate caches.  Same write path as the
-  // non-RC twins.
-  register_type<ShardedSet<CombinedSet<Bat<SizeAug>>, 16,
-                           SnapshotPolicy::kQuiescent, ReadPath::kCombined>>(
-      "Sharded16-Combined-BAT-RC");
-  register_type<ShardedSet<CombinedSet<Bat<SizeAug>>, 16,
-                           SnapshotPolicy::kLinearizable,
-                           ReadPath::kCombined>>("Sharded16-Combined-BAT-RC-Lin");
-  // Adaptive forests (rebalance scenario): same combined write path as
-  // "Sharded16-Combined-BAT", plus the online hot-shard rebalancer.  The
-  // rebalancing knobs arrive through configure(SetOptions).
-  register_type<Adapt16>("Sharded16-Combined-BAT-Adapt");
-  register_type<Adapt16Lin>("Sharded16-Combined-BAT-Adapt-Lin");
+  // Cached forests (read_burst scenario): range aggregates validate
+  // against the epoch-stamped per-shard aggregate cache.  Same write path
+  // as the direct twins.
+  register_type<Cached16>("Sharded16-BAT-Cached");
+  register_type<Cached16Lin>("Sharded16-BAT-Cached-Lin");
+  // Adaptive forests (rebalance scenario): the plain forest plus the
+  // online hot-shard rebalancer.  The rebalancing knobs arrive through
+  // configure(SetOptions).
+  register_type<Adapt16>("Sharded16-BAT-Adapt");
+  register_type<Adapt16Lin>("Sharded16-BAT-Adapt-Lin");
 }
 
-bool AbstractOrderedSet::configure(const SetOptions& o) {
-  bool ok = true;
-  if (o.key_range_hint.has_value()) {
-    ok = set_key_range_hint(*o.key_range_hint) && ok;
-  }
-  if (o.combine_max_batch.has_value()) {
-    // 1 is the documented "disable combining" setting; zero or negative
-    // batches are malformed (a drain that may apply nothing would wedge
-    // waiters), so reject them instead of storing a nonsense knob.
-    if (*o.combine_max_batch <= 0) {
-      ok = false;
-    } else {
-      set_combine_max_batch(*o.combine_max_batch);
-    }
-  }
+namespace detail {
+
+bool process_options_valid(const SetOptions& o) {
+  // 0 means "guardrail off"; a negative mark is malformed (no limbo
+  // population can be below zero, so it would arm a dead trigger).
+  return !o.ebr_limbo_high_water.has_value() || *o.ebr_limbo_high_water >= 0;
+}
+
+void apply_process_options(const SetOptions& o) {
   if (o.delegation_timeout.has_value()) {
     // The spin budget is a per-instantiation static on BatTree; apply it
     // to every variant the registry instantiates so the knob stays
@@ -186,25 +135,12 @@ bool AbstractOrderedSet::configure(const SetOptions& o) {
     BatDel<SizeAug>::set_delegation_timeout(*o.delegation_timeout);
     BatEagerDel<SizeAug>::set_delegation_timeout(*o.delegation_timeout);
   }
-  if (o.lease_reads.has_value()) set_lease_reads(*o.lease_reads);
-  if (o.aggregate_cache.has_value()) set_aggregate_cache(*o.aggregate_cache);
   if (o.ebr_limbo_high_water.has_value()) {
-    // 0 means "guardrail off"; a negative mark is malformed (no limbo
-    // population can be below zero, so it would arm a dead trigger).
-    if (*o.ebr_limbo_high_water < 0) {
-      ok = false;
-    } else {
-      set_ebr_limbo_high_water(*o.ebr_limbo_high_water);
-    }
+    set_ebr_limbo_high_water(*o.ebr_limbo_high_water);
   }
-  // The rebalancing fields need a structure with the matching setters;
-  // SetModel's override applies them before delegating here.
-  if (o.adaptive_rebalance.has_value() || o.rebalance_hot_factor.has_value() ||
-      o.rebalance_check_period.has_value()) {
-    ok = false;
-  }
-  return ok;
 }
+
+}  // namespace detail
 
 void StructureRegistry::register_structure(std::string name, Entry entry) {
   std::lock_guard<std::mutex> g(registry_mutex());

@@ -11,8 +11,6 @@
 
 #include "bench/table.h"
 #include "chromatic/chromatic_set.h"
-#include "combine/combining_buffer.h"
-#include "shard/aggregate_cache.h"
 #include "core/bat_tree.h"
 #include "frbst/frbst.h"
 #include "llxscx/llx_scx.h"
@@ -602,149 +600,6 @@ void run_shard_hotspot(ScenarioContext& ctx) {
   }
 }
 
-// combine_sweep: the combining layer (src/combine/) over a batch-size x
-// thread-count x update-share grid, on Zipfian keys so the hot shard that
-// erases the sharding win in shard_hotspot is exactly where combining
-// engages.  Controls are the same structures without the combining layer;
-// each combined cell additionally records per-batch occupancy statistics
-// (avg requests per combiner batch, solo/timeout shares) into the
-// schema-1 JSON metrics, which scripts/compare_bench.py surfaces so a
-// regression in combining *effectiveness* is visible even when raw
-// throughput still passes the gate.  NOTE: occupancy > 1 needs truly
-// concurrent updates; on a single-hardware-thread host the grid still
-// runs (protocol coverage) but shows parity, like shard_sweep's scaling.
-void run_combine_sweep(ScenarioContext& ctx) {
-  const Args& args = *ctx.args;
-  // A small, hot smoke keyspace: the Zipf head concentrates on one shard
-  // and key sampling stays cheap, so the combined-vs-control ratio —
-  // the acceptance signal — is dominated by tree work, not workload
-  // generation.  Cells are longer than the figures' 150 ms for the same
-  // reason: per-cell scheduler noise matters more here than in sweeps
-  // that only feed the geomean gate.
-  const long maxkey = pick(args, "--maxkey", 1000000, 4000, 100000);
-  const long tt = ctx.fixed_threads();
-  const int ms = static_cast<int>(pick(args, "--ms", 3000, 600, 120));
-  // Smoke oversubscribes (16 threads, vs the figures' TT 2): combining's
-  // win regime is runnable threads contending for a hot shard, which two
-  // threads barely produce; the control pays the extra conflict churn
-  // while the combiner serializes it.
-  const auto thread_counts =
-      args.full_scale()
-          ? args.get_list("--threads", {1, 12, 24, 48, 96})
-          : args.get_list("--threads", {args.smoke() ? 16L : tt});
-  const auto batch_sizes =
-      pick_list(args, "--batch", {8, 64}, {8, 64}, {8, 64});
-  const double theta = args.get_double("--theta", 1.35);
-  // Update share in percent; the rest of the mix is finds.  The >= 80%
-  // cells are the ones the combining layer exists for.
-  const std::vector<long> update_shares = {50, 80, 100};
-
-  struct Pair {
-    const char* control;
-    const char* combined;
-  };
-  const Pair pairs[] = {
-      {"BAT", "Combined-BAT"},
-      {"Sharded16-BAT", "Sharded16-Combined-BAT"},
-  };
-
-  const int saved_max_batch = combine_max_batch();
-  char theta_buf[16];
-  std::snprintf(theta_buf, sizeof(theta_buf), "%g", theta);
-  for (long threads : thread_counts) {
-    const std::string table =
-        "combine_sweep: TT " + std::to_string(threads) + ", MK " +
-        std::to_string(maxkey) + ", Zipfian " + theta_buf +
-        ", (x/2)-(x/2)-(100-x)-0 — throughput (ops/s)";
-    auto config_for = [&](long share) {
-      RunConfig cfg;
-      cfg.workload.insert_pct = static_cast<double>(share) / 2;
-      cfg.workload.delete_pct = static_cast<double>(share) / 2;
-      cfg.workload.find_pct = static_cast<double>(100 - share);
-      cfg.workload.max_key = maxkey;
-      cfg.workload.dist = KeyDist::kZipf;
-      cfg.workload.zipf_theta = theta;
-      cfg.threads = static_cast<int>(threads);
-      cfg.duration_ms = ms;
-      return cfg;
-    };
-    for (const Pair& p : pairs) {
-      for (long share : update_shares) {
-        ctx.record(table, "update_pct", std::to_string(share), p.control,
-                   p.control, config_for(share));
-      }
-      for (long b : batch_sizes) {
-        const std::string series =
-            std::string(p.combined) + "/b" + std::to_string(b);
-        for (long share : update_shares) {
-          // Best-of-N by hand so the occupancy counters match the kept
-          // repetition (record() would mix counters across repeats), with
-          // prefill run separately so the gated occupancy metrics cover
-          // only the measured phase (prefill's pure-insert combining
-          // activity would otherwise dilute them).
-          const RunConfig cfg = config_for(share);
-          const int repeats = repeats_for(args);
-          RunResult best;
-          Counters::Snapshot best_counters;
-          for (int rep = 0; rep < repeats; ++rep) {
-            auto set = make_structure(p.combined);
-            // The unified front door (api::SetOptions): the key-range
-            // hint plus this cell's combining batch cap in one call.
-            api::SetOptions opts;
-            opts.key_range_hint = cfg.workload.max_key;
-            opts.combine_max_batch = static_cast<int>(b);
-            set->configure(opts);
-            prefill(*set, cfg.workload, cfg.threads, cfg.seed ^ 0xabcd);
-            Counters::reset();
-            RunConfig timed = cfg;
-            timed.prefill = false;  // already done above
-            RunResult r = run_on(*set, timed);
-            const auto c = Counters::snapshot();
-            if (rep == 0 || r.throughput() > best.throughput()) {
-              best = std::move(r);
-              best_counters = c;
-            }
-          }
-          const double batches = static_cast<double>(
-              best_counters[Counter::kCombineBatches]);
-          const double batched_ops = static_cast<double>(
-              best_counters[Counter::kCombineBatchedOps]);
-          const double solo =
-              static_cast<double>(best_counters[Counter::kCombineSolo]);
-          const double timeouts =
-              static_cast<double>(best_counters[Counter::kCombineTimeouts]);
-          const double occupancy =
-              batches > 0 ? batched_ops / batches : 0.0;
-          const double solo_pct =
-              (batched_ops + solo) > 0
-                  ? 100.0 * solo / (batched_ops + solo)
-                  : 0.0;
-          const std::string x = std::to_string(share);
-          RunRecord& rec =
-              add_run(*ctx.out, table, "update_pct", x, series,
-                      std::move(best));
-          const double retract_backoffs = static_cast<double>(
-              best_counters[Counter::kCombineRetractBackoffs]);
-          rec.metrics = {{"batch_occupancy", occupancy},
-                         {"combine_solo_pct", solo_pct},
-                         {"combine_batches", batches},
-                         {"combine_timeouts", timeouts},
-                         {"combine_retract_backoffs", retract_backoffs}};
-          ctx.out->add_cell(table, "update_pct", x, series,
-                            fmt_throughput(rec.result.throughput()));
-          std::fprintf(stderr,
-                       "  [%s update_pct=%s] %.3f Mop/s, occupancy %.2f, "
-                       "solo %.1f%%\n",
-                       series.c_str(), x.c_str(), rec.result.mops(),
-                       occupancy, solo_pct);
-        }
-      }
-      set_combine_max_batch(saved_max_batch);
-    }
-  }
-  Counters::reset();
-}
-
 // snapshot_consistency: acquisition cost of the linearizable cross-shard
 // snapshot (an epoch-clock cut, which advances the clock only when a root
 // was stamped since the previous cut, + per-shard root-history
@@ -773,7 +628,6 @@ void run_snapshot_consistency(ScenarioContext& ctx) {
   };
   const Pair pairs[] = {
       {"Sharded16-BAT", "Sharded16-BAT-Lin"},
-      {"Sharded16-Combined-BAT", "Sharded16-Combined-BAT-Lin"},
   };
 
   const std::string table = "snapshot_consistency: TT " + std::to_string(tt) +
@@ -821,26 +675,23 @@ void run_snapshot_consistency(ScenarioContext& ctx) {
   }
 }
 
-// read_burst: the read-side scaling layer (snapshot leasing + epoch-
-// stamped aggregate caches) on query-dominated mixes — the regime the
-// paper's §6 composite queries target but PR 4's update combining leaves
-// untouched.  Two mixes (95/5 rank, 99/1 range_count), and for each
-// snapshot policy three series: "direct" (Sharded16-BAT(-Lin), every
-// query acquires its own snapshot), "leased" (the "-RC" forest with the
-// aggregate caches forced off, so the delta over direct is pure cut
-// sharing), and "cached" (the "-RC" forest as shipped).  Each leased/
-// cached cell records `lease_shared_pct` (share of leased reads that rode
-// someone else's cut) and `agg_cache_hit_rate` (stamp-validated aggregate
-// lookups served without recomputation); compare_bench.py gates the
-// cached series' hit rate the same way it gates combine_sweep occupancy.
-// NOTE: cut sharing needs truly concurrent readers; a single-hardware-
-// thread host still runs the grid (protocol coverage) but shows parity.
+// read_burst: the read-side cache (epoch-stamped per-shard aggregate
+// memoization, src/shard/aggregate_cache.h) on query-dominated mixes.
+// Two mixes (95/5 rank, 99/1 range_aggregate), and for each snapshot
+// policy two series: "direct" (Sharded16-BAT(-Lin)) and "cached"
+// (Sharded16-BAT-Cached(-Lin)); every query acquires its own snapshot in
+// both.  Each cached cell whose queries consulted the cache records
+// `agg_cache_hit_rate` (stamp-validated lookups served without
+// recomputation), which compare_bench.py gates.  The rank mix never
+// consults the cache — rank reads per-shard sizes, not range pieces — so
+// there it shows that the cached forest costs nothing where it cannot
+// help.
 void run_read_burst(ScenarioContext& ctx) {
   const Args& args = *ctx.args;
   const long maxkey = pick(args, "--maxkey", 1000000, 4000, 100000);
   const int ms = static_cast<int>(pick(args, "--ms", 3000, 600, 120));
-  // Oversubscribed in smoke for the same reason as combine_sweep: the
-  // win regime is concurrent readers contending for snapshots.
+  // Smoke runs 16 threads (oversubscribed on small CI runners) so readers
+  // and writers interleave on every shard even there.
   const auto thread_counts =
       args.full_scale()
           ? args.get_list("--threads", {1, 12, 24, 48, 96})
@@ -855,9 +706,8 @@ void run_read_burst(ScenarioContext& ctx) {
   // The 99/1 mix queries range_aggregate over the hot-range working set
   // (OpStream::kHotRanges fixed windows) rather than uniform range_count:
   // range_count composes from two rank descents and never consults the
-  // hot-range cache, while the aggregate path's boundary descents are
-  // exactly what the cache memoizes — on the quiescent leased cut and on
-  // linearizable per-read snapshots alike.
+  // cache, while the aggregate path's boundary descents are exactly what
+  // the cache memoizes.
   const Mix mixes[] = {
       {95, QueryKind::kRank, "95/5 rank"},
       {99, QueryKind::kRangeAgg, "99/1 range-agg"},
@@ -865,20 +715,14 @@ void run_read_burst(ScenarioContext& ctx) {
   struct Series {
     const char* structure;
     const char* mode;  // RunRecord::read_path
-    bool lease;
-    bool cache;
   };
   const Series series[] = {
-      {"Sharded16-BAT", "direct", false, false},
-      {"Sharded16-BAT-Lin", "direct", false, false},
-      {"Sharded16-Combined-BAT-RC", "leased", true, false},
-      {"Sharded16-Combined-BAT-RC-Lin", "leased", true, false},
-      {"Sharded16-Combined-BAT-RC", "cached", true, true},
-      {"Sharded16-Combined-BAT-RC-Lin", "cached", true, true},
+      {"Sharded16-BAT", "direct"},
+      {"Sharded16-BAT-Lin", "direct"},
+      {"Sharded16-BAT-Cached", "cached"},
+      {"Sharded16-BAT-Cached-Lin", "cached"},
   };
 
-  const bool saved_lease = lease_reads_enabled();
-  const bool saved_cache = aggregate_cache_enabled();
   for (const Mix& mix : mixes) {
     const std::string table =
         "read_burst: MK " + std::to_string(maxkey) + ", " + mix.label +
@@ -909,9 +753,8 @@ void run_read_burst(ScenarioContext& ctx) {
       // runs back to back, and best-of keeps each series' cleanest round —
       // so slow-host noise (scheduler, thermal, a neighbor's burst) lands
       // on a whole round instead of biasing whichever series ran during
-      // it.  Best-of-N is by hand so the read-side counters match the
-      // kept repetition; prefill stays outside the counted window (its
-      // combining activity is update-side noise here).
+      // it.  Best-of-N is by hand so the cache counters match the kept
+      // repetition; prefill stays outside the counted window.
       struct Cell {
         bool has = false;
         RunResult best;
@@ -920,12 +763,9 @@ void run_read_burst(ScenarioContext& ctx) {
       Cell cells[std::size(series)];
       for (int rep = 0; rep < repeats; ++rep) {
         for (std::size_t si = 0; si < std::size(series); ++si) {
-          const Series& s = series[si];
-          auto set = make_structure(s.structure);
+          auto set = make_structure(series[si].structure);
           api::SetOptions opts;
           opts.key_range_hint = cfg.workload.max_key;
-          opts.lease_reads = s.lease;
-          opts.aggregate_cache = s.cache;
           set->configure(opts);
           prefill(*set, cfg.workload, cfg.threads, cfg.seed ^ 0xabcd);
           Counters::reset();
@@ -943,58 +783,30 @@ void run_read_burst(ScenarioContext& ctx) {
       }
       for (std::size_t si = 0; si < std::size(series); ++si) {
         const Series& s = series[si];
-        const bool rc = s.lease || s.cache;
-        const std::string label =
-            rc ? std::string(s.structure) + "/" + s.mode : s.structure;
-        RunRecord& rec = add_run(*ctx.out, table, "threads", x, label,
+        RunRecord& rec = add_run(*ctx.out, table, "threads", x, s.structure,
                                  std::move(cells[si].best));
         rec.read_path = s.mode;
-        ctx.out->add_cell(table, "threads", x, label,
+        ctx.out->add_cell(table, "threads", x, s.structure,
                           fmt_throughput(rec.result.throughput()));
-        if (!rc) {
-          std::fprintf(stderr, "  [%s threads=%s] %.3f Mop/s\n",
-                       label.c_str(), x.c_str(), rec.result.mops());
-          continue;
-        }
         const Counters::Snapshot& bc = cells[si].counters;
         const double hits = static_cast<double>(bc[Counter::kAggCacheHits]);
         const double misses =
             static_cast<double>(bc[Counter::kAggCacheMisses]);
-        const double cuts = static_cast<double>(bc[Counter::kLeaseCuts]);
-        const double batched =
-            static_cast<double>(bc[Counter::kLeaseBatchedReads]);
-        const double solo =
-            static_cast<double>(bc[Counter::kLeaseSoloReads]);
-        const double hit_rate =
-            (hits + misses) > 0 ? hits / (hits + misses) : 0.0;
-        // Reads that shared a cut someone else acquired or renewed: each
-        // cut's acquirer answered itself too, so `cuts` of the batched
-        // reads were not shared.
-        const double shared_pct =
-            (batched + solo) > 0
-                ? 100.0 * std::max(0.0, batched - cuts) / (batched + solo)
-                : 0.0;
-        rec.metrics = {{"lease_shared_pct", shared_pct},
-                       {"lease_cuts", cuts}};
-        // Emitted only when the cell's read path consulted a cache level
-        // at all: the linearizable rank cells never do (their cheapest
-        // refill is the plain per-shard aug load — see
-        // Snapshot::prefix()), and reporting a synthetic 0.0 for them
-        // would trip the hit-rate gate on a path that has no cache to
-        // hit.
-        if (s.cache && hits + misses > 0) {
-          rec.metrics.emplace_back("agg_cache_hit_rate", hit_rate);
+        // Emitted only when the cell's queries consulted the cache at
+        // all: reporting a synthetic 0.0 for the rank cells would trip
+        // the hit-rate gate on a path that has no cache to hit.
+        if (hits + misses == 0) {
+          std::fprintf(stderr, "  [%s threads=%s] %.3f Mop/s\n",
+                       s.structure, x.c_str(), rec.result.mops());
+          continue;
         }
-        std::fprintf(stderr,
-                     "  [%s threads=%s] %.3f Mop/s, shared %.1f%%, "
-                     "hit rate %.3f\n",
-                     label.c_str(), x.c_str(), rec.result.mops(),
-                     shared_pct, hit_rate);
+        const double hit_rate = hits / (hits + misses);
+        rec.metrics = {{"agg_cache_hit_rate", hit_rate}};
+        std::fprintf(stderr, "  [%s threads=%s] %.3f Mop/s, hit rate %.3f\n",
+                     s.structure, x.c_str(), rec.result.mops(), hit_rate);
       }
     }
   }
-  set_lease_reads(saved_lease);
-  set_aggregate_cache(saved_cache);
   Counters::reset();
 }
 
@@ -1009,8 +821,8 @@ void run_read_burst(ScenarioContext& ctx) {
 // checks) into the schema-1 JSON; scripts/compare_bench.py requires the
 // migration metrics on every adaptive run (missing = schema error) and
 // gates on the adaptive series not collapsing to the static one at
-// theta >= 1.2.  Smoke oversubscribes like combine_sweep: the hot-shard
-// penalty is runnable threads convoying on one shard's combiner.
+// theta >= 1.2.  Smoke oversubscribes: the hot-shard penalty is runnable
+// threads convoying on one shard's root refresh.
 void run_rebalance(ScenarioContext& ctx) {
   const Args& args = *ctx.args;
   // 256K keys: wide enough that 1/16 of the keyspace is a meaningful Zipf
@@ -1034,8 +846,8 @@ void run_rebalance(ScenarioContext& ctx) {
     bool adaptive;
   };
   const Series series[] = {
-      {"Sharded16-Combined-BAT", false},
-      {"Sharded16-Combined-BAT-Adapt", true},
+      {"Sharded16-BAT", false},
+      {"Sharded16-BAT-Adapt", true},
   };
 
   for (long threads : thread_counts) {
@@ -1401,17 +1213,13 @@ void register_builtin_scenarios(ScenarioRegistry& reg) {
            "Shard layer: Zipf theta sweep showing where a hot shard erases "
            "the win",
            run_shard_hotspot});
-  reg.add({"combine_sweep",
-           "Combining layer: batch-size x threads x update-share grid with "
-           "per-batch occupancy stats",
-           run_combine_sweep});
   reg.add({"snapshot_consistency",
            "Shard layer: linearizable (epoch-cut) vs quiescent snapshot "
            "acquisition cost",
            run_snapshot_consistency});
   reg.add({"read_burst",
-           "Read-side scaling: leased epoch cuts + epoch-stamped aggregate "
-           "caches vs direct snapshots",
+           "Read-side scaling: epoch-stamped aggregate cache vs direct "
+           "snapshots",
            run_read_burst});
   reg.add({"rebalance",
            "Adaptive shard layer: online hot-shard rebalancing vs the "
@@ -1527,8 +1335,10 @@ void append_run_json(JsonWriter& w, const RunRecord& rec) {
       w.begin_object();
       w.kv("ranked", info->ranked);
       w.kv("consistency", api::consistency_name(info->consistency));
-      w.kv("combining", info->combining);
-      w.kv("read_combining", info->read_combining);
+      // Schema 1 is append-only, so these two keys stay in every record;
+      // no registered structure combines updates or reads.
+      w.kv("combining", false);
+      w.kv("read_combining", false);
       w.kv("adaptive", info->adaptive);
       w.kv("shards", static_cast<std::int64_t>(info->shards));
       w.end_object();
@@ -1659,54 +1469,42 @@ void print_usage(std::FILE* f) {
       "  --tt N           fixed thread count override (figs 6/7/9/10)\n"
       "  --repeat N       best-of-N repetitions per cell (smoke default: "
       "2)\n"
-      "  --batch a,b      combining batch-size sweep (combine_sweep)\n"
-      "  --theta X        Zipf theta override (combine_sweep)\n"
       "  --query-pct a,b  query-share sweep (snapshot_consistency)\n");
 }
 
 }  // namespace
 
-int scenario_main(int argc, char** argv, const char* forced_scenario) {
+int scenario_main(int argc, char** argv) {
   Args args(argc, argv);
   ScenarioRegistry& reg = ScenarioRegistry::instance();
 
-  if (forced_scenario == nullptr) {
-    if (args.has("--help") || args.has("-h")) {
-      print_usage(stdout);
-      return 0;
+  if (args.has("--help") || args.has("-h")) {
+    print_usage(stdout);
+    return 0;
+  }
+  if (args.has("--list")) {
+    for (const auto& s : reg.all()) {
+      std::printf("%-18s %s\n", s.name.c_str(), s.title.c_str());
     }
-    if (args.has("--list")) {
-      for (const auto& s : reg.all()) {
-        std::printf("%-18s %s\n", s.name.c_str(), s.title.c_str());
+    if (args.has("--verbose")) {
+      // The registered structures with their type-derived capabilities
+      // (api::StructureInfo) — the same facts the JSON runs record.
+      std::printf("\nstructures:\n");
+      auto& sr = api::StructureRegistry::instance();
+      for (const auto& name : sr.names()) {
+        const auto info = sr.info(name);
+        if (!info) continue;
+        std::printf("  %-32s %s, %s, shards=%d%s\n", name.c_str(),
+                    info->ranked ? "ranked" : "unranked",
+                    api::consistency_name(info->consistency), info->shards,
+                    info->adaptive ? ", adaptive" : "");
       }
-      if (args.has("--verbose")) {
-        // The registered structures with their type-derived capabilities
-        // (api::StructureInfo) — the same facts the JSON runs record.
-        std::printf("\nstructures:\n");
-        auto& sr = api::StructureRegistry::instance();
-        for (const auto& name : sr.names()) {
-          const auto info = sr.info(name);
-          if (!info) continue;
-          std::printf("  %-32s %s, %s, shards=%d%s%s%s\n", name.c_str(),
-                      info->ranked ? "ranked" : "unranked",
-                      api::consistency_name(info->consistency),
-                      info->shards, info->combining ? ", combining" : "",
-                      info->read_combining ? ", read-combining" : "",
-                      info->adaptive ? ", adaptive" : "");
-        }
-      }
-      return 0;
     }
+    return 0;
   }
 
-  std::vector<std::string> names;
-  if (forced_scenario != nullptr) {
-    names.push_back(forced_scenario);
-  } else if (args.has("--all")) {
-    names = reg.names();
-  } else {
-    names = args.get_str_list("--scenario");
-  }
+  const std::vector<std::string> names =
+      args.has("--all") ? reg.names() : args.get_str_list("--scenario");
   if (names.empty()) {
     print_usage(stderr);
     return 2;

@@ -1,9 +1,7 @@
 // Scenario registry: every paper figure/table (and the two micro-kernel
 // suites) is a named, self-describing scenario.  `cbat_bench --list`
 // enumerates them; `cbat_bench --scenario fig8 --smoke --json out.json`
-// runs one and emits the shared BENCH_*.json schema.  The old per-figure
-// binaries are thin wrappers that call scenario_main() with their name
-// forced, so the paper-repro command lines keep working.
+// runs one and emits the shared BENCH_*.json schema.
 #pragma once
 
 #include <functional>
@@ -26,10 +24,10 @@ struct RunRecord {
   std::string x;        // x coordinate, as printed on the axis
   std::string series;   // structure / query kind / kernel name
   // How composite reads were answered in this run: "direct" (every query
-  // acquires its own snapshot), "leased" (queries share combiner-acquired
-  // epoch cuts, aggregate caches off), or "cached" (leased + epoch-stamped
-  // aggregate caches).  Emitted into the schema-1 JSON so baseline diffs
-  // can attribute read-side regressions to the right layer.
+  // reads its own snapshot's pinned roots) or "cached" (range aggregates
+  // also go through the epoch-stamped aggregate cache).  Emitted into the
+  // schema-1 JSON so baseline diffs can attribute read-side regressions
+  // to the right layer.
   std::string read_path = "direct";
   bool has_result = false;
   RunResult result;
@@ -112,10 +110,7 @@ std::string bench_json_document(
 // without git.  Overridable via CBAT_GIT_SHA (used by CI).
 std::string current_git_sha();
 
-// Shared main(): `forced_scenario == nullptr` gives the full cbat_bench
-// CLI (--list/--scenario/--all); a non-null name runs exactly that
-// scenario (the per-figure wrapper binaries).
-int scenario_main(int argc, char** argv,
-                  const char* forced_scenario = nullptr);
+// cbat_bench's main(): --list, --scenario NAME[,NAME...], --all.
+int scenario_main(int argc, char** argv);
 
 }  // namespace cbat::bench

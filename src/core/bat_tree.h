@@ -34,14 +34,11 @@ namespace cbat {
 
 enum class Delegation { kNone, kDel, kEagerDel };
 
-// One request of a combined update batch (src/combine/).  `tag` is opaque
-// to the tree — the combining layer uses it to route results back to the
-// publication slots; the tree only fills `result`.
+// One request of an apply_batch bulk update; the tree fills `result`.
 struct BatchOp {
   Key key;
   bool is_insert;
   bool result;
-  int tag;
 };
 
 namespace detail {
@@ -128,18 +125,18 @@ class BatTree {
     return result;
   }
 
-  // Bulk update path for the combining layer (src/combine/): applies every
-  // request under ONE EbrGuard, then runs ONE merged Propagate over the
-  // union of the search paths, so key-adjacent updates share their descent
-  // prefix and the whole batch pays a single top-level root refresh/CAS
-  // instead of one per update.  `ops` must be sorted by key (duplicates
-  // allowed; they are applied in the given order).  Fills op.result.
+  // Bulk update path (the shard layer's key migration moves ranges with
+  // it): applies every request under ONE EbrGuard, then runs ONE merged
+  // Propagate over the union of the search paths, so key-adjacent updates
+  // share their descent prefix and the whole batch pays a single top-level
+  // root refresh/CAS instead of one per update.  `ops` must be sorted by
+  // key (duplicates allowed; they are applied in the given order).  Fills
+  // op.result.
   //
   // Linearization: each request takes effect (becomes visible to
   // version-tree queries) no later than the batch's root refresh, which
-  // happens before the combiner reports any result — so every request
-  // linearizes between its publication and its response, exactly like a
-  // solo update.
+  // happens before apply_batch returns — so every request linearizes
+  // within the call, exactly like a solo update made during it.
   void apply_batch(BatchOp* ops, int n) {
     if (n <= 0) return;
     EbrGuard g;
@@ -350,10 +347,7 @@ class BatTree {
   }
 
   // Spin budget a delegating Propagate waits before resuming on its own
-  // (making the scheme non-blocking, §5).  0 disables the timeout.  The
-  // combining layer (src/combine/) reuses the same budget for how long a
-  // waiter spins on its publication slot — there, 0 means "never wait"
-  // (every update runs solo), the combining analogue of non-blocking.
+  // (making the scheme non-blocking, §5).  0 disables the timeout.
   static void set_delegation_timeout(std::uint64_t spins) {
     delegation_timeout_spins_ = spins;
   }

@@ -18,9 +18,9 @@
 //     cut (or a unique mint) already moved the clock past c.  This is the
 //     CAS-if-unchanged advance of Wei et al.'s takeSnapshot.
 //
-// Unique-stamp clocks (the read-combined forests, whose aggregate caches
-// key on stamps) mint every stamp with one CAS from (c, *) to (c+1, set),
-// so no two stamps are equal; their cuts follow the same rule.
+// Unique-stamp clocks (the cached forests, whose aggregate cache keys on
+// stamps) mint every stamp with one CAS from (c, *) to (c+1, set), so no
+// two stamps are equal; their cuts follow the same rule.
 //
 // Every word operation is seq_cst: the soundness argument (see
 // docs/ARCHITECTURE.md "How the epoch cut works") orders all stamps and

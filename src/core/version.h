@@ -68,8 +68,8 @@ struct Version {
 // that completed before that install drew a smaller-or-equal epoch.  The
 // clock's mode decides the stamp: a shared clock hands out the current
 // epoch (marking it stamped), a unique clock mints a fresh one, so no two
-// roots of a read-combined forest ever share a stamp — which is what
-// makes stamp-compare validation sound for the aggregate caches
+// roots of a cached forest ever share a stamp — which is what makes
+// stamp-compare validation sound for the aggregate cache
 // (src/shard/aggregate_cache.h).
 template <Augmentation Aug>
 std::uint64_t version_epoch(const Version<Aug>* v, EpochClock& clock)

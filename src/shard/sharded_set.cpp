@@ -38,14 +38,20 @@ template class ShardedSet<BatDel<SizeAug>, 16>;
 // test-only, the 16-shard one is registered as "Sharded16-BAT-Lin").
 template class ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kLinearizable>;
 template class ShardedSet<Bat<SizeAug>, 16, SnapshotPolicy::kLinearizable>;
-// Read-combined variants over plain BAT shards (test-only; the registry's
-// "-RC" forests wrap CombinedSet shards, see combine/combined_set.cpp).
+// Cached-read ("Sharded16-BAT-Cached(-Lin)") and adaptive
+// ("Sharded16-BAT-Adapt(-Lin)") forests, plus their 4-shard test twins.
+template class ShardedSet<Bat<SizeAug>, 16, SnapshotPolicy::kQuiescent,
+                          ReadPath::kCached>;
+template class ShardedSet<Bat<SizeAug>, 16, SnapshotPolicy::kLinearizable,
+                          ReadPath::kCached>;
+template class ShardedSet<Bat<SizeAug>, 16, SnapshotPolicy::kQuiescent,
+                          ReadPath::kDirect, true>;
+template class ShardedSet<Bat<SizeAug>, 16, SnapshotPolicy::kLinearizable,
+                          ReadPath::kDirect, true>;
 template class ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kQuiescent,
-                          ReadPath::kCombined>;
+                          ReadPath::kCached>;
 template class ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kLinearizable,
-                          ReadPath::kCombined>;
-// Adaptive (hot-shard rebalancing) variants over plain BAT shards
-// (test-only; the registry's "-Adapt" forest wraps CombinedSet shards).
+                          ReadPath::kCached>;
 template class ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kQuiescent,
                           ReadPath::kDirect, true>;
 template class ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kLinearizable,

@@ -71,26 +71,17 @@
 // copies outside its owning shard's range are invisible on every cut, so
 // any (map, roots) combination a snapshot can assemble is consistent.
 //
-// Read path (the ReadPath template parameter; ROADMAP: read-side scaling):
+// Read path (the ReadPath template parameter; ROADMAP: read-side scaling).
+// Every composite query acquires its own Snapshot under either path:
 //
-//   * kDirect (default): every composite query acquires its own Snapshot
-//     and runs the per-shard merges itself.
-//   * kCombined ("-RC" registry variants): the two read-side
-//     amortizations are on.  (1) Snapshot leasing: composite queries
-//     publish into a forest-level CombiningBuffer; the elected combiner
-//     acquires ONE Snapshot — one epoch cut — and answers the whole read
-//     burst against it, so a burst of N queries pays one acquisition
-//     (and, under kLinearizable, one clock cut) instead of N.
-//     Each request linearizes at the shared cut's linearization point,
-//     which lies between its publication and its response, so leased
-//     queries inherit exactly the policy of the underlying cut — never
-//     weaker.  (2) Epoch-stamped aggregate caches: per-shard sizes and
-//     hot-range aggregates are memoized in an AggregateCache keyed by the
-//     pinned root's stamp (src/shard/aggregate_cache.h); shards switch to
-//     unique (clock-minted) stamps so stamp equality implies root
-//     identity.  Both halves are toggleable process-wide
-//     (set_lease_reads / set_aggregate_cache) for benchmark attribution;
-//     semantics are identical with either off.
+//   * kDirect (default): the per-shard merges read the pinned roots.
+//   * kCached ("-Cached" registry variants): the per-shard pieces of a
+//     range_aggregate — the boundary descents, the only O(log n) part —
+//     are memoized in an AggregateCache keyed by the pinned root's epoch
+//     stamp (src/shard/aggregate_cache.h).  The forest's clock mints
+//     unique stamps, so stamp equality implies root identity: a root CAS
+//     re-stamps its shard and a stale entry is recomputed, never served.
+//     Answers are exactly those of kDirect.
 #pragma once
 
 #include <algorithm>
@@ -100,18 +91,15 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <mutex>
 #include <optional>
 #include <thread>
 #include <type_traits>
 #include <vector>
 
-#include "combine/combining_buffer.h"
 #include "core/bat_tree.h"
 #include "core/version_queries.h"
 #include "reclamation/ebr.h"
 #include "shard/aggregate_cache.h"
-#include "util/backoff.h"
 #include "util/counters.h"
 #include "util/fault.h"
 #include "util/padded.h"
@@ -125,15 +113,6 @@ namespace shard_detail {
 // instance, so registry-created structures of any shard count agree.
 Key default_keyspace();
 void set_default_keyspace(Key keyspace);
-
-// Monotone forest ids for thread-local snapshot leases: a lease slot left
-// behind by a destroyed forest can never match a live one.
-inline std::uint64_t next_forest_id() {
-  // shared: one-time id mint per forest construction; cold.
-  static std::atomic<std::uint64_t> src{0};
-  // relaxed: only uniqueness is needed, not ordering with anything.
-  return src.fetch_add(1, std::memory_order_relaxed) + 1;
-}
 
 }  // namespace shard_detail
 
@@ -162,11 +141,10 @@ concept EpochStampedInner =
 // Cross-shard snapshot acquisition mode; see the header comment.
 enum class SnapshotPolicy { kQuiescent, kLinearizable };
 
-// Composite-query read path; see the header comment.  kCombined requires
-// an epoch-stamped inner (the caches key on root stamps) and an int64
-// augmentation value (the leased response slot and the cache entries carry
-// one 64-bit aggregate).
-enum class ReadPath { kDirect, kCombined };
+// Composite-query read path; see the header comment.  kCached requires an
+// epoch-stamped inner (the cache keys on root stamps) and an int64
+// augmentation value (a cache entry carries one 64-bit aggregate).
+enum class ReadPath { kDirect, kCached };
 
 template <class Inner = Bat<SizeAug>, int NumShards = 16,
           SnapshotPolicy Policy = SnapshotPolicy::kQuiescent,
@@ -249,8 +227,8 @@ class ShardedSet {
     // quiescent forests.  The quiescent-side cost is one clock read
     // (a CAS for an epoch's first stamp) plus one uncontended stamp CAS
     // on a just-written line per root refresh — inside smoke-gate noise.
-    // kCombined forests construct the clock in unique-stamp mode (see
-    // epoch_): the aggregate caches validate by stamp equality, which is
+    // kCached forests construct the clock in unique-stamp mode (see
+    // epoch_): the aggregate cache validates by stamp equality, which is
     // only meaningful when no two roots can share a stamp (see
     // aggregate_cache.h).
     if constexpr (EpochStampedInner<Inner>) {
@@ -271,27 +249,6 @@ class ShardedSet {
   static constexpr SnapshotPolicy snapshot_policy() { return Policy; }
   static constexpr ReadPath read_path() { return RPath; }
   static constexpr bool adaptive_rebalancing() { return Adaptive; }
-
-  // True when updates go through a flat-combining protocol somewhere on
-  // their path (the registry's capability report); forwarded from the
-  // inner so "Sharded16-Combined-*" reports what its shards actually do.
-  static constexpr bool combines_updates() {
-    if constexpr (requires {
-                    { Inner::combines_updates() } -> std::convertible_to<bool>;
-                  }) {
-      return Inner::combines_updates();
-    } else {
-      return false;
-    }
-  }
-
-  // True when composite reads lease shared cuts at the FOREST level (the
-  // "-RC" read path).  Deliberately not forwarded from the inner: shard
-  // queries bypass the inner's own read combining entirely (they read
-  // pinned roots), so only the forest-level path describes this type.
-  static constexpr bool combines_reads() {
-    return RPath == ReadPath::kCombined;
-  }
 
   // Introspection hook picked up by the API layer (SetModel::consistency):
   // cross-shard composite queries linearize only under kLinearizable.
@@ -321,10 +278,6 @@ class ShardedSet {
   bool insert(Key k) {
     if constexpr (Adaptive) {
       return adaptive_update(k, /*is_insert=*/true);
-    } else if constexpr (RPath == ReadPath::kCombined) {
-      const bool r = regime_update(k, /*is_insert=*/true);
-      bump_update_seq(k);
-      return r;
     } else {
       return shard(k).insert(k);
     }
@@ -332,10 +285,6 @@ class ShardedSet {
   bool erase(Key k) {
     if constexpr (Adaptive) {
       return adaptive_update(k, /*is_insert=*/false);
-    } else if constexpr (RPath == ReadPath::kCombined) {
-      const bool r = regime_update(k, /*is_insert=*/false);
-      bump_update_seq(k);
-      return r;
     } else {
       return shard(k).erase(k);
     }
@@ -362,46 +311,27 @@ class ShardedSet {
 
   // All composite queries pin one Snapshot so their per-shard reads merge a
   // single consistent forest (see the header comment for the guarantee).
-  // Under ReadPath::kCombined the five leasable kinds route through
-  // read_op (publish into the forest buffer or combine inline); the
-  // answer still comes from one Snapshot — a shared one when leased.
+  // Named Snapshot locals (never temporaries) throughout: TSA tracks
+  // scoped capabilities only for named local variables, so
+  // `Snapshot(*this).x()` would not prove ebr_capability held for x().
   std::int64_t size() const {
-    if constexpr (RPath == ReadPath::kCombined) {
-      return read_op(RBuffer::kSize, 0, 0).value;
-    } else {
-      const Snapshot snap(*this);
-      return snap.size();
-    }
+    const Snapshot snap(*this);
+    return snap.size();
   }
   std::int64_t rank(Key k) const {
-    if constexpr (RPath == ReadPath::kCombined) {
-      return read_op(RBuffer::kRank, k, 0).value;
-    } else {
-      const Snapshot snap(*this);
-      return snap.rank(k);
-    }
+    const Snapshot snap(*this);
+    return snap.rank(k);
   }
   std::optional<Key> select(std::int64_t i) const {
-    if constexpr (RPath == ReadPath::kCombined) {
-      const auto r = read_op(RBuffer::kSelect, i, 0);
-      return r.ok ? std::optional<Key>(r.value) : std::nullopt;
-    } else {
-      const Snapshot snap(*this);
-      return snap.select(i);
-    }
+    const Snapshot snap(*this);
+    return snap.select(i);
   }
   std::int64_t range_count(Key lo, Key hi) const {
-    if constexpr (RPath == ReadPath::kCombined) {
-      return read_op(RBuffer::kRangeCount, lo, hi).value;
-    } else {
-      const Snapshot snap(*this);
-      return snap.range_count(lo, hi);
-    }
+    const Snapshot snap(*this);
+    return snap.range_count(lo, hi);
   }
   AugValue range_aggregate(Key lo, Key hi) const {
-    if constexpr (RPath == ReadPath::kCombined) {
-      return read_op(RBuffer::kRangeAggregate, lo, hi).value;
-    } else if constexpr (!Adaptive) {
+    if constexpr (!Adaptive) {
       // Pin only the shards the range covers: the answer reads no other
       // root, so resolving them would be pure acquisition cost.  (rank,
       // select and size read the prefix sums over every shard and keep
@@ -414,9 +344,6 @@ class ShardedSet {
       return snap.range_aggregate(lo, hi);
     }
   }
-  // Named Snapshot locals (never temporaries) throughout: TSA tracks
-  // scoped capabilities only for named local variables, so
-  // `Snapshot(*this).x()` would not prove ebr_capability held for x().
   std::optional<Key> select_in_range(Key lo, Key hi, std::int64_t i) const {
     const Snapshot snap(*this);
     return snap.select_in_range(lo, hi, i);
@@ -537,7 +464,7 @@ class ShardedSet {
     // fully-covered middle shard contributes its root's supplementary
     // field in O(1), and contiguity keeps the combine in key order.  The
     // boundary descents are the only O(log n) part, so they are what the
-    // range cache memoizes (shard_range_agg) under ReadPath::kCombined.
+    // range cache memoizes (shard_range_agg) under ReadPath::kCached.
     AugValue range_aggregate(Key lo, Key hi) const
         CBAT_REQUIRES(ebr_capability) {
       if (lo > hi) return Aug::sentinel();
@@ -550,7 +477,7 @@ class ShardedSet {
         // Middle shards lose their O(1) root-aug shortcut: the root
         // aggregates EVERYTHING in the tree, stale out-of-range copies
         // included, so each middle shard answers its owned range with a
-        // restricted descent (cached under kCombined like the boundary
+        // restricted descent (cached under kCached like the boundary
         // pieces — the (lo, hi) pair is part of the cache entry, so a
         // map change re-keys the lookup by itself).
         AugValue acc = shard_range_agg(slo, lo, map_->hi_of(slo));
@@ -710,28 +637,17 @@ class ShardedSet {
     }
 
     // Lazy prefix-sum materialization, once per snapshot, guarded by a
-    // plain flag.  The documented contract is single-threaded use of one
-    // Snapshot (one thread constructs it, queries it, drops it — the
-    // leased read path's combiner included; a thread that wants its own
-    // view takes its own Snapshot), so the previous std::call_once /
-    // once_flag here paid fence-and-branch machinery on every
-    // rank/select/size for a cross-thread fan-out that never happens.
+    // plain flag: one Snapshot is used by one thread (a thread that wants
+    // its own view takes its own Snapshot), so no cross-thread
+    // once-initialization is needed.
     const std::array<std::int64_t, NumShards + 1>& prefix() const
         CBAT_REQUIRES(ebr_capability) {
       if (prefix_ready_) return prefix_;
       // Straight fill from the pinned roots, one aug load per shard —
-      // deliberately NO stamp-keyed memoization and NO probe of the
-      // shared size row here.  A root's epoch stamp lives on the same
-      // version-node cache line as its aug field, so validating a
-      // memoized prefix by stamps touches the same NumShards lines as
-      // refilling it and then pays the compare and the copy on top; an
-      // earlier revision memoized the prefix in the thread's lease slot
-      // and measured 25-35% SLOWER than this loop on the read_burst rank
-      // mixes.  A seqlock probe of the shared size row likewise costs
-      // more than the one aug load it could save.  The quiescent leased
-      // path keeps its cut in SnapLease and never lands here;
-      // linearizable snapshots must re-pin fresh roots per read, and
-      // this loop is the cheapest possible refill for them.
+      // deliberately NOT memoized by stamp.  A root's epoch stamp lives on
+      // the same version-node cache line as its aug field, so validating
+      // a memoized size by stamp touches the same NumShards lines as
+      // refilling it and then pays the compare on top.
       // Adaptive shards count only their owned range: a migration's
       // bulk-copied destination keys (pre-flip) and not-yet-cleaned
       // source keys (post-flip) both live outside their shard's owned
@@ -753,28 +669,26 @@ class ShardedSet {
     }
 
     // Partial range aggregate of shard s over [lo, hi], cached per shard
-    // for the hot ranges under ReadPath::kCombined.  The (lo, hi) pair is
+    // for the hot ranges under ReadPath::kCached.  The (lo, hi) pair is
     // part of the entry, so boundary pieces of different ranges that
     // hash together only cost each other misses, never wrong answers.
     AugValue shard_range_agg(int s, Key lo, Key hi) const
         CBAT_REQUIRES(ebr_capability) {
-      if constexpr (RPath == ReadPath::kCombined) {
-        if (aggregate_cache_enabled()) {
-          const std::uint64_t stamp =
-              version_epoch<Aug>(roots_[s], owner_->epoch_);
-          std::int64_t v;
-          if (owner_->rc_.cache.load_range(s, lo, hi, stamp, &v)) {
-            ++snap_lease().unflushed_hits;
-            return v;
-          }
-          ++snap_lease().unflushed_misses;
-          const AugValue fresh =
-              version_range_aggregate<Aug>(roots_[s], lo, hi);
-          owner_->rc_.cache.store_range(s, lo, hi, stamp, fresh);
-          return fresh;
+      if constexpr (RPath == ReadPath::kCached) {
+        const std::uint64_t stamp =
+            version_epoch<Aug>(roots_[s], owner_->epoch_);
+        std::int64_t v;
+        if (owner_->cache_.load_range(s, lo, hi, stamp, &v)) {
+          Counters::bump(Counter::kAggCacheHits);
+          return v;
         }
+        Counters::bump(Counter::kAggCacheMisses);
+        const AugValue fresh = version_range_aggregate<Aug>(roots_[s], lo, hi);
+        owner_->cache_.store_range(s, lo, hi, stamp, fresh);
+        return fresh;
+      } else {
+        return version_range_aggregate<Aug>(roots_[s], lo, hi);
       }
-      return version_range_aggregate<Aug>(roots_[s], lo, hi);
     }
 
     EbrGuard guard_;
@@ -905,14 +819,13 @@ class ShardedSet {
   //
   // Every phase store is seq_cst and followed by mig_quiesce() where the
   // protocol needs "all updates that saw the previous phase have
-  // finished".  The barrier is a dedicated per-thread in-flight array —
-  // NOT the EBR guard — because an update can stall in the combining
-  // buffer's publish-wait for whole scheduler quanta when the host is
-  // oversubscribed, and parking there inside an EBR guard would pin the
-  // reclamation epoch for every structure in the process.  An updater
-  // announces its slot (seq_cst) BEFORE reading the phase, so an updater
-  // observed idle either finished its operation or started a new one
-  // that already sees the new phase.
+  // finished".  The barrier is a dedicated per-thread in-flight array,
+  // not an EBR grace period: it waits only for updates to this forest,
+  // where a grace period would also wait out every other guard in the
+  // process (long snapshot reads of unrelated structures included).  An
+  // updater announces its slot (seq_cst) BEFORE reading the phase, so an
+  // updater observed idle either finished its operation or started a new
+  // one that already sees the new phase.
   // Single-migrator election gate, modeled as a TSA capability: the
   // protocol bodies (migrate, replay_log) are CBAT_REQUIRES(mig_.gate),
   // so reaching them without winning the election is a compile error
@@ -976,11 +889,10 @@ class ShardedSet {
     // default build.
     std::atomic<int> abort_at{-1};
   };
-  // Zero-cost stand-in keeping TSA attribute arguments (mig_.gate,
-  // rc_.buffer) well-formed in instantiations that compile the real
-  // member out: member declarations — attributes included — are
-  // instantiated even for requires-constrained functions that can never
-  // be called there.
+  // Zero-cost stand-in keeping the TSA attribute argument mig_.gate
+  // well-formed in instantiations that compile the real member out:
+  // member declarations — attributes included — are instantiated even for
+  // requires-constrained functions that can never be called there.
   class CBAT_CAPABILITY("unused") UnusedCapability {};
   struct NoMigration {
     [[no_unique_address]] UnusedCapability gate;
@@ -1026,10 +938,10 @@ class ShardedSet {
   }
 
   // Apply one update through the migration protocol.  The in-flight slot
-  // stays announced across the whole routed operation (including any
-  // combining-buffer wait) so the migrator's quiesce orders against us; a
-  // sealed-range updater parks with its slot retired (spinning announced
-  // would deadlock the migrator's own quiesce).
+  // stays announced across the whole routed operation so the migrator's
+  // quiesce orders against us; a sealed-range updater parks with its slot
+  // retired (spinning announced would deadlock the migrator's own
+  // quiesce).
   bool adaptive_update(Key k, bool is_insert)
     requires(Adaptive)
   {
@@ -1071,18 +983,15 @@ class ShardedSet {
     return r;
   }
 
-  // The guard is scoped to the map dereference only: the inner operation
-  // may wait on the shard's combining buffer, and that wait must pin
-  // neither the reclamation epoch nor anything else — the in-flight slot
-  // already covers the protocol ordering.
+  // One guard keeps the map live for the lookup and spans the shard
+  // update, whose own guard then only nests (one epoch announcement per
+  // update instead of two).  The in-flight slot, not the guard, orders
+  // the update against the migrator.
   bool route_update(Key k, bool is_insert, int* routed)
     requires(Adaptive)
   {
-    int s;
-    {
-      EbrGuard g;
-      s = map_.load(std::memory_order_acquire)->shard_of(k);
-    }
+    EbrGuard g;
+    const int s = map_.load(std::memory_order_acquire)->shard_of(k);
     *routed = s;
     Inner& t = *shards_[s];
     return is_insert ? t.insert(k) : t.erase(k);
@@ -1219,8 +1128,9 @@ class ShardedSet {
     if (h != nullptr) h(mig_.hook_ctx.load(std::memory_order_acquire), stage);
   }
 
-  // Chunked bulk apply of one-sided ops (keys sorted) to shard s; the
-  // same concurrent-solo path in-flight combined batches already share.
+  // Chunked bulk apply of one-sided ops (keys sorted) to shard s: one
+  // guard and one merged Propagate per chunk (BatTree::apply_batch),
+  // running concurrently with ordinary updates to the same shard.
   void apply_bulk(int s, const std::vector<Key>& keys, bool is_insert)
     requires(Adaptive)
   {
@@ -1230,7 +1140,7 @@ class ShardedSet {
     while (i < keys.size()) {
       const std::size_t n = std::min(kChunk, keys.size() - i);
       for (std::size_t j = 0; j < n; ++j) {
-        ops[j] = BatchOp{keys[i + j], is_insert, false, 0};
+        ops[j] = BatchOp{keys[i + j], is_insert, false};
       }
       shards_[s]->apply_batch(ops.data(), static_cast<int>(n));
       i += n;
@@ -1397,12 +1307,11 @@ class ShardedSet {
       nm->prev = m;
       map_.store(nm, std::memory_order_seq_cst);
       epoch_.finalize(nm->flip_epoch);
-      if constexpr (RPath == ReadPath::kCombined) {
-        // Range-cache entries are keyed by (range, root stamp) and old
-        // owned ranges never recur with different contents, so survivors
-        // cannot validate wrongly — the sweep just reclaims ways early.
-        rc_.cache.invalidate_all();
-        rc_.update_seq->fetch_add(1, std::memory_order_release);
+      if constexpr (RPath == ReadPath::kCached) {
+        // Range-cache entries are keyed by (range, root stamp), and one
+        // root answers one range one way, so survivors cannot validate
+        // wrongly — the sweep just reclaims ways early.
+        cache_.invalidate_all();
       }
       ebr_retire(const_cast<ShardMap*>(m));
     }
@@ -1479,541 +1388,6 @@ class ShardedSet {
     apply_bulk(dst, del, /*is_insert=*/false);
   }
 
-  // Release edge pairing with leased_read's acquire load: everything the
-  // completed update wrote (its root CAS included) is visible to any
-  // reader that observes the new sequence value.  Bumped even when the
-  // point op reports no logical change — a failed insert can still have
-  // rebalanced on its descent and replaced version nodes.
-  //
-  // The updater then SELF-PATCHES its own lease: a thread's own updates
-  // are the common invalidator under read-mostly mixes, and without the
-  // patch every one of them would knock the next read onto the full
-  // NumShards repair walk.  The patch is attempted only when the lease
-  // was current right up to this update (lease.seq == prev); any
-  // interleaved foreign update makes the next read repair instead, so
-  // the lease's seq never overstates what was validated.  On read-free
-  // update streams the first unpatched gap makes every later attempt
-  // bail on the seq check — the cost self-limits to mixes that lease.
-  void bump_update_seq(Key k)
-    requires(RPath == ReadPath::kCombined)
-  {
-    const std::uint64_t prev =
-        rc_.update_seq->fetch_add(1, std::memory_order_release);
-    if constexpr (Policy == SnapshotPolicy::kQuiescent) {
-      if (!lease_reads_enabled()) return;
-      SnapLease& lease = snap_lease();
-      if (lease.forest != rc_.forest_id || lease.seq != prev) return;
-      EbrGuard g;
-      const int s = shard_of(k);
-      const V* cur = shards_[s]->root_version_unsafe();
-      const std::uint64_t stamp = version_epoch<Aug>(cur, epoch_);
-      if (stamp != lease.stamps[s]) {
-        const std::int64_t sz = version_size<Aug>(cur);
-        const std::int64_t delta =
-            sz - (lease.prefix[s + 1] - lease.prefix[s]);
-        lease.roots[s] = cur;
-        lease.stamps[s] = stamp;
-        if (delta != 0) {
-          for (int j = s + 1; j <= NumShards; ++j) lease.prefix[j] += delta;
-        }
-        // The recompute counts as a hierarchy miss (and refills the
-        // shared row, for other threads' repairs): it is the read-side
-        // work this update caused, merely paid here in advance.
-        ++lease.unflushed_misses;
-        if (aggregate_cache_enabled()) rc_.cache.store_size(s, stamp, sz);
-      }
-      lease.seq = prev + 1;
-    }
-  }
-
-  // A thread whose recent traffic was this many composite reads (with no
-  // update in between) applies its next update solo instead of joining
-  // the shard's combining protocol.  Rationale: flat combining pays when
-  // updates are dense enough to batch — under a read-dominated mix batch
-  // occupancy is ~1, so an update that finds the combiner lock busy would
-  // publish and spin behind a possibly-descheduled combiner (a convoy the
-  // measured read_burst gap was entirely made of) to amortize nothing.
-  // The detector is thread-local and free: update-dense threads keep the
-  // counter pinned at 0 and retain the full protocol (combine_sweep's
-  // batched-Propagate win is untouched); read-dominated threads skip
-  // straight to the inner tree, which is safe under concurrent combined
-  // batches.  Point reads (contains) do not feed the signal — it gates a
-  // composite-read-path optimization, and they never enter that path.
-  static constexpr std::uint32_t kRegimeSoloReads = 1;
-
-  bool regime_update(Key k, bool is_insert)
-    requires(RPath == ReadPath::kCombined)
-  {
-    Inner& s = shard(k);
-    if constexpr (requires {
-                    { s.insert_solo(k) } -> std::same_as<bool>;
-                    { s.erase_solo(k) } -> std::same_as<bool>;
-                  }) {
-      SnapLease& lease = snap_lease();
-      const bool solo = lease.reads_since_update >= kRegimeSoloReads;
-      lease.reads_since_update = 0;
-      if (solo) return is_insert ? s.insert_solo(k) : s.erase_solo(k);
-    }
-    return is_insert ? s.insert(k) : s.erase(k);
-  }
-
-  // --- the leased read path (ReadPath::kCombined only) ---------------------
-
-  using RBuffer = CombiningBuffer<64>;
-  using ReadRes = typename RBuffer::ReadResult;
-
-  // Spin budget a publisher waits on its read slot before retracting and
-  // going direct; same budget (and same meaning of 0: never wait) as the
-  // update-combining layer, so one knob governs both.
-  static std::uint64_t lease_budget() {
-    if constexpr (requires {
-                    {
-                      Inner::delegation_timeout()
-                    } -> std::convertible_to<std::uint64_t>;
-                  }) {
-      return Inner::delegation_timeout();
-    } else {
-      return std::uint64_t{1} << 16;
-    }
-  }
-
-  // One composite read through the lease protocol: combine inline when
-  // the buffer lock is free (the own request rides the cut it acquires),
-  // otherwise publish and spin, inheriting the lock or retracting on
-  // timeout exactly like CombinedSet::update — progress never depends on
-  // a combiner.  The lock covers only the drain sweep, never the cut
-  // acquisition or the answers: drained slots are already claimed
-  // (kTaken), so the combiner answers them lock-free and a reader that
-  // arrives mid-answer elects itself combiner of the next cut instead of
-  // stalling behind this one.
-  ReadRes read_op(typename RBuffer::Op op, Key a, Key b) const
-    requires(RPath == ReadPath::kCombined)
-  {
-    // Lease elision first: with nothing published there is no burst to
-    // share a cut with — this read IS the degenerate one-request burst,
-    // answered on its own (possibly leased, see direct_read) cut without
-    // the lock RMWs.  Checked before the knobs so the hot no-burst path
-    // pays one shared load instead of three globals; under a real burst
-    // in_flight is nonzero and the protocol below engages.
-    if (!rc_.buffer.has_pending()) {
-      return direct_read(op, a, b);
-    }
-    const std::uint64_t budget = lease_budget();
-    if (!lease_reads_enabled() || budget == 0 || combine_max_batch() <= 1) {
-      return direct_read(op, a, b);
-    }
-    if (rc_.buffer.try_lock()) {
-      return run_read_combiner(op, a, b);
-    }
-    const int slot = rc_.buffer.publish_read(op, a, b);
-    if (slot < 0) {  // buffer full: shed load
-      return direct_read(op, a, b);
-    }
-    std::uint64_t spins = 0;
-    std::uint64_t pauses = 0;
-    Backoff bo;
-    bool may_time_out = true;
-    while (true) {
-      const auto st = rc_.buffer.slot_state(slot);
-      if (st == RBuffer::kDone) {
-        if (pauses != 0) {
-          Counters::bump(Counter::kCombineRetractBackoffs, pauses);
-        }
-        return rc_.buffer.take_read_result(slot);
-      }
-      if (st == RBuffer::kPending && rc_.buffer.try_lock()) {
-        // The previous combiner's cut closed without our request: drain
-        // the buffer ourselves (our own slot included).
-        run_read_combiner_drained_only();
-        continue;
-      }
-      // Bounded exponential backoff; pause() reports its spin count so the
-      // lease budget still bounds the wait (see CombinedSet::update).
-      spins += bo.pause();
-      ++pauses;
-      if (may_time_out &&
-          (spins > budget || CBAT_FAULT_FORCE("shard.read_wait"))) {
-        if (rc_.buffer.try_retract(slot)) {
-          if (pauses != 0) {
-            Counters::bump(Counter::kCombineRetractBackoffs, pauses);
-          }
-          return direct_read(op, a, b);
-        }
-        // A combiner claimed the request; only it may answer now.
-        may_time_out = false;
-      }
-    }
-  }
-
-  // A thread's retained lease on a quiescent cut: the roots it last
-  // answered on, their unique stamps, and the materialized prefix sums.
-  // Deliberately guard-FREE plain data — an early version kept a live
-  // Snapshot (EBR guard included) here, and on an oversubscribed host a
-  // descheduled thread's held guard pinned the global epoch for its whole
-  // scheduling gap, stalling reclamation and starving the version pools.
-  // Instead each read re-enters a fresh guard and revalidates the lease by
-  // stamp identity (below); between reads the lease pins nothing.
-  // `forest` ids are minted from a process-wide monotone counter and never
-  // reused, so a slot left behind by a destroyed forest can never be
-  // mistaken for the current one (its dangling roots are only ever
-  // dereferenced after revalidation proves them live).
-  struct SnapLease {
-    std::uint64_t forest = 0;
-    // update_seq value this lease was last validated against (see
-    // ReadCombining::update_seq).
-    std::uint64_t seq = 0;
-    std::array<const V*, NumShards> roots;
-    std::array<std::uint64_t, NumShards> stamps;
-    std::array<std::int64_t, NumShards + 1> prefix;
-    // Batched tallies, flushed every 1024 reads and here at thread exit:
-    // a per-read Counters::bump was a measurable slice of the ~100ns hit
-    // path.  hits/misses feed kAggCacheHits/kAggCacheMisses with the
-    // HIERARCHY semantics the read_burst metric reports: the lease is the
-    // thread-local first level of the aggregate cache, the shared
-    // AggregateCache the second, and a "hit" is a per-shard aggregate (or
-    // a whole still-valid cut, on the seq fast path) served from either
-    // level without recomputing from version nodes; a "miss" is a
-    // recompute.  Safe to bump from this destructor: the lease TLS is
-    // first touched under an EbrGuard, so the thread's registry slot
-    // (constructed earlier) outlives it.
-    std::uint32_t unflushed_reads = 0;
-    std::uint32_t unflushed_solo = 0;
-    std::uint32_t unflushed_hits = 0;
-    std::uint32_t unflushed_misses = 0;
-    // Regime signal, not a statistic (never flushed): composite reads this
-    // thread has issued since its last update.  insert/erase consult it to
-    // decide whether joining the shard's combining protocol can pay — see
-    // regime_update.
-    std::uint32_t reads_since_update = 0;
-    void flush() {
-      if (unflushed_reads != 0) {
-        Counters::bump(Counter::kLeaseBatchedReads, unflushed_reads);
-        unflushed_reads = 0;
-      }
-      if (unflushed_solo != 0) {
-        Counters::bump(Counter::kLeaseSoloReads, unflushed_solo);
-        unflushed_solo = 0;
-      }
-      if (unflushed_hits != 0) {
-        Counters::bump(Counter::kAggCacheHits, unflushed_hits);
-        unflushed_hits = 0;
-      }
-      if (unflushed_misses != 0) {
-        Counters::bump(Counter::kAggCacheMisses, unflushed_misses);
-        unflushed_misses = 0;
-      }
-    }
-    ~SnapLease() { flush(); }
-  };
-  static SnapLease& snap_lease()
-    requires(RPath == ReadPath::kCombined)
-  {
-    thread_local SnapLease lease;
-    return lease;
-  }
-
-  // Solo composite read.  Under kQuiescent this is where snapshot leasing
-  // pays on every core count: the thread renews its leased cut only when
-  // some root actually moved, so a run of undisturbed reads shares one
-  // prefix materialization and each read costs a NumShards stamp check on
-  // top of its descent.  Revalidating on EVERY read (rather than trusting
-  // the lease for some grace period) is what keeps the semantics exactly
-  // those of a fresh quiescent acquisition.  kLinearizable snapshots must
-  // take a clock cut to order against concurrent stamping, so they are
-  // acquired fresh per read and leasing contributes only combiner cuts.
-  ReadRes direct_read(typename RBuffer::Op op, Key a, Key b) const
-    requires(RPath == ReadPath::kCombined)
-  {
-    // Snapshot leasing is off under Adaptive: the lease caches unrestricted
-    // per-shard sizes keyed by root stamps alone, and a map flip changes a
-    // shard's owned-range size without moving its root — the lease would
-    // validate a cut the flip invalidated.  Adaptive read bursts still
-    // amortize through the combiner's shared Snapshot (which pins the map).
-    if constexpr (Policy == SnapshotPolicy::kQuiescent && !Adaptive) {
-      if (lease_reads_enabled()) return leased_read(op, a, b);
-    }
-    const Snapshot snap(*this);
-    SnapLease& lease = snap_lease();
-    ++lease.reads_since_update;
-    if (++lease.unflushed_solo >= 1024) lease.flush();
-    return answer(snap, op, a, b);
-  }
-
-  // Validate-or-renew the thread's lease under a fresh guard, then answer
-  // on it.  Validation is by STAMP identity, not pointer identity: without
-  // a guard held since the cut was taken, a cached pointer could have been
-  // freed and its address reused (ABA), but stamps are clock-minted and
-  // unique per version, so `stamp(current root) == cached stamp`
-  // proves the current root IS the cached version object — and a root
-  // still installed was never retired, so the whole cached cut (interior
-  // version nodes included: they are only retired after a replacement
-  // root installs) is live and answerable.
-  ReadRes leased_read(typename RBuffer::Op op, Key a, Key b) const
-    requires(RPath == ReadPath::kCombined)
-  {
-    EbrGuard g;
-    SnapLease& lease = snap_lease();
-    // Fast path: the forest's update sequence has not moved since this
-    // lease was last validated, so no update has completed anywhere and
-    // every cached root, stamp, and prefix sum is current — one shared
-    // (read-mostly) load replaces the whole per-shard stamp walk.  The
-    // seq is loaded BEFORE any validation below: updates racing the
-    // slow path at worst leave lease.seq behind the roots actually
-    // stored, forcing one spurious revalidation later — never a stale
-    // accept.
-    const std::uint64_t seq =
-        rc_.update_seq->load(std::memory_order_acquire);
-    if (lease.forest == rc_.forest_id && lease.seq == seq) {
-      ++lease.unflushed_hits;
-      return lease_finish(lease, op, a, b);
-    }
-    if (lease.forest != rc_.forest_id) {
-      renew_lease(lease);
-    } else {
-      // Validate and repair every shard in one pass.  A stale stamp does
-      // NOT discard the lease: only the moved shard is reloaded, and the
-      // prefix sums are patched by the size delta — the lease's prefix
-      // array is always an exact prefix sum of the per-shard sizes its
-      // stamps identify, so `prefix[i+1] - prefix[i]` recovers the
-      // outdated size without storing sizes separately.  The walk covers
-      // ALL shards, not just the ones this answer reads, because setting
-      // lease.seq below declares the whole cut validated-at-seq: a
-      // partial span here would let a later fast-path read serve a shard
-      // this pass skipped.  Full repair runs once per completed update a
-      // thread observes (the seq gate absorbs everything else), so its
-      // cost is amortized across the read run that follows.
-      const bool cache_on = aggregate_cache_enabled();
-      std::int64_t delta = 0;
-      bool dirty = false;
-      for (int i = 0; i < NumShards; ++i) {
-        const V* cur = shards_[i]->root_version_unsafe();
-        const std::uint64_t stamp = version_epoch<Aug>(cur, epoch_);
-        if (stamp == lease.stamps[i]) {
-          ++lease.unflushed_hits;
-          if (delta != 0) lease.prefix[i] += delta;
-          continue;
-        }
-        const std::int64_t old_sz = lease.prefix[i + 1] - lease.prefix[i];
-        if (delta != 0) lease.prefix[i] += delta;
-        lease.roots[i] = cur;
-        lease.stamps[i] = stamp;
-        std::int64_t sz;
-        if (cache_on && rc_.cache.load_size(i, stamp, &sz)) {
-          ++lease.unflushed_hits;
-        } else {
-          ++lease.unflushed_misses;
-          sz = version_size<Aug>(cur);
-          if (cache_on) rc_.cache.store_size(i, stamp, sz);
-        }
-        delta += sz - old_sz;
-        dirty = true;
-      }
-      if (dirty) {
-        if (delta != 0) lease.prefix[NumShards] += delta;
-        Counters::bump(Counter::kLeaseCuts);
-      }
-    }
-    lease.seq = seq;
-    return lease_finish(lease, op, a, b);
-  }
-
-  // Shared tail of both leased paths: batch-flush the read/hit tallies,
-  // then answer on the (now valid) lease.
-  ReadRes lease_finish(SnapLease& lease, typename RBuffer::Op op, Key a,
-                       Key b) const CBAT_REQUIRES(ebr_capability)
-    requires(RPath == ReadPath::kCombined)
-  {
-    ++lease.reads_since_update;
-    if (++lease.unflushed_reads >= 1024) lease.flush();
-    return lease_answer(lease, op, a, b);
-  }
-
-  // Take a fresh quiescent cut into the lease slot: roots, unique stamps,
-  // and the prefix sums — the latter through the shared aggregate cache.
-  // Cold path only: a thread's first read of a forest, or a lease left
-  // behind by another forest; root movement within the forest is repaired
-  // incrementally in leased_read and never lands here.  Caller holds an
-  // EBR guard.
-  void renew_lease(SnapLease& lease) const CBAT_REQUIRES(ebr_capability)
-    requires(RPath == ReadPath::kCombined)
-  {
-    const bool cache_on = aggregate_cache_enabled();
-    std::uint32_t hits = 0;
-    std::uint32_t misses = 0;
-    lease.forest = rc_.forest_id;
-    lease.prefix[0] = 0;
-    for (int i = 0; i < NumShards; ++i) {
-      const V* r = shards_[i]->root_version_unsafe();
-      const std::uint64_t stamp = version_epoch<Aug>(r, epoch_);
-      lease.roots[i] = r;
-      lease.stamps[i] = stamp;
-      std::int64_t sz;
-      if (cache_on) {
-        if (rc_.cache.load_size(i, stamp, &sz)) {
-          ++hits;
-        } else {
-          ++misses;
-          sz = version_size<Aug>(r);
-          rc_.cache.store_size(i, stamp, sz);
-        }
-      } else {
-        sz = version_size<Aug>(r);
-      }
-      lease.prefix[i + 1] = lease.prefix[i] + sz;
-    }
-    if (hits != 0) Counters::bump(Counter::kAggCacheHits, hits);
-    if (misses != 0) Counters::bump(Counter::kAggCacheMisses, misses);
-    Counters::bump(Counter::kLeaseCuts);
-  }
-
-  std::int64_t lease_rank(const SnapLease& lease, Key k) const
-      CBAT_REQUIRES(ebr_capability)
-    requires(RPath == ReadPath::kCombined)
-  {
-    const int s = shard_of(k);
-    return lease.prefix[s] + version_rank<Aug>(lease.roots[s], k);
-  }
-  std::int64_t lease_rank_less(const SnapLease& lease, Key k) const
-      CBAT_REQUIRES(ebr_capability)
-    requires(RPath == ReadPath::kCombined)
-  {
-    const int s = shard_of(k);
-    return lease.prefix[s] + version_rank_less<Aug>(lease.roots[s], k);
-  }
-
-  // Boundary piece of a range aggregate on the leased cut, memoized in
-  // the shared range cache under the shard's stamp (bumps flushed here
-  // directly: at most two pieces per query).
-  AugValue lease_range_piece(const SnapLease& lease, int s, Key lo,
-                             Key hi) const CBAT_REQUIRES(ebr_capability)
-    requires(RPath == ReadPath::kCombined)
-  {
-    if (aggregate_cache_enabled()) {
-      std::int64_t v;
-      if (rc_.cache.load_range(s, lo, hi, lease.stamps[s], &v)) {
-        Counters::bump(Counter::kAggCacheHits);
-        return v;
-      }
-      Counters::bump(Counter::kAggCacheMisses);
-      const AugValue fresh =
-          version_range_aggregate<Aug>(lease.roots[s], lo, hi);
-      rc_.cache.store_range(s, lo, hi, lease.stamps[s], fresh);
-      return fresh;
-    }
-    return version_range_aggregate<Aug>(lease.roots[s], lo, hi);
-  }
-
-  // Composite answers on the leased cut; mirrors Snapshot's query logic
-  // over the lease's POD state.
-  ReadRes lease_answer(const SnapLease& lease, typename RBuffer::Op op,
-                       Key a, Key b) const CBAT_REQUIRES(ebr_capability)
-    requires(RPath == ReadPath::kCombined)
-  {
-    switch (op) {
-      case RBuffer::kSize:
-        return {lease.prefix[NumShards], true};
-      case RBuffer::kRank:
-        return {lease_rank(lease, a), true};
-      case RBuffer::kSelect: {
-        if (a < 1 || a > lease.prefix[NumShards]) return {0, false};
-        const auto it = std::lower_bound(lease.prefix.begin() + 1,
-                                         lease.prefix.end(), a);
-        const int s = static_cast<int>(it - lease.prefix.begin()) - 1;
-        const std::optional<Key> r =
-            version_select<Aug>(lease.roots[s], a - lease.prefix[s]);
-        return {r.value_or(0), r.has_value()};
-      }
-      case RBuffer::kRangeCount: {
-        if (a > b) return {0, true};
-        return {lease_rank(lease, b) - lease_rank_less(lease, a), true};
-      }
-      case RBuffer::kRangeAggregate: {
-        if (a > b) return {Aug::sentinel(), true};
-        const int slo = shard_of(a);
-        const int shi = shard_of(b);
-        if (slo == shi) return {lease_range_piece(lease, slo, a, b), true};
-        AugValue acc = lease_range_piece(lease, slo, a, kMaxUserKey);
-        for (int s = slo + 1; s < shi; ++s) {
-          acc = Aug::combine(acc, lease.roots[s]->aug);
-        }
-        return {Aug::combine(acc,
-                             lease_range_piece(
-                                 lease, shi,
-                                 std::numeric_limits<Key>::min(), b)),
-                true};
-      }
-      default:
-        return {0, false};  // unreachable: only reads are routed here
-    }
-  }
-
-  // Answers one drained request against the given (pinned) cut.
-  static ReadRes answer(const Snapshot& snap, typename RBuffer::Op op, Key a,
-                        Key b) CBAT_REQUIRES(ebr_capability) {
-    switch (op) {
-      case RBuffer::kSize:
-        return {snap.size(), true};
-      case RBuffer::kRank:
-        return {snap.rank(a), true};
-      case RBuffer::kSelect: {
-        const std::optional<Key> r = snap.select(a);
-        return {r.value_or(0), r.has_value()};
-      }
-      case RBuffer::kRangeCount:
-        return {snap.range_count(a, b), true};
-      case RBuffer::kRangeAggregate:
-        return {snap.range_aggregate(a, b), true};
-      default:
-        return {0, false};  // unreachable: only reads are published here
-    }
-  }
-
-  // Caller holds the buffer lock; releases it after the drain (hence
-  // CBAT_RELEASE, not REQUIRES: the lock is gone when this returns).
-  // Acquires ONE cut and answers the own request plus every drained read
-  // against it — the expensive part runs with the lock already free.
-  ReadRes run_read_combiner(typename RBuffer::Op op, Key a, Key b) const
-      CBAT_RELEASE(rc_.buffer)
-    requires(RPath == ReadPath::kCombined)
-  {
-    typename RBuffer::DrainedRequest reqs[RBuffer::num_slots()];
-    const int n = rc_.buffer.drain(
-        reqs, std::min(combine_max_batch() - 1,
-                       static_cast<int>(RBuffer::num_slots())));
-    rc_.buffer.unlock();
-    const Snapshot snap(*this);
-    for (int i = 0; i < n; ++i) {
-      rc_.buffer.complete_read(
-          reqs[i].slot, answer(snap, reqs[i].op, reqs[i].key, reqs[i].b));
-    }
-    Counters::bump(Counter::kLeaseCuts);
-    Counters::bump(Counter::kLeaseBatchedReads,
-                   static_cast<std::uint64_t>(n) + 1);
-    return answer(snap, op, a, b);
-  }
-
-  // Caller holds the buffer lock; releases it after the drain.  Its own
-  // request is already published (lock inheritance), so the batch is just
-  // the drained slots.
-  void run_read_combiner_drained_only() const CBAT_RELEASE(rc_.buffer)
-    requires(RPath == ReadPath::kCombined)
-  {
-    typename RBuffer::DrainedRequest reqs[RBuffer::num_slots()];
-    const int n = rc_.buffer.drain(
-        reqs, std::min(combine_max_batch(),
-                       static_cast<int>(RBuffer::num_slots())));
-    rc_.buffer.unlock();
-    if (n == 0) return;
-    const Snapshot snap(*this);
-    for (int i = 0; i < n; ++i) {
-      rc_.buffer.complete_read(
-          reqs[i].slot, answer(snap, reqs[i].op, reqs[i].key, reqs[i].b));
-    }
-    Counters::bump(Counter::kLeaseCuts);
-    Counters::bump(Counter::kLeaseBatchedReads,
-                   static_cast<std::uint64_t>(n));
-  }
-
   void repartition(Key keyspace) {
     keyspace_ = std::max<Key>(keyspace, NumShards);
     // Overflow-free ceiling: keyspace_ may be as large as kInf2, where
@@ -2043,40 +1417,19 @@ class ShardedSet {
   Key keyspace_ = 0;
   Key width_ = 1;
   // Snapshot clock; its epochs start at 1 so every assigned stamp is
-  // distinguishable from kEpochTbd (0).  Unique-stamp mode under
-  // kCombined (the aggregate caches key on stamps).  Cache-line aligned
-  // by its type: every root stamp and every linearizable cut touches it.
+  // distinguishable from kEpochTbd (0).  Unique-stamp mode under kCached
+  // (the aggregate cache keys on stamps).  Cache-line aligned by its
+  // type: every root stamp and every linearizable cut touches it.
   // Mutable: cuts advance it from const composite queries; it is
   // bookkeeping for the cut, not observable set state.
-  mutable EpochClock epoch_{RPath == ReadPath::kCombined};
-  // Read-side state, materialized only for ReadPath::kCombined: the
-  // forest-level publication buffer for leased cuts and the epoch-stamped
-  // aggregate caches.  Mutable for the same reason as epoch_: both are
-  // bookkeeping driven by const composite queries.
-  struct ReadCombining {
-    RBuffer buffer;
-    AggregateCache<NumShards> cache;
-    // Identity for thread-local snapshot leases (see SnapLease); minted
-    // once per forest, never reused.
-    const std::uint64_t forest_id = shard_detail::next_forest_id();
-    // Bumped (release) after every insert/erase RETURNS; a leased read
-    // that loads (acquire) an unchanged value skips per-shard stamp
-    // validation entirely — no update has completed since the lease was
-    // last validated, so the cut is still exactly what a fresh quiescent
-    // acquisition would assemble.  An update whose bump is not yet
-    // visible to the reader's load is indistinguishable from one that
-    // has not returned (it races the read), which quiescent consistency
-    // already permits — the same eventual-visibility contract a direct
-    // read's non-atomic root loads rely on.  Single line, bumped only by
-    // updates: read-mostly mixes keep it shared across readers.
-    Padded<std::atomic<std::uint64_t>> update_seq{{0}};
-  };
-  struct NoReadCombining {
-    [[no_unique_address]] UnusedCapability buffer;
-  };
+  mutable EpochClock epoch_{RPath == ReadPath::kCached};
+  // The epoch-stamped range-aggregate cache, materialized only for
+  // ReadPath::kCached.  Mutable for the same reason as epoch_: it is
+  // memoization filled by const composite queries.
+  struct NoCache {};
   [[no_unique_address]] mutable std::conditional_t<
-      RPath == ReadPath::kCombined, ReadCombining, NoReadCombining>
-      rc_;
+      RPath == ReadPath::kCached, AggregateCache<NumShards>, NoCache>
+      cache_;
   // shared: the current boundary table (Adaptive; null otherwise).
   // Swapped only by the migrator holding mig_.gate; loaded under an EBR
   // guard by everyone else (replaced tables are EBR-retired).  Mutable
@@ -2103,15 +1456,24 @@ extern template class ShardedSet<Bat<SizeAug>, 4,
                                  SnapshotPolicy::kLinearizable>;
 extern template class ShardedSet<Bat<SizeAug>, 16,
                                  SnapshotPolicy::kLinearizable>;
-// Read-combined variants over a plain BAT (test-only; the registry's
-// "-RC" forests wrap CombinedSet shards, see combine/combined_set.h).
+// Cached ("-Cached") and adaptive ("-Adapt") forests, each under both
+// snapshot policies.
+extern template class ShardedSet<Bat<SizeAug>, 16, SnapshotPolicy::kQuiescent,
+                                 ReadPath::kCached>;
+extern template class ShardedSet<Bat<SizeAug>, 16,
+                                 SnapshotPolicy::kLinearizable,
+                                 ReadPath::kCached>;
+extern template class ShardedSet<Bat<SizeAug>, 16, SnapshotPolicy::kQuiescent,
+                                 ReadPath::kDirect, true>;
+extern template class ShardedSet<Bat<SizeAug>, 16,
+                                 SnapshotPolicy::kLinearizable,
+                                 ReadPath::kDirect, true>;
+// 4-shard cached and adaptive variants the tests drive directly.
 extern template class ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kQuiescent,
-                                 ReadPath::kCombined>;
+                                 ReadPath::kCached>;
 extern template class ShardedSet<Bat<SizeAug>, 4,
                                  SnapshotPolicy::kLinearizable,
-                                 ReadPath::kCombined>;
-// Adaptive variants over a plain BAT (test-only; the registry's "-Adapt"
-// forest wraps CombinedSet shards, see combine/combined_set.h).
+                                 ReadPath::kCached>;
 extern template class ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kQuiescent,
                                  ReadPath::kDirect, true>;
 extern template class ShardedSet<Bat<SizeAug>, 4,

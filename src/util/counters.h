@@ -28,23 +28,11 @@ enum class Counter : int {
   kScxAttempts,
   kScxFailures,
   kRebalanceSteps,
-  // Combining layer (src/combine/): batches applied by a combiner, total
-  // requests those batches carried (occupancy = ops / batches), updates
-  // that ran solo (no combining), and waiters that timed out and retracted.
-  kCombineBatches,
-  kCombineBatchedOps,
-  kCombineSolo,
-  kCombineTimeouts,
-  // Read-side layer (src/shard/aggregate_cache.h + snapshot leasing):
-  // per-shard aggregate-cache lookups that validated against the pinned
-  // root's stamp (hit) or had to recompute (miss); leased cuts acquired by
-  // read combiners, total composite reads answered from leased cuts, and
-  // composite reads that ran direct (lease off, buffer full, or timeout).
+  // Read-side cache (src/shard/aggregate_cache.h): per-shard range-
+  // aggregate lookups that validated against the pinned root's stamp
+  // (hit) or had to recompute (miss).
   kAggCacheHits,
   kAggCacheMisses,
-  kLeaseCuts,
-  kLeaseBatchedReads,
-  kLeaseSoloReads,
   // Adaptive shard layer (src/shard/): completed boundary migrations, keys
   // bulk-moved by them, updates that were double-routed into the dirty
   // log while a copy was in flight, and the controller's imbalance
@@ -55,12 +43,9 @@ enum class Counter : int {
   kShardDoubleRoutes,
   kShardImbalanceSumMilli,
   kShardImbalanceSamples,
-  // Robustness layer (PR 9): backoff pauses taken by combining slot-waiters
-  // (each pause is one exponential step of util/backoff.h, charged against
-  // the delegation budget), EBR limbo bags crossing the high-water mark and
+  // Robustness layer: EBR limbo bags crossing the high-water mark and
   // triggering an inline reclaim attempt, and migrations that faulted
   // before the map flip and rolled back to the old map.
-  kCombineRetractBackoffs,
   kEbrPressureEvents,
   kShardMigrationAborts,
   kNumCounters

@@ -284,14 +284,15 @@ TEST(BenchJsonSchema, DocumentRoundTrips) {
   rec.metrics = {{"cas_per_prop", 22.2}};
   out.runs.push_back(rec);
 
-  // Second run: the read-combined fields ISSUE 6 added — a non-default
-  // read_path, the hot-range query kind, and the cache hit-rate metric
-  // compare_bench.py gates on.
+  // Second run: the read-side fields — a non-default read_path, the
+  // hot-range query kind, and the cache hit-rate metric compare_bench.py
+  // gates on — on a registered forest, so its capabilities are emitted.
   RunRecord rc = rec;
-  rc.series = "Sharded16-Combined-BAT-RC/cached";
+  rc.series = "Sharded16-BAT-Cached";
   rc.read_path = "cached";
+  rc.result.structure = "Sharded16-BAT-Cached";
   rc.result.config.workload.query_kind = QueryKind::kRangeAgg;
-  rc.metrics = {{"agg_cache_hit_rate", 0.97}, {"lease_shared_pct", 41.5}};
+  rc.metrics = {{"agg_cache_hit_rate", 0.97}};
   out.runs.push_back(rc);
 
   char fake_argv0[] = "test";
@@ -330,11 +331,17 @@ TEST(BenchJsonSchema, DocumentRoundTrips) {
   EXPECT_EQ(run.at("read_path").str, "direct");
 
   const Value& rcr = sc.at("runs").item(1);
-  EXPECT_EQ(rcr.at("series").str, "Sharded16-Combined-BAT-RC/cached");
+  EXPECT_EQ(rcr.at("series").str, "Sharded16-BAT-Cached");
   EXPECT_EQ(rcr.at("read_path").str, "cached");
   EXPECT_EQ(rcr.at("config").at("query_kind").str, "range_agg");
   EXPECT_DOUBLE_EQ(rcr.at("metrics").at("agg_cache_hit_rate").num, 0.97);
-  EXPECT_DOUBLE_EQ(rcr.at("metrics").at("lease_shared_pct").num, 41.5);
+  const Value& caps = rcr.at("capabilities");
+  EXPECT_EQ(caps.at("shards").num, 16);
+  EXPECT_FALSE(caps.at("adaptive").b);
+  // Schema 1 is append-only: the combining keys stay, always false.
+  EXPECT_EQ(caps.at("combining").kind, Value::Kind::kBool);
+  EXPECT_FALSE(caps.at("combining").b);
+  EXPECT_FALSE(caps.at("read_combining").b);
 }
 
 }  // namespace

@@ -32,8 +32,8 @@ TEST(ScenarioRegistry, ListsAllPaperScenarios) {
   const std::vector<std::string> expected = {
       "fig5a",  "fig5b",  "fig5c",  "fig6",
       "fig7",   "fig8",   "fig9",   "fig10",
-      "table3", "shard_sweep", "shard_hotspot", "combine_sweep",
-      "snapshot_consistency", "micro_components", "micro_llxscx"};
+      "table3", "shard_sweep", "shard_hotspot", "snapshot_consistency",
+      "read_burst", "rebalance", "micro_components", "micro_llxscx"};
   const auto names = ScenarioRegistry::instance().names();
   // >= rather than ==: other tests may add scenarios, and gtest order is
   // not guaranteed under --gtest_shuffle.
@@ -41,6 +41,8 @@ TEST(ScenarioRegistry, ListsAllPaperScenarios) {
   for (const auto& e : expected) {
     EXPECT_NE(std::find(names.begin(), names.end(), e), names.end()) << e;
   }
+  EXPECT_EQ(std::find(names.begin(), names.end(), "combine_sweep"),
+            names.end());
   for (const auto& s : ScenarioRegistry::instance().all()) {
     EXPECT_FALSE(s.title.empty()) << s.name;
     EXPECT_TRUE(static_cast<bool>(s.run)) << s.name;

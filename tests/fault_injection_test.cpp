@@ -22,7 +22,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "combine/combined_set.h"
 #include "core/bat_tree.h"
 #include "core/version_queries.h"
 #include "reclamation/ebr.h"
@@ -34,11 +33,12 @@
 namespace cbat {
 namespace {
 
-using CS = CombinedSet<Bat<SizeAug>>;
-// Adaptive AND read-combined: one structure reaches the migration sites,
-// the leased read-wait site, and the aggregate-cache seqlock fills.
-using SH = ShardedSet<CombinedSet<Bat<SizeAug>>, 4, SnapshotPolicy::kQuiescent,
-                      ReadPath::kCombined, true>;
+using BT = Bat<SizeAug>;
+// Adaptive AND cached: one structure reaches the migration sites (and the
+// apply_batch bulk moves behind them) and the aggregate-cache seqlock
+// fills.
+using SH = ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kQuiescent,
+                      ReadPath::kCached, true>;
 
 constexpr Key kKeySpace = 1 << 14;
 
@@ -68,7 +68,7 @@ Key op_key(std::uint64_t h, int threads, int t) {
   return static_cast<Key>((h >> 16) % classes) * threads + t;
 }
 
-void validate_versions(CS& s) {
+void validate_versions(BT& s) {
   EbrGuard g;
   EXPECT_TRUE(version_tree_valid<SizeAug>(
       s.root_version_unsafe(), std::numeric_limits<Key>::min(), kInf2));
@@ -121,10 +121,10 @@ void chaos_run(Set& s, const FaultPlan& plan, int threads,
           s.erase(k);
         }
         if ((i & 15) == 0) {
-          // Composite reads ride the leased/combined read path; their
-          // answers are checked for sanity only — exact answers race with
-          // concurrent updates by design.  range_aggregate is what drives
-          // the aggregate-cache fills (the seqlock fault sites).
+          // Composite reads are checked for sanity only — exact answers
+          // race with concurrent updates by design.  range_aggregate is
+          // what drives the aggregate-cache fills (the seqlock fault
+          // site).
           EXPECT_GE(s.size(), 0);
           EXPECT_GE(s.rank(k), 0);
           EXPECT_GE(s.range_count(kKeySpace / 4, kKeySpace / 2), 0);
@@ -245,11 +245,11 @@ TEST(FaultInjection, ArmedDecisionSequencesAreDeterministic) {
   EXPECT_EQ(forced[0], forced[1]);
 }
 
-TEST(FaultInjection, AllSiteShapesCombinedSet) {
+TEST(FaultInjection, AllSiteShapesBat) {
   for (std::uint64_t seed : kSeeds) {
-    chaos_plan<CS>(all_sites_plan(seed, 250, 0, 0));    // yield-heavy
-    chaos_plan<CS>(all_sites_plan(seed, 0, 150, 0));    // delay-heavy
-    chaos_plan<CS>(all_sites_plan(seed, 100, 60, 40));  // mixed failures
+    chaos_plan<BT>(all_sites_plan(seed, 250, 0, 0));    // yield-heavy
+    chaos_plan<BT>(all_sites_plan(seed, 0, 150, 0));    // delay-heavy
+    chaos_plan<BT>(all_sites_plan(seed, 100, 60, 40));  // mixed failures
   }
 }
 
@@ -261,21 +261,20 @@ TEST(FaultInjection, AllSiteShapesShardedSet) {
   }
 }
 
-TEST(FaultInjection, PerSiteFailuresCombinedSet) {
+TEST(FaultInjection, PerSiteFailuresBat) {
   const char* sites[] = {
-      "pool.alloc_fail",   "bat.refresh_cas",     "combine.elected",
-      "combine.read_elected", "combine.publish_full", "combine.claim",
-      "combine.update_wait",  "combine.read_wait",    "ebr.advance_skip",
+      "pool.alloc_fail", "bat.refresh_cas", "bat.refresh_build",
+      "ebr.advance_skip", "ebr.advance",    "ebr.retire",
   };
   for (std::uint64_t seed : kSeeds) {
-    for (const char* site : sites) chaos_plan<CS>(one_site_plan(seed, site));
+    for (const char* site : sites) chaos_plan<BT>(one_site_plan(seed, site));
   }
 }
 
 TEST(FaultInjection, PerSiteFailuresShardedSet) {
   const char* sites[] = {
-      "shard.read_wait", "mig.copy_begin", "mig.copied",
-      "mig.sealed",      "mig.replayed",   "mig.flip",
+      "cache.fill_range", "bat.apply_batch", "mig.copy_begin", "mig.copied",
+      "mig.sealed",       "mig.replayed",    "mig.flip",
   };
   const auto before = Counters::snapshot();
   for (std::uint64_t seed : kSeeds) {
@@ -292,15 +291,14 @@ TEST(FaultInjection, PerSiteFailuresShardedSet) {
 // sweep itself, not the structures.
 TEST(FaultInjection, SweepCoversThePlanMatrixAndTheInstrumentedSites) {
   EXPECT_GE(g_plans_run, 64) << "acceptance: >= 64 seeded plans";
-  // Sites every sweep must structurally reach.  The remaining sites
-  // (contention-dependent waits, cache fills) are exercised by the plans
-  // above but can be scheduler-dependent, so their absence is not an
-  // error; print the union for the curious.
+  // Sites every sweep must structurally reach.  The remaining sites are
+  // exercised by the plans above but can be scheduler-dependent, so their
+  // absence is not an error; print the union for the curious.
   const char* must_see[] = {
-      "pool.alloc_fail", "ebr.retire",      "ebr.advance",
-      "bat.apply_batch", "bat.refresh_build", "bat.refresh_cas",
-      "combine.elected", "combine.publish",  "mig.copy_begin",
-      "mig.flipped",     "mig.cleaned",
+      "pool.alloc_fail",  "ebr.retire",        "ebr.advance",
+      "bat.apply_batch",  "bat.refresh_build", "bat.refresh_cas",
+      "cache.fill_range", "mig.copy_begin",    "mig.flipped",
+      "mig.cleaned",
   };
   for (const char* site : must_see) {
     EXPECT_TRUE(g_sites_union.count(site) != 0) << "never visited: " << site;

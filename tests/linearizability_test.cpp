@@ -23,6 +23,7 @@
 // CI alongside the sharded_set suite).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <iterator>
@@ -30,7 +31,6 @@
 #include <thread>
 #include <vector>
 
-#include "combine/combined_set.h"
 #include "core/bat_tree.h"
 #include "shard/sharded_set.h"
 #include "util/random.h"
@@ -402,121 +402,195 @@ TEST(CrossShardLinearizability, ConcurrentSingleWriterHistoryLinearizes) {
   ASSERT_GT(checked, 0u);
 }
 
-// Two writers over *disjoint* tracked key sets (each spanning all four
-// shards, so both feed every shard's combining buffer), on the sharded
-// combined forest: exercises epoch stamping through apply_batch's merged
-// Propagate.  Disjoint ownership keeps the check exact — each writer's
-// projection of an observation must independently match one of that
-// writer's prefixes within its own real-time bounds.
-TEST(CrossShardLinearizability, ConcurrentCombinedTwoWriterHistoryLinearizes) {
-  using LinCombined4 =
-      ShardedSet<CombinedSet<Bat<SizeAug>>, 4, SnapshotPolicy::kLinearizable>;
-  constexpr int kWriters = 2;
-  constexpr int kPerWriter = 4;  // one tracked key per shard per writer
-  constexpr int kOps = 4000;
+// Batch histories: the writer's tracked membership after t batches is
+// states[t], and batch t (1-based) toggled the tracked keys whose indices
+// are in toggled[t-1].  A batch's requests all linearize inside its
+// apply_batch call but in no fixed order among themselves — a concurrent
+// Propagate on the same shard may carry any of them to the root first —
+// so an observation linearizes iff it equals states[done_at_inv] or, for
+// some batch t in flight during the query, differs from states[t-1] only
+// on keys batch t toggled.
+bool batch_observation_linearizes(
+    const std::vector<std::vector<bool>>& states,
+    const std::vector<std::vector<std::size_t>>& toggled,
+    const TrackedObservation& o) {
+  if (states[static_cast<std::size_t>(o.done_at_inv)] == o.members) {
+    return true;
+  }
+  const auto hi = std::min<std::int64_t>(
+      o.started_at_resp, static_cast<std::int64_t>(states.size()) - 1);
+  for (std::int64_t t = o.done_at_inv + 1; t <= hi; ++t) {
+    const auto& before = states[static_cast<std::size_t>(t - 1)];
+    const auto& batch = toggled[static_cast<std::size_t>(t - 1)];
+    bool ok = true;
+    for (std::size_t k = 0; k < before.size() && ok; ++k) {
+      ok = o.members[k] == before[k] ||
+           std::find(batch.begin(), batch.end(), k) != batch.end();
+    }
+    if (ok) return true;
+  }
+  return false;
+}
 
-  std::vector<std::vector<Key>> tracked(kWriters);
-  for (int w = 0; w < kWriters; ++w) {
-    for (int i = 0; i < kPerWriter; ++i) {
-      tracked[static_cast<std::size_t>(w)].push_back(
-          static_cast<Key>(i * 1000 + 100 + w * 250));
+// Two writers over *disjoint* tracked key sets, each spanning all four
+// shards of a linearizable forest: writer A toggles one key at a time
+// through the forest's point updates; writer B applies sorted two-key
+// batches straight to one shard through apply_batch, as the migrator
+// does, so its roots are installed and stamped by the merged
+// propagate_batch.  Disjoint ownership keeps the check exact — each
+// writer's projection of an observation must independently match that
+// writer's history within its own real-time bounds.
+TEST(CrossShardLinearizability, ConcurrentBatchedTwoWriterHistoryLinearizes) {
+  constexpr int kShards = 4;
+  constexpr int kOpsA = 4000;
+  constexpr int kBatchesB = 2000;
+
+  // Writer A: one key per shard, single toggles.
+  std::vector<Key> keys_a;
+  for (int i = 0; i < kShards; ++i) keys_a.push_back(i * 1000 + 100);
+  std::vector<std::vector<bool>> prefix_a;
+  std::vector<std::pair<std::size_t, bool>> ops_a;  // (index, is_insert)
+  {
+    std::vector<bool> state(keys_a.size(), false);
+    prefix_a.push_back(state);
+    Xoshiro256 rng(100);
+    for (int j = 0; j < kOpsA; ++j) {
+      const std::size_t i = rng.below(keys_a.size());
+      const bool is_insert = !state[i];
+      ops_a.emplace_back(i, is_insert);
+      state[i] = is_insert;
+      prefix_a.push_back(state);
     }
   }
-  std::vector<std::vector<std::vector<bool>>> prefix_states(kWriters);
-  std::vector<std::vector<std::pair<int, bool>>> ops(kWriters);
-  for (int w = 0; w < kWriters; ++w) {
-    std::vector<bool> state(kPerWriter, false);
-    prefix_states[static_cast<std::size_t>(w)].push_back(state);
-    Xoshiro256 rng(100 + static_cast<std::uint64_t>(w));
-    for (int j = 0; j < kOps; ++j) {
-      const int i = static_cast<int>(rng.below(kPerWriter));
-      const bool is_insert = !state[static_cast<std::size_t>(i)];
-      ops[static_cast<std::size_t>(w)].emplace_back(i, is_insert);
-      state[static_cast<std::size_t>(i)] = is_insert;
-      prefix_states[static_cast<std::size_t>(w)].push_back(state);
+  // Writer B: two keys per shard (indices 2i, 2i+1, in key order); each
+  // batch toggles both keys of one shard.
+  std::vector<Key> keys_b;
+  for (int i = 0; i < kShards; ++i) {
+    keys_b.push_back(i * 1000 + 350);
+    keys_b.push_back(i * 1000 + 600);
+  }
+  std::vector<std::vector<bool>> states_b;
+  std::vector<std::vector<std::size_t>> toggled_b;
+  std::vector<int> batch_shard;
+  {
+    std::vector<bool> state(keys_b.size(), false);
+    states_b.push_back(state);
+    Xoshiro256 rng(101);
+    for (int t = 0; t < kBatchesB; ++t) {
+      const int s = static_cast<int>(rng.below(kShards));
+      const std::size_t k0 = 2 * static_cast<std::size_t>(s);
+      batch_shard.push_back(s);
+      toggled_b.push_back({k0, k0 + 1});
+      state[k0] = !state[k0];
+      state[k0 + 1] = !state[k0 + 1];
+      states_b.push_back(state);
     }
   }
 
-  LinCombined4 set(kKeyspace);
-  std::atomic<std::int64_t> started[kWriters] = {};
-  std::atomic<std::int64_t> done[kWriters] = {};
+  Lin4 set(kKeyspace);
+  std::atomic<std::int64_t> started_a{0}, done_a{0};
+  std::atomic<std::int64_t> started_b{0}, done_b{0};
+  std::atomic<int> writers_left{2};
   std::atomic<bool> stop{false};
-  std::atomic<int> writers_left{kWriters};
+  const auto finish = [&] {
+    if (writers_left.fetch_sub(1) == 1) {
+      stop.store(true, std::memory_order_release);
+    }
+  };
 
-  std::vector<std::thread> writers;
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&, w] {
-      for (int j = 0; j < kOps; ++j) {
-        started[w].store(j + 1, std::memory_order_seq_cst);
-        const auto [i, is_insert] = ops[static_cast<std::size_t>(w)]
-                                       [static_cast<std::size_t>(j)];
-        const Key k =
-            tracked[static_cast<std::size_t>(w)][static_cast<std::size_t>(i)];
-        ASSERT_TRUE(is_insert ? set.insert(k) : set.erase(k)) << w << "/" << j;
-        done[w].store(j + 1, std::memory_order_seq_cst);
+  std::thread writer_a([&] {
+    for (int j = 0; j < kOpsA; ++j) {
+      started_a.store(j + 1, std::memory_order_seq_cst);
+      const auto [i, is_insert] = ops_a[static_cast<std::size_t>(j)];
+      const Key k = keys_a[i];
+      EXPECT_TRUE(is_insert ? set.insert(k) : set.erase(k)) << "A/" << j;
+      done_a.store(j + 1, std::memory_order_seq_cst);
+    }
+    finish();
+  });
+  std::thread writer_b([&] {
+    for (int t = 0; t < kBatchesB; ++t) {
+      const auto& before = states_b[static_cast<std::size_t>(t)];
+      const auto& batch = toggled_b[static_cast<std::size_t>(t)];
+      BatchOp ops[2];
+      for (int m = 0; m < 2; ++m) {
+        const std::size_t k = batch[static_cast<std::size_t>(m)];
+        ops[m] = BatchOp{keys_b[k], !before[k], false};
       }
-      if (writers_left.fetch_sub(1) == 1) {
-        stop.store(true, std::memory_order_release);
-      }
-    });
-  }
+      started_b.store(t + 1, std::memory_order_seq_cst);
+      set.shard_at(batch_shard[static_cast<std::size_t>(t)])
+          .apply_batch(ops, 2);
+      done_b.store(t + 1, std::memory_order_seq_cst);
+      // The toggles make every request effective.
+      EXPECT_TRUE(ops[0].result && ops[1].result) << "B/" << t;
+    }
+    finish();
+  });
 
-  std::vector<TrackedObservation> log[kWriters];
+  std::vector<TrackedObservation> log_a, log_b;
   std::thread reader([&] {
     // do-while, like the single-writer test: never record zero history.
     do {
-      std::int64_t inv[kWriters];
-      for (int w = 0; w < kWriters; ++w) {
-        inv[w] = done[w].load(std::memory_order_seq_cst);
-      }
-      LinCombined4::Snapshot snap(set);
+      const std::int64_t inv_a = done_a.load(std::memory_order_seq_cst);
+      const std::int64_t inv_b = done_b.load(std::memory_order_seq_cst);
+      Lin4::Snapshot snap(set);
+      TrackedObservation oa, ob;
       std::int64_t present = 0;
-      std::vector<bool> members[kWriters];
-      for (int w = 0; w < kWriters; ++w) {
-        for (const Key k : tracked[static_cast<std::size_t>(w)]) {
-          const bool m = snap.contains(k);
-          members[w].push_back(m);
-          present += m ? 1 : 0;
-        }
+      for (const Key k : keys_a) {
+        oa.members.push_back(snap.contains(k));
+        present += oa.members.back() ? 1 : 0;
       }
+      for (const Key k : keys_b) {
+        ob.members.push_back(snap.contains(k));
+        present += ob.members.back() ? 1 : 0;
+      }
+      // Internal consistency of the pinned cut: only tracked keys ever
+      // enter the set.
       ASSERT_EQ(snap.size(), present);
-      for (int w = 0; w < kWriters; ++w) {
-        TrackedObservation o;
-        o.done_at_inv = inv[w];
-        o.started_at_resp = started[w].load(std::memory_order_seq_cst);
-        o.members = std::move(members[w]);
-        log[w].push_back(std::move(o));
-      }
+      oa.done_at_inv = inv_a;
+      ob.done_at_inv = inv_b;
+      oa.started_at_resp = started_a.load(std::memory_order_seq_cst);
+      ob.started_at_resp = started_b.load(std::memory_order_seq_cst);
+      log_a.push_back(std::move(oa));
+      log_b.push_back(std::move(ob));
     } while (!stop.load(std::memory_order_acquire));
   });
-  for (auto& t : writers) t.join();
+  writer_a.join();
+  writer_b.join();
   reader.join();
 
-  for (int w = 0; w < kWriters; ++w) {
-    ASSERT_GT(log[w].size(), 0u);
-    for (const auto& o : log[w]) {
-      ASSERT_TRUE(observation_linearizes(
-          prefix_states[static_cast<std::size_t>(w)], o))
-          << "writer " << w << " bounds [" << o.done_at_inv << ", "
-          << o.started_at_resp << "]";
-    }
+  ASSERT_GT(log_a.size(), 0u);
+  for (const auto& o : log_a) {
+    ASSERT_TRUE(observation_linearizes(prefix_a, o))
+        << "writer A bounds [" << o.done_at_inv << ", " << o.started_at_resp
+        << "]";
+  }
+  for (const auto& o : log_b) {
+    ASSERT_TRUE(batch_observation_linearizes(states_b, toggled_b, o))
+        << "writer B bounds [" << o.done_at_inv << ", " << o.started_at_resp
+        << "]";
+  }
+  // Quiescence: both histories fully applied.
+  Lin4::Snapshot snap(set);
+  for (std::size_t i = 0; i < keys_a.size(); ++i) {
+    EXPECT_EQ(snap.contains(keys_a[i]), prefix_a.back()[i]) << keys_a[i];
+  }
+  for (std::size_t i = 0; i < keys_b.size(); ++i) {
+    EXPECT_EQ(snap.contains(keys_b[i]), states_b.back()[i]) << keys_b[i];
   }
 }
 
-// --- stale cache races a root CAS (ISSUE 6: epoch-stamped caches) ---------
+// --- stale cache races a root CAS (epoch-stamped aggregate cache) ---------
 
-// The aggregate caches accept an entry only when its stored stamp equals
+// The aggregate cache accepts an entry only when its stored stamp equals
 // the stamp of the root the *caller* has pinned (aggregate_cache.h).  The
-// deterministic tests below construct the exact interleaving that check
-// exists for — a cache fill racing a root CAS — and fail if the stamp
-// validation is removed (make load_size/load_range ignore `stamp` and
-// both turn red).
+// deterministic test below constructs the exact interleaving that check
+// exists for — a cache fill racing a root CAS — and fails if the stamp
+// validation is removed (make load_range ignore `stamp` and it turns
+// red).
 
-using QuiescentRC4 =
-    ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kQuiescent,
-               ReadPath::kCombined>;
-using LinRC4 = ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kLinearizable,
-                          ReadPath::kCombined>;
+using LinCached4 = ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kLinearizable,
+                              ReadPath::kCached>;
 
 // Range cache: a snapshot pins shard 0's root, an update CASes that root
 // mid-acquisition, and the snapshot then answers (correctly, on its old
@@ -527,7 +601,7 @@ using LinRC4 = ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kLinearizable,
 // would serve the pre-update aggregate.
 TEST(StaleAggregateCache, RangeEntryOutlivedByRootCas) {
   constexpr Key kLo = 100, kHi = 900;  // inside shard 0 (width 1000)
-  LinRC4 set(kKeyspace);
+  LinCached4 set(kKeyspace);
   for (Key k = kLo; k <= kHi; k += 100) ASSERT_TRUE(set.insert(k));
   const std::int64_t before = 9;
   ASSERT_EQ(set.range_aggregate(kLo, kHi), before);
@@ -535,9 +609,9 @@ TEST(StaleAggregateCache, RangeEntryOutlivedByRootCas) {
   // Pin shard 0, then land an in-range insert before shard 1 is read.
   const auto hook = [](void* ctx, int next_shard) {
     if (next_shard != 1) return;
-    ASSERT_TRUE(static_cast<LinRC4*>(ctx)->insert(kLo + 50));
+    ASSERT_TRUE(static_cast<LinCached4*>(ctx)->insert(kLo + 50));
   };
-  LinRC4::Snapshot snap(set, hook, &set);
+  LinCached4::Snapshot snap(set, hook, &set);
   // The snapshot's cut predates the insert; its answer — which it also
   // stores into the range cache under the OLD root's stamp — is `before`.
   EXPECT_EQ(snap.range_aggregate(kLo, kHi), before);
@@ -546,32 +620,13 @@ TEST(StaleAggregateCache, RangeEntryOutlivedByRootCas) {
   EXPECT_EQ(set.range_aggregate(kLo, kHi), before + 1);
 }
 
-// Size row: reader thread A fills the shared per-shard size row; an
-// update then CASes one shard's root (new unique stamp) without touching
-// the row; reader thread B's lease renewal probes the row with the NEW
-// stamp and must miss and recompute.  Threads (rather than one thread)
-// because a thread's own update self-patches its thread-local lease —
-// only a fresh lease exercises the shared row's validation.
-TEST(StaleAggregateCache, SizeRowOutlivedByRootCas) {
-  QuiescentRC4 set(kKeyspace);
-  for (Key k = 0; k < 20; ++k) ASSERT_TRUE(set.insert(k * 200));
-  std::thread([&] { EXPECT_EQ(set.size(), 20); }).join();  // fills the row
-  ASSERT_TRUE(set.insert(kKeyA));  // shard 0 root CAS; row now stale
-  std::int64_t observed = -1;
-  std::thread([&] { observed = set.size(); }).join();  // fresh lease
-  EXPECT_EQ(observed, 21);
-  // The key's shard-local effects must be visible through composite
-  // queries too (rank = prefix over the repaired row + one descent).
-  EXPECT_EQ(set.rank(kKeyA), set.range_count(0, kKeyA));
-}
-
 // Concurrent variant (TSan-gated in CI with the rest of this suite): the
-// leased/cached read path must serve linearizable answers while updates
-// re-stamp roots under it.  Single writer, known toggle sequence; readers
-// observe through the PUBLIC composite-query API — size() and a
-// whole-keyspace range_aggregate(), both answered via the lease and the
-// epoch-stamped caches — and every observation must equal the tracked
-// population of some writer prefix within its real-time bounds.
+// cached read path must serve linearizable answers while updates re-stamp
+// roots under it.  Single writer, known toggle sequence; readers observe
+// through the PUBLIC composite-query API — size(), range_count() and a
+// whole-keyspace range_aggregate(), the last through the epoch-stamped
+// cache — and every observation must equal the tracked population of
+// some writer prefix within its real-time bounds.
 TEST(StaleAggregateCache, ConcurrentCachedReadsLinearize) {
   constexpr int kTracked = 8;
   constexpr int kOps = 6000;
@@ -597,7 +652,7 @@ TEST(StaleAggregateCache, ConcurrentCachedReadsLinearize) {
     }
   }
 
-  LinRC4 set(kKeyspace);
+  LinCached4 set(kKeyspace);
   std::atomic<std::int64_t> started{0};
   std::atomic<std::int64_t> done{0};
   std::atomic<bool> stop{false};
@@ -652,8 +707,9 @@ TEST(StaleAggregateCache, ConcurrentCachedReadsLinearize) {
   for (auto& t : readers) t.join();
   ASSERT_GT(checked.load(), 0);
 
-  // Quiescence: with the writer joined, every read path — leased fast
-  // path, repair walk, and both caches — must agree on the final state.
+  // Quiescence: with the writer joined, every read path — the cache
+  // included, from this thread and a fresh one — must agree on the final
+  // state.
   const std::int64_t final_pop = prefix_pop.back();
   EXPECT_EQ(set.size(), final_pop);
   EXPECT_EQ(set.range_aggregate(0, kKeyspace - 1), final_pop);
@@ -671,9 +727,8 @@ TEST(StaleAggregateCache, ConcurrentCachedReadsLinearize) {
 // destination's copy exact — remove mig_log()/replay_log() and the
 // post-flip membership diverges from the oracle.
 
-using AdaptLin4 = ShardedSet<CombinedSet<Bat<SizeAug>>, 4,
-                             SnapshotPolicy::kLinearizable, ReadPath::kDirect,
-                             /*Adaptive=*/true>;
+using AdaptLin4 = ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kLinearizable,
+                             ReadPath::kDirect, /*Adaptive=*/true>;
 
 // Shared state for the deterministic hook: the set, a same-thread oracle,
 // and the per-stage updates to apply.  The hook runs on the migrator's

@@ -10,10 +10,9 @@
 #include "api/ordered_set.h"
 #include "bench/adapters.h"
 #include "chromatic/chromatic_set.h"
-#include "combine/combining_buffer.h"
 #include "core/bat_tree.h"
 #include "reclamation/ebr.h"
-#include "shard/aggregate_cache.h"
+#include "shard/sharded_set.h"
 
 namespace cbat {
 namespace {
@@ -24,6 +23,12 @@ using api::StructureRegistry;
 const char* kBuiltins[] = {"BAT",     "BAT-Del",     "BAT-EagerDel",
                            "FR-BST",  "VcasBST",     "VerlibBTree",
                            "BundledCitrusTree",      "ChromaticSet"};
+
+api::SetOptions hint(Key max_key) {
+  api::SetOptions o;
+  o.key_range_hint = max_key;
+  return o;
+}
 
 TEST(Registry, AllPaperStructureNamesResolve) {
   auto& reg = StructureRegistry::instance();
@@ -92,8 +97,11 @@ TEST(Registry, NonRankedStructureUsesDocumentedFallbacks) {
 
 TEST(Registry, ShardedStructureNamesResolve) {
   auto& reg = StructureRegistry::instance();
-  for (const char* name : {"Sharded1-BAT", "Sharded4-BAT", "Sharded16-BAT",
-                           "Sharded64-BAT", "Sharded16-BAT-Del"}) {
+  for (const char* name :
+       {"Sharded1-BAT", "Sharded4-BAT", "Sharded16-BAT", "Sharded64-BAT",
+        "Sharded16-BAT-Del", "Sharded16-BAT-Lin", "Sharded16-BAT-Cached",
+        "Sharded16-BAT-Cached-Lin", "Sharded16-BAT-Adapt",
+        "Sharded16-BAT-Adapt-Lin"}) {
     EXPECT_TRUE(reg.contains(name)) << name;
     EXPECT_TRUE(reg.is_ranked(name)) << name;
     auto set = reg.create(name);
@@ -101,8 +109,8 @@ TEST(Registry, ShardedStructureNamesResolve) {
     EXPECT_EQ(set->name(), name);
     EXPECT_TRUE(set->supports_order_statistics()) << name;
     // The shard layer accepts the driver's key-range hint; single trees
-    // keep the no-op default.
-    EXPECT_TRUE(set->set_key_range_hint(10000)) << name;
+    // refuse it.
+    EXPECT_TRUE(set->configure(hint(10000))) << name;
     // And behaves like any RankedSet through the type-erased interface.
     EXPECT_TRUE(set->insert(5));
     EXPECT_TRUE(set->insert(9999));  // last shard
@@ -110,65 +118,16 @@ TEST(Registry, ShardedStructureNamesResolve) {
     EXPECT_EQ(set->rank(9999), 2);
     EXPECT_EQ(set->select_query(1), 5);
     EXPECT_EQ(set->range_count(0, 10000), 2);
+    EXPECT_EQ(set->range_aggregate(0, 10000), 2) << name;
+    EXPECT_EQ(set->range_aggregate(6, 9998), 0) << name;
     // Populated: the hint must now be refused.
-    EXPECT_FALSE(set->set_key_range_hint(20000)) << name;
+    EXPECT_FALSE(set->configure(hint(20000))) << name;
+    // warm_up is advisory and must be callable through the interface.
+    set->warm_up(64);
   }
   // Not in the paper's Figures 6-9 comparison set.
   const auto cmp = reg.comparison_set();
   EXPECT_EQ(std::find(cmp.begin(), cmp.end(), "Sharded16-BAT"), cmp.end());
-}
-
-TEST(Registry, CombinedStructureNamesResolve) {
-  auto& reg = StructureRegistry::instance();
-  for (const char* name : {"Combined-BAT", "Sharded16-Combined-BAT"}) {
-    EXPECT_TRUE(reg.contains(name)) << name;
-    EXPECT_TRUE(reg.is_ranked(name)) << name;
-    auto set = reg.create(name);
-    ASSERT_NE(set, nullptr) << name;
-    EXPECT_EQ(set->name(), name);
-    EXPECT_TRUE(set->supports_order_statistics()) << name;
-    // The combining layer keeps the full RankedSet contract through the
-    // type-erased interface.
-    EXPECT_TRUE(set->insert(5));
-    EXPECT_TRUE(set->insert(11));
-    EXPECT_FALSE(set->insert(11));
-    EXPECT_EQ(set->size(), 2);
-    EXPECT_EQ(set->rank(11), 2);
-    EXPECT_EQ(set->select_query(1), 5);
-    EXPECT_EQ(set->range_count(0, 100), 2);
-    EXPECT_TRUE(set->erase(5));
-    EXPECT_EQ(set->size(), 1);
-    // warm_up is advisory and must be callable through the interface.
-    set->warm_up(64);
-  }
-  // Only the sharded-combined forest takes the key-range hint.
-  EXPECT_FALSE(reg.create("Combined-BAT")->set_key_range_hint(10000));
-  EXPECT_TRUE(
-      reg.create("Sharded16-Combined-BAT")->set_key_range_hint(10000));
-  // Not in the paper's comparison set.
-  const auto cmp = reg.comparison_set();
-  EXPECT_EQ(std::find(cmp.begin(), cmp.end(), "Combined-BAT"), cmp.end());
-}
-
-TEST(Registry, LinearizableSnapshotVariantsResolve) {
-  auto& reg = StructureRegistry::instance();
-  for (const char* name : {"Sharded16-BAT-Lin", "Sharded16-Combined-BAT-Lin"}) {
-    EXPECT_TRUE(reg.contains(name)) << name;
-    EXPECT_TRUE(reg.is_ranked(name)) << name;
-    auto set = reg.create(name);
-    ASSERT_NE(set, nullptr) << name;
-    EXPECT_EQ(set->name(), name);
-    // Same RankedSet + key-range-hint contract as the quiescent twins.
-    EXPECT_TRUE(set->set_key_range_hint(10000)) << name;
-    EXPECT_TRUE(set->insert(5));
-    EXPECT_TRUE(set->insert(9999));
-    EXPECT_EQ(set->size(), 2);
-    EXPECT_EQ(set->rank(9999), 2);
-    EXPECT_EQ(set->select_query(1), 5);
-    EXPECT_EQ(set->range_count(0, 10000), 2);
-  }
-  // Not in the paper's comparison set.
-  const auto cmp = reg.comparison_set();
   EXPECT_EQ(std::find(cmp.begin(), cmp.end(), "Sharded16-BAT-Lin"),
             cmp.end());
 }
@@ -182,12 +141,13 @@ TEST(Registry, ConsistencyIntrospectionPerStructure) {
     api::Consistency want;
   } cases[] = {
       {"BAT", api::Consistency::kLinearizable},
-      {"Combined-BAT", api::Consistency::kLinearizable},
       {"ChromaticSet", api::Consistency::kQuiescentlyConsistent},
       {"Sharded16-BAT", api::Consistency::kQuiescentlyConsistent},
-      {"Sharded16-Combined-BAT", api::Consistency::kQuiescentlyConsistent},
       {"Sharded16-BAT-Lin", api::Consistency::kLinearizable},
-      {"Sharded16-Combined-BAT-Lin", api::Consistency::kLinearizable},
+      {"Sharded16-BAT-Cached", api::Consistency::kQuiescentlyConsistent},
+      {"Sharded16-BAT-Cached-Lin", api::Consistency::kLinearizable},
+      {"Sharded16-BAT-Adapt", api::Consistency::kQuiescentlyConsistent},
+      {"Sharded16-BAT-Adapt-Lin", api::Consistency::kLinearizable},
   };
   for (const auto& c : cases) {
     auto set = bench::make_structure(c.name);
@@ -204,7 +164,7 @@ TEST(Registry, ConsistencyIntrospectionPerStructure) {
 TEST(Registry, SingleTreesIgnoreKeyRangeHint) {
   auto set = bench::make_structure("BAT");
   ASSERT_NE(set, nullptr);
-  EXPECT_FALSE(set->set_key_range_hint(10000));
+  EXPECT_FALSE(set->configure(hint(10000)));
 }
 
 TEST(Registry, UserStructuresCanBeRegistered) {
@@ -247,7 +207,7 @@ TEST(Registry, UserStructuresCanBeRegistered) {
   EXPECT_EQ(std::find(cmp.begin(), cmp.end(), "test-only-RefSet"), cmp.end());
 }
 
-// --- ISSUE 7: capability introspection + the configure() front door -------
+// --- capability introspection + the configure() front door ---------------
 
 TEST(Registry, StructureInfoIsDerivedFromTheType) {
   auto& reg = StructureRegistry::instance();
@@ -255,32 +215,26 @@ TEST(Registry, StructureInfoIsDerivedFromTheType) {
 
   const struct {
     const char* name;
-    bool ranked, combining, read_combining, adaptive;
+    bool ranked, adaptive;
     int shards;
     api::Consistency consistency;
   } cases[] = {
-      {"BAT", true, false, false, false, 1, api::Consistency::kLinearizable},
-      {"ChromaticSet", false, false, false, false, 1,
+      {"BAT", true, false, 1, api::Consistency::kLinearizable},
+      {"ChromaticSet", false, false, 1,
        api::Consistency::kQuiescentlyConsistent},
-      // Combined-BAT's composite reads ride the buffer too (SizeAug fits
-      // the wide response slot), so it reports read_combining.
-      {"Combined-BAT", true, true, true, false, 1,
-       api::Consistency::kLinearizable},
-      {"Sharded16-BAT", true, false, false, false, 16,
+      {"Sharded16-BAT", true, false, 16,
        api::Consistency::kQuiescentlyConsistent},
-      {"Sharded16-Combined-BAT-RC", true, true, true, false, 16,
+      {"Sharded16-BAT-Cached", true, false, 16,
        api::Consistency::kQuiescentlyConsistent},
-      {"Sharded16-Combined-BAT-Adapt", true, true, false, true, 16,
+      {"Sharded16-BAT-Adapt", true, true, 16,
        api::Consistency::kQuiescentlyConsistent},
-      {"Sharded16-Combined-BAT-Adapt-Lin", true, true, false, true, 16,
+      {"Sharded16-BAT-Adapt-Lin", true, true, 16,
        api::Consistency::kLinearizable},
   };
   for (const auto& c : cases) {
     const auto info = reg.info(c.name);
     ASSERT_TRUE(info.has_value()) << c.name;
     EXPECT_EQ(info->ranked, c.ranked) << c.name;
-    EXPECT_EQ(info->combining, c.combining) << c.name;
-    EXPECT_EQ(info->read_combining, c.read_combining) << c.name;
     EXPECT_EQ(info->adaptive, c.adaptive) << c.name;
     EXPECT_EQ(info->shards, c.shards) << c.name;
     EXPECT_EQ(info->consistency, c.consistency) << c.name;
@@ -292,6 +246,12 @@ TEST(Registry, StructureInfoIsDerivedFromTheType) {
   }
 }
 
+// The keyspace a registry-created Sharded16-BAT currently uses.
+Key forest_keyspace(AbstractOrderedSet& set) {
+  auto* m = dynamic_cast<api::SetModel<ShardedSet<Bat<SizeAug>, 16>>*>(&set);
+  return m == nullptr ? -1 : m->tree().keyspace();
+}
+
 TEST(Registry, ConfigureReportsExactlyWhatItApplied) {
   auto& reg = StructureRegistry::instance();
   // An empty options bag trivially succeeds everywhere.
@@ -300,76 +260,82 @@ TEST(Registry, ConfigureReportsExactlyWhatItApplied) {
 
   // key_range_hint: honored by shard forests while empty, refused by
   // single trees and by populated forests — and configure() must say so.
-  api::SetOptions hint;
-  hint.key_range_hint = 10000;
-  EXPECT_FALSE(reg.create("BAT")->configure(hint));
+  EXPECT_FALSE(reg.create("BAT")->configure(hint(10000)));
   auto forest = reg.create("Sharded16-BAT");
-  EXPECT_TRUE(forest->configure(hint));
+  EXPECT_TRUE(forest->configure(hint(10000)));
+  EXPECT_EQ(forest_keyspace(*forest), 10000);
   EXPECT_TRUE(forest->insert(5));
-  EXPECT_FALSE(forest->configure(hint)) << "populated forest must refuse";
+  EXPECT_FALSE(forest->configure(hint(20000)))
+      << "populated forest must refuse";
+  EXPECT_EQ(forest_keyspace(*forest), 10000);
 
   // Rebalancing fields: only the "-Adapt" forests can honor them.
   api::SetOptions adapt;
   adapt.adaptive_rebalance = false;
   adapt.rebalance_hot_factor = 3.0;
   adapt.rebalance_check_period = 1024;
-  EXPECT_FALSE(reg.create("Sharded16-Combined-BAT")->configure(adapt));
-  EXPECT_TRUE(reg.create("Sharded16-Combined-BAT-Adapt")->configure(adapt));
+  EXPECT_FALSE(reg.create("Sharded16-BAT")->configure(adapt));
+  EXPECT_TRUE(reg.create("Sharded16-BAT-Adapt")->configure(adapt));
 
-  // A mixed bag applies what it can but still reports the refusal.
+  // A mixed bag the structure cannot fully honor applies NOTHING: the
+  // forest refuses the rebalancing field, so its shard map keeps the
+  // keyspace it had.
   api::SetOptions mixed;
   mixed.key_range_hint = 4096;
   mixed.adaptive_rebalance = true;
-  EXPECT_FALSE(reg.create("Sharded16-BAT")->configure(mixed));
-  EXPECT_TRUE(reg.create("Sharded16-Combined-BAT-Adapt")->configure(mixed));
+  auto plain = reg.create("Sharded16-BAT");
+  const Key keyspace_before = forest_keyspace(*plain);
+  ASSERT_NE(keyspace_before, 4096);
+  EXPECT_FALSE(plain->configure(mixed));
+  EXPECT_EQ(forest_keyspace(*plain), keyspace_before)
+      << "a refused configure() must not apply the hint";
+  EXPECT_TRUE(reg.create("Sharded16-BAT-Adapt")->configure(mixed));
+
+  // Same for the process-wide knobs: a malformed limbo mark refuses the
+  // whole bag, so the delegation timeout riding along stays put.
+  const std::uint64_t timeout = Bat<SizeAug>::delegation_timeout();
+  api::SetOptions bad_mark;
+  bad_mark.delegation_timeout = timeout + 7;
+  bad_mark.ebr_limbo_high_water = -1;
+  EXPECT_FALSE(reg.create("Sharded16-BAT")->configure(bad_mark));
+  EXPECT_EQ(Bat<SizeAug>::delegation_timeout(), timeout)
+      << "a refused configure() must not apply the delegation timeout";
 }
 
 TEST(Registry, ConfigureRejectsMalformedKnobs) {
   auto& reg = StructureRegistry::instance();
-  const int saved_batch = combine_max_batch();
-
-  // combine_max_batch: 1 legitimately disables combining, but zero and
-  // negative batches are malformed and must leave the knob untouched.
-  for (const int bad : {0, -1, -64}) {
-    api::SetOptions o;
-    o.combine_max_batch = bad;
-    EXPECT_FALSE(reg.create("Sharded16-Combined-BAT")->configure(o))
-        << "batch " << bad << " must be refused";
-    EXPECT_EQ(combine_max_batch(), saved_batch)
-        << "a refused batch must not be applied";
-  }
+  const std::uint64_t timeout = Bat<SizeAug>::delegation_timeout();
 
   // hot_factor: the policy compares rates against hot_factor * mean, so
   // non-finite values and factors <= 1.0 are refused even by structures
-  // that have the setter.
+  // that have the setter — and a refusal applies none of the bag.
   for (const double bad :
        {0.5, 1.0, -2.0, std::numeric_limits<double>::quiet_NaN(),
         std::numeric_limits<double>::infinity()}) {
     api::SetOptions o;
     o.rebalance_hot_factor = bad;
-    EXPECT_FALSE(reg.create("Sharded16-Combined-BAT-Adapt")->configure(o))
+    o.delegation_timeout = timeout + 9;
+    EXPECT_FALSE(reg.create("Sharded16-BAT-Adapt")->configure(o))
         << "hot_factor " << bad << " must be refused";
+    EXPECT_EQ(Bat<SizeAug>::delegation_timeout(), timeout)
+        << "hot_factor " << bad << ": nothing may be applied";
   }
 
   // check_period: zero would run the policy on every update.
   api::SetOptions zero_period;
   zero_period.rebalance_check_period = 0;
-  EXPECT_FALSE(
-      reg.create("Sharded16-Combined-BAT-Adapt")->configure(zero_period));
+  EXPECT_FALSE(reg.create("Sharded16-BAT-Adapt")->configure(zero_period));
 
   // The boundary values just past malformed still apply cleanly.
   api::SetOptions good;
-  good.combine_max_batch = 1;  // "disable combining" is a valid request
   good.rebalance_hot_factor = 1.5;
   good.rebalance_check_period = 1;
-  EXPECT_TRUE(reg.create("Sharded16-Combined-BAT-Adapt")->configure(good));
-  EXPECT_EQ(combine_max_batch(), 1);
-  set_combine_max_batch(saved_batch);
+  EXPECT_TRUE(reg.create("Sharded16-BAT-Adapt")->configure(good));
 }
 
-// ISSUE 9: the EBR limbo-pressure guardrail rides the same front door.
-// Zero legitimately disables the guardrail; a negative mark is malformed
-// (no limbo population can sit below zero) and must leave the knob alone.
+// The EBR limbo-pressure guardrail rides the same front door.  Zero
+// legitimately disables the guardrail; a negative mark is malformed (no
+// limbo population can sit below zero) and must leave the knob alone.
 TEST(Registry, ConfigureEbrLimboHighWater) {
   auto& reg = StructureRegistry::instance();
   const std::int64_t saved = ebr_limbo_high_water();
@@ -394,31 +360,20 @@ TEST(Registry, ConfigureEbrLimboHighWater) {
 }
 
 TEST(Registry, ConfigureDrivesTheProcessWideKnobs) {
-  const int saved_batch = combine_max_batch();
-  const bool saved_cache = aggregate_cache_enabled();
-  const bool saved_lease = lease_reads_enabled();
   const std::uint64_t saved_timeout = Bat<SizeAug>::delegation_timeout();
 
-  auto set = bench::make_structure("Sharded16-Combined-BAT");
+  auto set = bench::make_structure("Sharded16-BAT");
   api::SetOptions o;
-  o.combine_max_batch = saved_batch + 3;
-  o.aggregate_cache = !saved_cache;
-  o.lease_reads = !saved_lease;
   o.delegation_timeout = saved_timeout + 17;
   EXPECT_TRUE(set->configure(o));
-  EXPECT_EQ(combine_max_batch(), saved_batch + 3);
-  EXPECT_EQ(aggregate_cache_enabled(), !saved_cache);
-  EXPECT_EQ(lease_reads_enabled(), !saved_lease);
+  // Process-wide: every BAT variant sees the new budget.
   EXPECT_EQ(Bat<SizeAug>::delegation_timeout(), saved_timeout + 17);
+  EXPECT_EQ(BatDel<SizeAug>::delegation_timeout(), saved_timeout + 17);
+  EXPECT_EQ(BatEagerDel<SizeAug>::delegation_timeout(), saved_timeout + 17);
 
-  // The deprecated wrappers still work and observe the same slots.
-  set_combine_max_batch(saved_batch);
-  set_aggregate_cache(saved_cache);
-  set_lease_reads(saved_lease);
   Bat<SizeAug>::set_delegation_timeout(saved_timeout);
   BatDel<SizeAug>::set_delegation_timeout(saved_timeout);
   BatEagerDel<SizeAug>::set_delegation_timeout(saved_timeout);
-  EXPECT_EQ(combine_max_batch(), saved_batch);
   EXPECT_EQ(Bat<SizeAug>::delegation_timeout(), saved_timeout);
 }
 

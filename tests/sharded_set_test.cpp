@@ -12,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "combine/combined_set.h"
 #include "core/bat_tree.h"
 #include "shard/aggregate_cache.h"
 #include "shard/sharded_set.h"
@@ -266,53 +265,72 @@ TEST(ShardedSet, MultiThreadedQuiescentConsistency) {
   EXPECT_TRUE(std::equal(keys.begin(), keys.end(), oracle.begin()));
 }
 
-// --- the combined read path (ISSUE 6: leasing + aggregate caches) ---------
+// --- the cached read path (epoch-stamped aggregate cache) -----------------
 
-using QuiescentRC4 =
-    ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kQuiescent,
-               ReadPath::kCombined>;
-using LinRC4 = ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kLinearizable,
-                          ReadPath::kCombined>;
+using QuiescentCached4 =
+    ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kQuiescent, ReadPath::kCached>;
+using LinCached4 = ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kLinearizable,
+                              ReadPath::kCached>;
 
-// The cache's only correctness job is refusing entries whose stamp is not
-// the caller's pinned root's stamp; everything else is best effort.
+// The cache's only correctness job is refusing entries whose stamp or
+// bounds are not the caller's; everything else is best effort.
 TEST(AggregateCache4, ValidatesByStampIdentity) {
   AggregateCache<4> cache;
   std::int64_t v = -1;
   // Empty entries never hit, whatever stamp is probed (kEpochTbd == 0 is
   // the unstamped sentinel and must be unmatchable).
-  EXPECT_FALSE(cache.load_size(0, 0, &v));
-  EXPECT_FALSE(cache.load_size(0, 7, &v));
+  EXPECT_FALSE(cache.load_range(0, 100, 900, 0, &v));
+  EXPECT_FALSE(cache.load_range(0, 100, 900, 7, &v));
 
-  cache.store_size(2, /*stamp=*/7, /*v=*/41);
-  EXPECT_TRUE(cache.load_size(2, 7, &v));
-  EXPECT_EQ(v, 41);
-  EXPECT_FALSE(cache.load_size(2, 8, &v)) << "stamp mismatch must miss";
-  EXPECT_FALSE(cache.load_size(1, 7, &v)) << "other shards unaffected";
-
-  // A refill under a new stamp supersedes the old entry entirely.
-  cache.store_size(2, 9, 43);
-  EXPECT_FALSE(cache.load_size(2, 7, &v));
-  EXPECT_TRUE(cache.load_size(2, 9, &v));
-  EXPECT_EQ(v, 43);
-
-  // Range entries additionally key on the exact bounds: a colliding way
-  // must miss on bounds, never return another range's aggregate.
   cache.store_range(0, 100, 900, /*stamp=*/5, /*v=*/17);
   EXPECT_TRUE(cache.load_range(0, 100, 900, 5, &v));
   EXPECT_EQ(v, 17);
-  EXPECT_FALSE(cache.load_range(0, 100, 900, 6, &v));
+  EXPECT_FALSE(cache.load_range(0, 100, 900, 6, &v))
+      << "stamp mismatch must miss";
+  EXPECT_FALSE(cache.load_range(1, 100, 900, 5, &v))
+      << "other shards unaffected";
+  // A colliding way must miss on bounds, never return another range's
+  // aggregate.
   EXPECT_FALSE(cache.load_range(0, 100, 901, 5, &v));
   EXPECT_FALSE(cache.load_range(0, 101, 900, 5, &v));
+
+  // A refill under a new stamp supersedes the old entry entirely.
+  cache.store_range(0, 100, 900, 9, 18);
+  EXPECT_FALSE(cache.load_range(0, 100, 900, 5, &v));
+  EXPECT_TRUE(cache.load_range(0, 100, 900, 9, &v));
+  EXPECT_EQ(v, 18);
+
+  cache.invalidate_all();
+  EXPECT_FALSE(cache.load_range(0, 100, 900, 9, &v));
 }
 
-// Mixed updates with composite reads after every step, so the leased
-// fast path (unchanged seq), the incremental repair walk (after each
-// update), the updater self-patch, and the hot-range cache all run
-// constantly against a std::set oracle.
-TEST(ShardedSetRC, OracleEquivalenceThroughLeasedReads) {
+// range_aggregate over one shard, across shards, and over an empty range,
+// after every few updates: the hot ranges repeat, so their pieces are
+// served from the cache (through the partial pin of only the covered
+// shards) between the updates that re-stamp them.
+template <class Set>
+void check_cached_range_aggregates(const Set& set, const Oracle& oracle) {
+  const struct {
+    Key lo, hi;
+  } ranges[] = {
+      {1100, 1900},  // inside shard 1
+      {1000, 2999},  // shards 1-2, exactly
+      {500, 3500},   // boundary pieces in shards 0 and 3, two middles
+      {0, 3999},     // the whole keyspace
+      {2500, 2500},  // one key
+  };
+  for (const auto& r : ranges) {
+    ASSERT_EQ(set.range_aggregate(r.lo, r.hi), oracle.range_count(r.lo, r.hi))
+        << r.lo << ".." << r.hi;
+  }
+  ASSERT_EQ(set.range_aggregate(2000, 1000), 0) << "empty range";
+}
+
+// Mixed updates with composite reads after every step, so the per-query
+// snapshot and the range cache run constantly against a std::set oracle.
+TEST(ShardedSetCached, OracleEquivalenceThroughCachedReads) {
   constexpr Key kKeyspace = 4000;
-  QuiescentRC4 set(kKeyspace);
+  QuiescentCached4 set(kKeyspace);
   Oracle oracle;
   Xoshiro256 rng(1234);
   for (int step = 0; step < 4000; ++step) {
@@ -322,19 +340,13 @@ TEST(ShardedSetRC, OracleEquivalenceThroughLeasedReads) {
     } else {
       ASSERT_EQ(set.insert(k), oracle.s.insert(k).second) << k;
     }
-    // A composite read after every update: the lease is repaired (or
-    // self-patched) each iteration, then revalidated on the fast path by
-    // the immediately following reads.
     ASSERT_EQ(set.size(), static_cast<std::int64_t>(oracle.s.size()));
     if (step % 5 != 4) continue;
     const Key q = static_cast<Key>(rng.below(kKeyspace));
     ASSERT_EQ(set.rank(q), oracle.rank(q)) << q;
     ASSERT_EQ(set.range_count(q, q + 500), oracle.range_count(q, q + 500))
         << q;
-    // range_aggregate == range_count for SizeAug, served through the
-    // hot-range cache (the repeated fixed range keeps one entry hot).
-    ASSERT_EQ(set.range_aggregate(1000, 2999),
-              oracle.range_count(1000, 2999));
+    check_cached_range_aggregates(set, oracle);
     const std::int64_t n = static_cast<std::int64_t>(oracle.s.size());
     if (n > 0) {
       const std::int64_t i = 1 + static_cast<std::int64_t>(
@@ -345,9 +357,9 @@ TEST(ShardedSetRC, OracleEquivalenceThroughLeasedReads) {
   }
 }
 
-TEST(ShardedSetRC, LinearizableVariantMatchesOracleToo) {
+TEST(ShardedSetCached, LinearizableVariantMatchesOracleToo) {
   constexpr Key kKeyspace = 4000;
-  LinRC4 set(kKeyspace);
+  LinCached4 set(kKeyspace);
   Oracle oracle;
   Xoshiro256 rng(4321);
   for (int step = 0; step < 3000; ++step) {
@@ -361,109 +373,29 @@ TEST(ShardedSetRC, LinearizableVariantMatchesOracleToo) {
     ASSERT_EQ(set.size(), static_cast<std::int64_t>(oracle.s.size()));
     const Key q = static_cast<Key>(rng.below(kKeyspace));
     ASSERT_EQ(set.rank(q), oracle.rank(q)) << q;
-    ASSERT_EQ(set.range_aggregate(500, 3500), oracle.range_count(500, 3500));
+    check_cached_range_aggregates(set, oracle);
   }
 }
 
-// Both read-side amortizations are toggleable for benchmark attribution;
-// the answers must be identical with either (or both) off.
-TEST(ShardedSetRC, TogglesPreserveSemantics) {
+// Cache accounting: the first range_aggregate of a range misses, and
+// undisturbed repeats hit.
+TEST(ShardedSetCached, CacheCountersAdvance) {
   constexpr Key kKeyspace = 4000;
-  QuiescentRC4 set(kKeyspace);
-  Oracle oracle;
-  Xoshiro256 rng(99);
-  for (Key k = 0; k < kKeyspace; k += 3) {
-    set.insert(k);
-    oracle.s.insert(k);
-  }
-  const struct {
-    bool lease, cache;
-  } modes[] = {{true, true}, {true, false}, {false, true}, {false, false}};
-  for (const auto& m : modes) {
-    set_lease_reads(m.lease);
-    set_aggregate_cache(m.cache);
-    ASSERT_EQ(set.size(), static_cast<std::int64_t>(oracle.s.size()));
-    for (Key q : {Key{0}, Key{999}, Key{2500}, Key{3999}}) {
-      ASSERT_EQ(set.rank(q), oracle.rank(q)) << q;
-      ASSERT_EQ(set.range_aggregate(q, q + 700),
-                oracle.range_count(q, q + 700))
-          << q;
-    }
-    // Interleave an update so the lease is never trivially fresh.
-    const Key k = static_cast<Key>(1 + rng.below(kKeyspace));
-    ASSERT_EQ(set.insert(k), oracle.s.insert(k).second);
-    ASSERT_EQ(set.rank(kMaxUserKey),
-              static_cast<std::int64_t>(oracle.s.size()));
-  }
-  set_lease_reads(true);
-  set_aggregate_cache(true);
-}
-
-// Hierarchy accounting: a run of leased reads must register cache/lease
-// hits and at least one lease cut.  Reads run in their own thread so the
-// batched thread-local tallies flush at thread exit.
-TEST(ShardedSetRC, CacheAndLeaseCountersAdvance) {
-  constexpr Key kKeyspace = 4000;
-  QuiescentRC4 set(kKeyspace);
+  QuiescentCached4 set(kKeyspace);
   for (Key k = 0; k < kKeyspace; k += 5) set.insert(k);
   const auto before = Counters::snapshot();
-  std::thread([&] {
-    for (int i = 0; i < 200; ++i) {
-      set.size();
-      set.rank(2000);
-      set.range_aggregate(1000, 2999);
-    }
-  }).join();
+  for (int i = 0; i < 200; ++i) set.range_aggregate(1000, 2999);
   const auto after = Counters::snapshot();
+  EXPECT_GT(after[Counter::kAggCacheMisses], before[Counter::kAggCacheMisses])
+      << "the first read of a range fills the cache";
   EXPECT_GT(after[Counter::kAggCacheHits], before[Counter::kAggCacheHits])
-      << "undisturbed leased reads must hit the lease/cache hierarchy";
-  EXPECT_GT(after[Counter::kLeaseCuts], before[Counter::kLeaseCuts])
-      << "the first read takes the thread's lease cut";
+      << "undisturbed repeats must hit";
 }
 
-// Read-regime routing: on a combined-shard forest, a thread whose last
-// traffic was a composite read applies its next update solo (no
-// combining handshake), and the result stream must stay exact — this
-// alternating pattern drives insert_solo/erase_solo on every step.
-TEST(ShardedSetRC, RegimeRoutedUpdatesStayExact) {
-  using CombinedRC4 = ShardedSet<CombinedSet<Bat<SizeAug>>, 4,
-                                 SnapshotPolicy::kQuiescent,
-                                 ReadPath::kCombined>;
-  constexpr Key kKeyspace = 4000;
-  CombinedRC4 set(kKeyspace);
-  Oracle oracle;
-  Xoshiro256 rng(7);
-  for (int step = 0; step < 3000; ++step) {
-    const Key k = static_cast<Key>(rng.below(kKeyspace));
-    if (rng.below(3) == 0) {
-      ASSERT_EQ(set.erase(k), oracle.s.erase(k) > 0) << k;
-    } else {
-      ASSERT_EQ(set.insert(k), oracle.s.insert(k).second) << k;
-    }
-    // The read between updates is what arms the solo route for the next
-    // update (kRegimeSoloReads == 1).
-    ASSERT_EQ(set.size(), static_cast<std::int64_t>(oracle.s.size()));
-  }
-  // Update-dense tail with no composite reads: the counter stays 0 after
-  // the first update and the combining protocol is back in force.
-  for (int step = 0; step < 500; ++step) {
-    const Key k = static_cast<Key>(rng.below(kKeyspace));
-    if (rng.below(2) == 0) {
-      ASSERT_EQ(set.erase(k), oracle.s.erase(k) > 0) << k;
-    } else {
-      ASSERT_EQ(set.insert(k), oracle.s.insert(k).second) << k;
-    }
-  }
-  ASSERT_EQ(set.size(), static_cast<std::int64_t>(oracle.s.size()));
-  ASSERT_EQ(set.rank(kMaxUserKey),
-            static_cast<std::int64_t>(oracle.s.size()));
-}
+// --- adaptive rebalancing (epoch-cut key migration) ------------------------
 
-// --- adaptive rebalancing (ISSUE 7: epoch-cut key migration) --------------
-
-using Adapt4 = ShardedSet<CombinedSet<Bat<SizeAug>>, 4,
-                          SnapshotPolicy::kQuiescent, ReadPath::kDirect,
-                          /*Adaptive=*/true>;
+using Adapt4 = ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kQuiescent,
+                          ReadPath::kDirect, /*Adaptive=*/true>;
 
 // rebalance_once argument guards: non-adjacent pairs, out-of-bounds
 // indices, and shards too small to split must all refuse without
@@ -603,7 +535,7 @@ TEST(AdaptiveShardedSet, MigrateUnderLoadStaysExact) {
   }
 }
 
-// --- migration abort & rollback (ISSUE 9: graceful degradation) -----------
+// --- migration abort & rollback (graceful degradation) ---------------------
 
 // Every pre-flip boundary must roll back to a state indistinguishable
 // from "the migration never happened": map generation unchanged,

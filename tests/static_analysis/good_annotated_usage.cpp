@@ -5,7 +5,6 @@
 #include <atomic>
 #include <cstdint>
 
-#include "combine/combining_buffer.h"
 #include "core/augmentations.h"
 #include "core/version_queries.h"
 #include "reclamation/ebr.h"
@@ -16,12 +15,9 @@ bool guarded_contains(const cbat::Version<cbat::SizeAug>* root, cbat::Key k) {
   return cbat::version_contains(root, k);
 }
 
-int elected_drain(cbat::CombiningBuffer<8>& buf) {
-  if (!buf.try_lock()) return 0;  // lost the election: someone else drains
-  cbat::CombiningBuffer<8>::DrainedRequest reqs[8];
-  const int n = buf.drain(reqs, 8);
-  buf.unlock();
-  return n;
+std::int64_t guarded_size(const cbat::Version<cbat::SizeAug>* root) {
+  cbat::EbrGuard g;  // still pinned when the query runs
+  return cbat::version_size(root);
 }
 
 bool tokened_publish(cbat::Seqlock& seq,
