@@ -2,9 +2,9 @@
 # Smoke-scale benchmark run: every scenario at --smoke parameters, one
 # JSON file out.  Used by the CI smoke-bench job and for refreshing the
 # committed baseline (bench/baselines/BENCH_smoke.json).  --all includes
-# the shard-layer scenarios (shard_sweep, snapshot_consistency, read_burst
-# and rebalance are regression-gated alongside the figure scenarios;
-# shard_hotspot stays informational).
+# the shard-layer scenarios (shard_sweep, read_burst and rebalance are
+# regression-gated alongside the figure scenarios; shard_hotspot stays
+# informational).
 #
 #   scripts/bench_smoke.sh [OUT.json]       # default: BENCH_smoke.json
 #

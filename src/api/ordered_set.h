@@ -72,16 +72,12 @@ concept KeyRangeHintable = requires(S s, Key k) {
 //     invocation and response; any update completed before the query
 //     began is included, none begun after it ends is.  Every single-tree
 //     structure gives this (queries run on one atomic root snapshot), as
-//     do ShardedSet's epoch-stamped "-Lin" variants.
+//     does every ShardedSet (queries run on one epoch cut of the forest).
 //   * kQuiescentlyConsistent: the API's weaker-than-linearizable bucket.
-//     For ShardedSet's default snapshot mode this means: the query
-//     observes a state containing every update completed before it began
-//     and none begun after it ended, but updates *concurrent with the
-//     query* may be observed inconsistently across shards (a later
-//     update seen, an earlier one missed).  Individual structures may be
-//     weaker still (ChromaticSet's size() traverses the live tree); the
-//     per-structure table in docs/ARCHITECTURE.md states each exact
-//     guarantee — consistency() only promises "not linearizable" here.
+//     The one registered structure in it is ChromaticSet, whose size()
+//     traverses the live tree; the per-structure table in
+//     docs/ARCHITECTURE.md states its exact guarantee — consistency()
+//     only promises "not linearizable" here.
 //
 // The full per-structure, per-operation-class table lives in
 // docs/ARCHITECTURE.md ("Consistency guarantees").
@@ -159,6 +155,9 @@ struct StructureInfo {
   Consistency consistency = Consistency::kLinearizable;  // composite queries
   bool adaptive = false;  // online hot-shard rebalancing
   int shards = 1;         // forest width (1 = single tree)
+  // Range aggregates go through an epoch-stamped aggregate cache (every
+  // shard forest) rather than reading the pinned roots directly.
+  bool cached_reads = false;
 };
 
 // Type-erased view of a registered structure.
@@ -387,6 +386,7 @@ class StructureRegistry {
                     { T::num_shards() } -> std::convertible_to<int>;
                   }) {
       e.info.shards = T::num_shards();
+      e.info.cached_reads = true;  // every shard forest caches
     }
     register_structure(name, std::move(e));
   }

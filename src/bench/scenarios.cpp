@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <iterator>
+#include <optional>
 #include <thread>
 
 #include "bench/table.h"
@@ -600,92 +599,14 @@ void run_shard_hotspot(ScenarioContext& ctx) {
   }
 }
 
-// snapshot_consistency: acquisition cost of the linearizable cross-shard
-// snapshot (an epoch-clock cut, which advances the clock only when a root
-// was stamped since the previous cut, + per-shard root-history
-// resolution) against the default quiescent read-the-roots path.  Each
-// pair runs the same composite-query mixes — rank queries, which are pure
-// snapshot acquisition plus one descent, so any per-acquisition overhead
-// shows directly — on the quiescent structure and its "-Lin" twin; both
-// share the same write path (epoch stamping is on in both), so the
-// series ratio isolates what linearizability costs at acquisition time.
-// The per-pair geomean ratio is emitted as a metric-only run
-// (`lin_over_quiescent_geomean`); the acceptance bar is >= 0.85 on the
-// smoke grid (ROADMAP records the measured value).
-void run_snapshot_consistency(ScenarioContext& ctx) {
-  const Args& args = *ctx.args;
-  const long maxkey = pick(args, "--maxkey", 1000000, 20000, 100000);
-  const long tt = ctx.fixed_threads();
-  const int ms = ctx.cell_ms();
-  // Query share in percent; the rest splits evenly into inserts/deletes
-  // so epochs keep advancing while snapshots are taken.
-  const std::vector<long> query_shares =
-      args.get_list("--query-pct", {10, 50, 90});
-
-  struct Pair {
-    const char* quiescent;
-    const char* lin;
-  };
-  const Pair pairs[] = {
-      {"Sharded16-BAT", "Sharded16-BAT-Lin"},
-  };
-
-  const std::string table = "snapshot_consistency: TT " + std::to_string(tt) +
-                            ", MK " + std::to_string(maxkey) +
-                            ", (100-x)/2-(100-x)/2-0-x rank — throughput "
-                            "(ops/s)";
-  auto config_for = [&](long share) {
-    RunConfig cfg;
-    cfg.workload.insert_pct = static_cast<double>(100 - share) / 2;
-    cfg.workload.delete_pct = static_cast<double>(100 - share) / 2;
-    cfg.workload.query_pct = static_cast<double>(share);
-    cfg.workload.query_kind = QueryKind::kRank;
-    cfg.workload.max_key = maxkey;
-    cfg.threads = static_cast<int>(tt);
-    cfg.duration_ms = ms;
-    return cfg;
-  };
-  for (const Pair& p : pairs) {
-    double log_ratio_sum = 0;
-    int cells = 0;
-    for (long share : query_shares) {
-      const std::string x = std::to_string(share);
-      ctx.record(table, "query_pct", x, p.quiescent, p.quiescent,
-                 config_for(share));
-      const double quiescent_tput =
-          ctx.out->runs.back().result.throughput();
-      ctx.record(table, "query_pct", x, p.lin, p.lin, config_for(share));
-      const double lin_tput = ctx.out->runs.back().result.throughput();
-      if (quiescent_tput > 0 && lin_tput > 0) {
-        log_ratio_sum += std::log(lin_tput / quiescent_tput);
-        ++cells;
-      }
-    }
-    // Metric-only summary row: the linearizable series' geomean
-    // throughput relative to its quiescent twin.
-    const double geo = cells > 0 ? std::exp(log_ratio_sum / cells) : 0.0;
-    RunRecord rec;
-    rec.table = table;
-    rec.x_label = "pair";
-    rec.x = p.lin;
-    rec.series = std::string(p.lin) + "/vs-quiescent";
-    rec.metrics = {{"lin_over_quiescent_geomean", geo}};
-    ctx.out->runs.push_back(std::move(rec));
-    std::fprintf(stderr, "  [%s] lin/quiescent geomean %.3f\n", p.lin, geo);
-  }
-}
-
-// read_burst: the read-side cache (epoch-stamped per-shard aggregate
-// memoization, src/shard/aggregate_cache.h) on query-dominated mixes.
-// Two mixes (95/5 rank, 99/1 range_aggregate), and for each snapshot
-// policy two series: "direct" (Sharded16-BAT(-Lin)) and "cached"
-// (Sharded16-BAT-Cached(-Lin)); every query acquires its own snapshot in
-// both.  Each cached cell whose queries consulted the cache records
-// `agg_cache_hit_rate` (stamp-validated lookups served without
-// recomputation), which compare_bench.py gates.  The rank mix never
-// consults the cache — rank reads per-shard sizes, not range pieces — so
-// there it shows that the cached forest costs nothing where it cannot
-// help.
+// read_burst: the forest's read side on query-dominated mixes — one epoch
+// cut per query, and the epoch-stamped per-shard aggregate cache
+// (src/shard/aggregate_cache.h).  Two mixes (95/5 rank, 99/1
+// range_aggregate) on Sharded16-BAT.  Each cell whose queries consulted
+// the cache records `agg_cache_hit_rate` (stamp-validated lookups served
+// without recomputation), which compare_bench.py gates.  The rank mix
+// never consults the cache — rank reads per-shard sizes, not range
+// pieces — so it times the cut and the resolve walk alone.
 void run_read_burst(ScenarioContext& ctx) {
   const Args& args = *ctx.args;
   const long maxkey = pick(args, "--maxkey", 1000000, 4000, 100000);
@@ -712,16 +633,7 @@ void run_read_burst(ScenarioContext& ctx) {
       {95, QueryKind::kRank, "95/5 rank"},
       {99, QueryKind::kRangeAgg, "99/1 range-agg"},
   };
-  struct Series {
-    const char* structure;
-    const char* mode;  // RunRecord::read_path
-  };
-  const Series series[] = {
-      {"Sharded16-BAT", "direct"},
-      {"Sharded16-BAT-Lin", "direct"},
-      {"Sharded16-BAT-Cached", "cached"},
-      {"Sharded16-BAT-Cached-Lin", "cached"},
-  };
+  const char* const structure = "Sharded16-BAT";
 
   for (const Mix& mix : mixes) {
     const std::string table =
@@ -743,68 +655,51 @@ void run_read_burst(ScenarioContext& ctx) {
     for (long threads : thread_counts) {
       const std::string x = std::to_string(threads);
       const RunConfig cfg = config_for(threads);
-      // Five rounds minimum in smoke: this scenario is the acceptance
-      // gate for the read-side work and the CI host's run-to-run noise
-      // (±10-15% between identical rounds) dwarfs the effects under test
-      // at two or three.
+      // Five rounds minimum in smoke: the CI host's run-to-run noise
+      // (±10-15% between identical rounds) would otherwise dominate the
+      // gate's comparison against the baseline.
       const int repeats =
           args.smoke() ? std::max(repeats_for(args), 5) : repeats_for(args);
-      // Repetition rounds interleave the series — every series of a round
-      // runs back to back, and best-of keeps each series' cleanest round —
-      // so slow-host noise (scheduler, thermal, a neighbor's burst) lands
-      // on a whole round instead of biasing whichever series ran during
-      // it.  Best-of-N is by hand so the cache counters match the kept
+      // Best-of-N by hand so the cache counters match the kept
       // repetition; prefill stays outside the counted window.
-      struct Cell {
-        bool has = false;
-        RunResult best;
-        Counters::Snapshot counters;
-      };
-      Cell cells[std::size(series)];
+      RunResult best;
+      Counters::Snapshot best_counters;
       for (int rep = 0; rep < repeats; ++rep) {
-        for (std::size_t si = 0; si < std::size(series); ++si) {
-          auto set = make_structure(series[si].structure);
-          api::SetOptions opts;
-          opts.key_range_hint = cfg.workload.max_key;
-          set->configure(opts);
-          prefill(*set, cfg.workload, cfg.threads, cfg.seed ^ 0xabcd);
-          Counters::reset();
-          RunConfig timed = cfg;
-          timed.prefill = false;  // already done above
-          RunResult r = run_on(*set, timed);
-          const auto c = Counters::snapshot();
-          Cell& cell = cells[si];
-          if (!cell.has || r.throughput() > cell.best.throughput()) {
-            cell.has = true;
-            cell.best = std::move(r);
-            cell.counters = c;
-          }
+        auto set = make_structure(structure);
+        api::SetOptions opts;
+        opts.key_range_hint = cfg.workload.max_key;
+        set->configure(opts);
+        prefill(*set, cfg.workload, cfg.threads, cfg.seed ^ 0xabcd);
+        Counters::reset();
+        RunConfig timed = cfg;
+        timed.prefill = false;  // already done above
+        RunResult r = run_on(*set, timed);
+        const auto c = Counters::snapshot();
+        if (rep == 0 || r.throughput() > best.throughput()) {
+          best = std::move(r);
+          best_counters = c;
         }
       }
-      for (std::size_t si = 0; si < std::size(series); ++si) {
-        const Series& s = series[si];
-        RunRecord& rec = add_run(*ctx.out, table, "threads", x, s.structure,
-                                 std::move(cells[si].best));
-        rec.read_path = s.mode;
-        ctx.out->add_cell(table, "threads", x, s.structure,
-                          fmt_throughput(rec.result.throughput()));
-        const Counters::Snapshot& bc = cells[si].counters;
-        const double hits = static_cast<double>(bc[Counter::kAggCacheHits]);
-        const double misses =
-            static_cast<double>(bc[Counter::kAggCacheMisses]);
-        // Emitted only when the cell's queries consulted the cache at
-        // all: reporting a synthetic 0.0 for the rank cells would trip
-        // the hit-rate gate on a path that has no cache to hit.
-        if (hits + misses == 0) {
-          std::fprintf(stderr, "  [%s threads=%s] %.3f Mop/s\n",
-                       s.structure, x.c_str(), rec.result.mops());
-          continue;
-        }
-        const double hit_rate = hits / (hits + misses);
-        rec.metrics = {{"agg_cache_hit_rate", hit_rate}};
-        std::fprintf(stderr, "  [%s threads=%s] %.3f Mop/s, hit rate %.3f\n",
-                     s.structure, x.c_str(), rec.result.mops(), hit_rate);
+      RunRecord& rec =
+          add_run(*ctx.out, table, "threads", x, structure, std::move(best));
+      ctx.out->add_cell(table, "threads", x, structure,
+                        fmt_throughput(rec.result.throughput()));
+      const double hits =
+          static_cast<double>(best_counters[Counter::kAggCacheHits]);
+      const double misses =
+          static_cast<double>(best_counters[Counter::kAggCacheMisses]);
+      // Emitted only when the cell's queries consulted the cache at all:
+      // reporting a synthetic 0.0 for the rank cells would trip the
+      // hit-rate gate on a path that has no cache to hit.
+      if (hits + misses == 0) {
+        std::fprintf(stderr, "  [%s threads=%s] %.3f Mop/s\n", structure,
+                     x.c_str(), rec.result.mops());
+        continue;
       }
+      const double hit_rate = hits / (hits + misses);
+      rec.metrics = {{"agg_cache_hit_rate", hit_rate}};
+      std::fprintf(stderr, "  [%s threads=%s] %.3f Mop/s, hit rate %.3f\n",
+                   structure, x.c_str(), rec.result.mops(), hit_rate);
     }
   }
   Counters::reset();
@@ -1213,13 +1108,9 @@ void register_builtin_scenarios(ScenarioRegistry& reg) {
            "Shard layer: Zipf theta sweep showing where a hot shard erases "
            "the win",
            run_shard_hotspot});
-  reg.add({"snapshot_consistency",
-           "Shard layer: linearizable (epoch-cut) vs quiescent snapshot "
-           "acquisition cost",
-           run_snapshot_consistency});
   reg.add({"read_burst",
-           "Read-side scaling: epoch-stamped aggregate cache vs direct "
-           "snapshots",
+           "Read side: per-query epoch cuts and the epoch-stamped "
+           "aggregate cache on query-heavy mixes",
            run_read_burst});
   reg.add({"rebalance",
            "Adaptive shard layer: online hot-shard rebalancing vs the "
@@ -1313,24 +1204,29 @@ void append_latency_json(JsonWriter& w, const LatencyStats& s) {
 }
 
 void append_run_json(JsonWriter& w, const RunRecord& rec) {
+  // Static capabilities, straight from the registry's type-derived
+  // StructureInfo — consumers (scripts/compare_bench.py) read these
+  // instead of parsing structure names.  Absent for micro kernels and any
+  // other non-registry series.
+  const std::optional<api::StructureInfo> info =
+      rec.has_result
+          ? api::StructureRegistry::instance().info(rec.result.structure)
+          : std::nullopt;
   w.begin_object();
   w.kv("table", rec.table);
   w.kv("x_label", rec.x_label);
   w.kv("x", rec.x);
   w.kv("series", rec.series);
-  w.kv("read_path", rec.read_path);
+  // How range aggregates were answered: "cached" through a forest's
+  // epoch-stamped aggregate cache, or "direct" from the pinned roots.
+  w.kv("read_path", info && info->cached_reads ? "cached" : "direct");
   if (rec.has_result) {
     const RunResult& r = rec.result;
     const Workload& wl = r.config.workload;
     w.kv("structure", r.structure);
     // Micro kernels have no structure-level guarantee to report.
     if (!r.consistency.empty()) w.kv("consistency", r.consistency);
-    // Static capabilities, straight from the registry's type-derived
-    // StructureInfo — consumers (scripts/compare_bench.py) read these
-    // instead of parsing structure names.  Absent for micro kernels and
-    // any other non-registry series.
-    if (const auto info = api::StructureRegistry::instance().info(
-            r.structure)) {
+    if (info) {
       w.key("capabilities");
       w.begin_object();
       w.kv("ranked", info->ranked);
@@ -1468,8 +1364,7 @@ void print_usage(std::FILE* f) {
       "  --rq N           range-query size override\n"
       "  --tt N           fixed thread count override (figs 6/7/9/10)\n"
       "  --repeat N       best-of-N repetitions per cell (smoke default: "
-      "2)\n"
-      "  --query-pct a,b  query-share sweep (snapshot_consistency)\n");
+      "2)\n");
 }
 
 }  // namespace
@@ -1494,10 +1389,11 @@ int scenario_main(int argc, char** argv) {
       for (const auto& name : sr.names()) {
         const auto info = sr.info(name);
         if (!info) continue;
-        std::printf("  %-32s %s, %s, shards=%d%s\n", name.c_str(),
+        std::printf("  %-32s %s, %s, shards=%d%s%s\n", name.c_str(),
                     info->ranked ? "ranked" : "unranked",
                     api::consistency_name(info->consistency), info->shards,
-                    info->adaptive ? ", adaptive" : "");
+                    info->adaptive ? ", adaptive" : "",
+                    info->cached_reads ? ", cached reads" : "");
       }
     }
     return 0;

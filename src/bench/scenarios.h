@@ -23,12 +23,6 @@ struct RunRecord {
   std::string x_label;  // "threads", "rq_size", "kernel", ...
   std::string x;        // x coordinate, as printed on the axis
   std::string series;   // structure / query kind / kernel name
-  // How composite reads were answered in this run: "direct" (every query
-  // reads its own snapshot's pinned roots) or "cached" (range aggregates
-  // also go through the epoch-stamped aggregate cache).  Emitted into the
-  // schema-1 JSON so baseline diffs can attribute read-side regressions
-  // to the right layer.
-  std::string read_path = "direct";
   bool has_result = false;
   RunResult result;
   std::vector<std::pair<std::string, double>> metrics;

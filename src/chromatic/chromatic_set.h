@@ -25,10 +25,10 @@ class ChromaticSet {
   // traverses the live tree, not a snapshot.  Under concurrent
   // *rebalancing* a rotation can move even a long-completed key across
   // the traversal frontier, so the count is best-effort while updates
-  // run — strictly weaker than the shard layer's quiescent snapshots,
-  // which do pin an immutable cut (docs/ARCHITECTURE.md spells out the
-  // difference).  Exact whenever no update is concurrent.  Reported as
-  // kQuiescentlyConsistent, the API's weaker-than-linearizable bucket.
+  // run — strictly weaker than a snapshot that pins an immutable cut
+  // (docs/ARCHITECTURE.md spells out the difference).  Exact whenever no
+  // update is concurrent.  Reported as kQuiescentlyConsistent, the API's
+  // weaker-than-linearizable bucket.
   static constexpr bool composite_queries_linearizable() { return false; }
 
   std::size_t size_slow() const;

@@ -329,11 +329,9 @@ class BatTree {
   // the root it answers from (read_root) — so an update's stamp is
   // assigned no later than its response or the first read that observes
   // it, and stamps are monotone along every root's prev_root chain.  Each
-  // stamp marks the clock's current epoch as stamped, which is what makes
-  // the next cut advance the clock (EpochClock::cut); the clock's mode
-  // (shared or unique stamps) is the forest's choice, made once, so every
-  // stamper of a forest agrees on it.  Null (the default) disables
-  // stamping; standalone trees pay only a dead branch.
+  // stamp mints a fresh epoch and marks it stamped, which is what makes
+  // the next cut advance the clock (EpochClock::cut).  Null (the default)
+  // disables stamping; standalone trees pay only a dead branch.
   void set_epoch_source(EpochClock* clock) { epoch_source_ = clock; }
 
   // Test-only seam: called on the installing thread right after a stamped

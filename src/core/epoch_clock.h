@@ -6,21 +6,18 @@
 // epoch it got.  The clock's one word holds the epoch `c` (bits 63..1) and
 // a *stamped* bit (bit 0) meaning "some stamp may carry c":
 //
-//   * A stamp sets the bit for the current epoch with one fetch_or and
-//     only then hands out c, so no stamp c is ever published while the
-//     bit for c reads clear.
+//   * A stamp mints a fresh epoch: a CAS (retried on contention) from
+//     (c, *) to (c+1, set), handing out c+1.  No two stamps are equal —
+//     the aggregate cache keys on stamps — and no stamp c is ever
+//     published while the bit for c reads clear.
 //   * A cut that reads the bit clear returns c-1 and writes nothing: no
 //     stamp c exists yet, and any stamp published later reads c or more.
 //     A read burst with no update between its cuts therefore shares one
 //     epoch at the cost of one shared load each.
 //   * A cut that reads the bit set CASes the word to (c+1, clear) and
 //     returns c whether or not its CAS wins — a failed CAS means another
-//     cut (or a unique mint) already moved the clock past c.  This is the
+//     cut or a mint already moved the clock past c.  This is the
 //     CAS-if-unchanged advance of Wei et al.'s takeSnapshot.
-//
-// Unique-stamp clocks (the cached forests, whose aggregate cache keys on
-// stamps) mint every stamp with one CAS from (c, *) to (c+1, set), so no
-// two stamps are equal; their cuts follow the same rule.
 //
 // Every word operation is seq_cst: the soundness argument (see
 // docs/ARCHITECTURE.md "How the epoch cut works") orders all stamps and
@@ -40,7 +37,7 @@ inline constexpr std::uint64_t kEpochTbd = 0;
 
 class alignas(kCacheLine) EpochClock {
  public:
-  explicit EpochClock(bool unique_stamps = false) : unique_(unique_stamps) {}
+  EpochClock() = default;
   EpochClock(const EpochClock&) = delete;
   EpochClock& operator=(const EpochClock&) = delete;
 
@@ -57,7 +54,7 @@ class alignas(kCacheLine) EpochClock {
   std::uint64_t finalize(std::atomic<std::uint64_t>& slot) {
     std::uint64_t s = slot.load(std::memory_order_acquire);
     if (s != kEpochTbd) return s;
-    const std::uint64_t fresh = unique_ ? mint() : stamp();
+    const std::uint64_t fresh = mint();
     if (slot.compare_exchange_strong(s, fresh, std::memory_order_acq_rel,
                                      std::memory_order_acquire)) {
       return fresh;
@@ -78,17 +75,11 @@ class alignas(kCacheLine) EpochClock {
  private:
   static constexpr std::uint64_t kStamped = 1;
 
-  // Shared stamp: mark the current epoch stamped, then return it.  An RMW
-  // even when the bit is already set: every write to the word is then an
-  // RMW, so each stamp's release sequence runs to the end of the word's
-  // history, and any cut that reads the word at or after this stamp
+  // Advance to (c+1, stamped) and return c+1.  Every write to the word is
+  // an RMW, so each mint's release sequence runs to the end of the word's
+  // history, and any cut that reads the word at or after this mint
   // acquires from it — which makes the caller's root install, sequenced
-  // before the stamp, visible to the cut's root loads.
-  std::uint64_t stamp() {
-    return word_.fetch_or(kStamped, std::memory_order_seq_cst) >> 1;
-  }
-
-  // Unique stamp: advance to (c+1, stamped) and return c+1.
+  // before the mint, visible to the cut's root loads.
   std::uint64_t mint() {
     std::uint64_t w = word_.load(std::memory_order_seq_cst);
     while (!word_.compare_exchange_weak(w, (w | kStamped) + 2,
@@ -101,7 +92,6 @@ class alignas(kCacheLine) EpochClock {
   // shared: the one word every stamp and cut of a forest touches; the
   // class is cache-line aligned so it never shares a line with its owner.
   std::atomic<std::uint64_t> word_{std::uint64_t{1} << 1};  // epoch 1, clear
-  const bool unique_;
 };
 
 }  // namespace cbat

@@ -66,11 +66,9 @@ struct Version {
 // what keeps stamps monotone along a root's prev_root chain: a version can
 // only be help-stamped by threads that saw it installed, and every stamp
 // that completed before that install drew a smaller-or-equal epoch.  The
-// clock's mode decides the stamp: a shared clock hands out the current
-// epoch (marking it stamped), a unique clock mints a fresh one, so no two
-// roots of a cached forest ever share a stamp — which is what makes
-// stamp-compare validation sound for the aggregate cache
-// (src/shard/aggregate_cache.h).
+// clock mints a fresh epoch per stamp, so no two roots of a forest ever
+// share a stamp — which is what makes stamp-compare validation sound for
+// the aggregate cache (src/shard/aggregate_cache.h).
 template <Augmentation Aug>
 std::uint64_t version_epoch(const Version<Aug>* v, EpochClock& clock)
     CBAT_REQUIRES(ebr_capability) {

@@ -12,12 +12,11 @@
 // value) entries and validates by comparison — invalidation is free,
 // performed by the very counter the roots already carry.
 //
-// Soundness requires stamps to be *unique* per root: with the default
-// shared stamping two roots installed between clock advances share a
-// stamp, and the cache could serve one root's aggregate for the other.
-// Forests that enable the cache construct their EpochClock in unique-stamp
-// mode, which mints a fresh epoch per stamp (src/core/epoch_clock.h) —
-// ShardedSet does this for ReadPath::kCached.
+// Soundness requires stamps to be *unique* per root: if two roots shared a
+// stamp, the cache could serve one root's aggregate for the other.  The
+// forest's EpochClock mints a fresh epoch per stamp
+// (src/core/epoch_clock.h), so every ShardedSet runs its range aggregates
+// through the cache.
 //
 // Entry protocol: a seqlock per entry (util/seqlock.h; even seq = stable,
 // odd = writer in place), all payload words individually atomic so the

@@ -28,33 +28,15 @@ void set_default_keyspace(Key keyspace) {
 
 }  // namespace shard_detail
 
-// The registry-visible shard counts, compiled once for every user.
+// The registry-visible shard counts, compiled once for every user, plus
+// the adaptive forests ("Sharded16-BAT-Adapt" and its 4-shard test twin).
 template class ShardedSet<Bat<SizeAug>, 1>;
 template class ShardedSet<Bat<SizeAug>, 4>;
 template class ShardedSet<Bat<SizeAug>, 16>;
 template class ShardedSet<Bat<SizeAug>, 64>;
 template class ShardedSet<BatDel<SizeAug>, 16>;
-// Linearizable-snapshot variants (epoch-stamped roots; the 4-shard one is
-// test-only, the 16-shard one is registered as "Sharded16-BAT-Lin").
-template class ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kLinearizable>;
-template class ShardedSet<Bat<SizeAug>, 16, SnapshotPolicy::kLinearizable>;
-// Cached-read ("Sharded16-BAT-Cached(-Lin)") and adaptive
-// ("Sharded16-BAT-Adapt(-Lin)") forests, plus their 4-shard test twins.
-template class ShardedSet<Bat<SizeAug>, 16, SnapshotPolicy::kQuiescent,
-                          ReadPath::kCached>;
+template class ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kLinearizable, true>;
 template class ShardedSet<Bat<SizeAug>, 16, SnapshotPolicy::kLinearizable,
-                          ReadPath::kCached>;
-template class ShardedSet<Bat<SizeAug>, 16, SnapshotPolicy::kQuiescent,
-                          ReadPath::kDirect, true>;
-template class ShardedSet<Bat<SizeAug>, 16, SnapshotPolicy::kLinearizable,
-                          ReadPath::kDirect, true>;
-template class ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kQuiescent,
-                          ReadPath::kCached>;
-template class ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kLinearizable,
-                          ReadPath::kCached>;
-template class ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kQuiescent,
-                          ReadPath::kDirect, true>;
-template class ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kLinearizable,
-                          ReadPath::kDirect, true>;
+                          true>;
 
 }  // namespace cbat

@@ -15,34 +15,22 @@
 //   * select: binary-search the shard-size prefix sums for the owning
 //     shard, then one O(log n) `version_select` descent inside it.
 //
-// Consistency: each shard is a BAT, so every single-shard operation is
-// linearizable.  A `Snapshot` pins all shard root versions under one EBR
-// guard; all queries through one Snapshot see the same immutable forest
-// (multi-query consistency).  How the cut is *acquired* is the
-// SnapshotPolicy template parameter:
-//
-//   * kQuiescent (default): the roots are read one after another, so a
-//     cross-shard query is quiescently consistent, not linearizable — it
-//     sees every update that completed before the Snapshot was taken and
-//     no update that started after it, but may observe a later update
-//     while missing an earlier one on a different shard.
-//   * kLinearizable: the set owns an EpochClock that every shard-root
-//     installation stamps (BatTree::set_epoch_source, vcas-style deferred
-//     timestamps as in Wei et al.'s constant-time snapshots).
-//     Acquisition is two-phase: take a cut of the clock — the snapshot's
-//     linearization point — then resolve each pinned shard's root to the
-//     newest version stamped at or before the cut's epoch, walking the
-//     root's prev_root history backward when an installation raced past
-//     the cut.  Every composite query on the snapshot then linearizes at
-//     the cut, closing the gap the quiescent mode leaves (and the
-//     correctness gap that blocks hot-shard rebalancing; see ROADMAP).
-//     A cut advances the clock only when some root was stamped since the
-//     previous cut (EpochClock::cut); otherwise it is one shared load, so
-//     a read burst shares one epoch.  Updates pay one stamp per root
-//     refresh (a CAS on the clock only for the first stamp of an epoch);
-//     acquisition pays the cut plus a usually-empty history walk per
-//     pinned shard, and range_aggregate pins only the shards its range
-//     covers (see the snapshot_consistency bench scenario).
+// Consistency: every query is linearizable.  Each shard is a BAT, so every
+// single-shard operation is; cross-shard composite queries read a
+// `Snapshot`, which pins shard root versions under one EBR guard, so all
+// queries through one Snapshot see the same immutable forest (multi-query
+// consistency).  The set owns an EpochClock that every shard-root
+// installation stamps (BatTree::set_epoch_source, vcas-style deferred
+// timestamps as in Wei et al.'s constant-time snapshots), and every stamp
+// mints a fresh epoch.  Acquisition is two-phase: take a cut of the clock —
+// the snapshot's linearization point — then resolve each pinned shard's
+// root to the newest version stamped at or before the cut's epoch, walking
+// the root's prev_root history backward when an installation raced past
+// the cut.  A cut advances the clock only when some root was stamped since
+// the previous cut (EpochClock::cut); otherwise it is one shared load, so
+// a read burst shares one epoch.  Updates pay one minted stamp per root
+// refresh; acquisition pays the cut plus a usually-empty history walk per
+// pinned shard, and range_aggregate pins only the shards its range covers.
 //
 // Shard map: shard_of(k) = clamp(k / width) with width = ceil(keyspace /
 // NumShards).  The keyspace defaults to `default_keyspace()` and can be
@@ -71,17 +59,13 @@
 // copies outside its owning shard's range are invisible on every cut, so
 // any (map, roots) combination a snapshot can assemble is consistent.
 //
-// Read path (the ReadPath template parameter; ROADMAP: read-side scaling).
-// Every composite query acquires its own Snapshot under either path:
-//
-//   * kDirect (default): the per-shard merges read the pinned roots.
-//   * kCached ("-Cached" registry variants): the per-shard pieces of a
-//     range_aggregate — the boundary descents, the only O(log n) part —
-//     are memoized in an AggregateCache keyed by the pinned root's epoch
-//     stamp (src/shard/aggregate_cache.h).  The forest's clock mints
-//     unique stamps, so stamp equality implies root identity: a root CAS
-//     re-stamps its shard and a stale entry is recomputed, never served.
-//     Answers are exactly those of kDirect.
+// Range-aggregate cache (ROADMAP: read-side scaling).  The per-shard
+// pieces of a range_aggregate — the boundary descents, the only O(log n)
+// part — are memoized in an AggregateCache keyed by the pinned root's
+// epoch stamp (src/shard/aggregate_cache.h).  Stamps are unique, so stamp
+// equality implies root identity: a root CAS re-stamps its shard and a
+// stale entry is recomputed, never served.  Answers are exactly those of
+// an uncached read.
 #pragma once
 
 #include <algorithm>
@@ -116,50 +100,38 @@ void set_default_keyspace(Key keyspace);
 
 }  // namespace shard_detail
 
-// The inner structure must expose a *sized* augmentation (the cross-shard
-// prefix sums are shard sizes) and a pinned-root view; the BAT variants do.
-// (root_version_unsafe is safe here: every caller holds an EbrGuard for the
-// lifetime of the returned pointer.)
+// The inner structure must expose a *sized* int64 augmentation (the
+// cross-shard prefix sums are shard sizes, and an aggregate cache entry
+// carries one 64-bit aggregate), a pinned-root view, and root
+// installations that stamp the forest's epoch clock (set_epoch_source);
+// the BAT variants do.  (root_version_unsafe is safe here: every caller
+// holds an EbrGuard for the lifetime of the returned pointer.)
 template <class Inner>
-concept ShardableInner = requires(Inner t, const Inner ct, Key k) {
-  typename Inner::AugType;
-  requires SizedAugmentation<typename Inner::AugType>;
-  { t.insert(k) } -> std::same_as<bool>;
-  { t.erase(k) } -> std::same_as<bool>;
-  { ct.contains(k) } -> std::same_as<bool>;
-  { ct.root_version_unsafe() };
-};
+concept ShardableInner =
+    requires(Inner t, const Inner ct, Key k, EpochClock* c) {
+      typename Inner::AugType;
+      requires SizedAugmentation<typename Inner::AugType>;
+      requires std::same_as<typename Inner::AugType::Value, std::int64_t>;
+      { t.insert(k) } -> std::same_as<bool>;
+      { t.erase(k) } -> std::same_as<bool>;
+      { ct.contains(k) } -> std::same_as<bool>;
+      { ct.root_version_unsafe() };
+      t.set_epoch_source(c);
+    };
 
-// Inner structures whose root installations can stamp a shared epoch
-// clock (BatTree and wrappers that forward set_epoch_source).  Required by
-// SnapshotPolicy::kLinearizable; quiescent forests stamp too when the
-// inner supports it, so the two policies differ only in acquisition.
-template <class Inner>
-concept EpochStampedInner =
-    requires(Inner t, EpochClock* c) { t.set_epoch_source(c); };
-
-// Cross-shard snapshot acquisition mode; see the header comment.
-enum class SnapshotPolicy { kQuiescent, kLinearizable };
-
-// Composite-query read path; see the header comment.  kCached requires an
-// epoch-stamped inner (the cache keys on root stamps) and an int64
-// augmentation value (a cache entry carries one 64-bit aggregate).
-enum class ReadPath { kDirect, kCached };
+// Selects nothing: every forest takes epoch cuts.  The one enumerator
+// survives so that spellings naming it keep compiling — perfbench's
+// traced run binds `ShardedSet<Bat<SizeAug>, 16,
+// SnapshotPolicy::kLinearizable>` by type.
+enum class SnapshotPolicy { kLinearizable };
 
 template <class Inner = Bat<SizeAug>, int NumShards = 16,
-          SnapshotPolicy Policy = SnapshotPolicy::kQuiescent,
-          ReadPath RPath = ReadPath::kDirect, bool Adaptive = false>
+          SnapshotPolicy = SnapshotPolicy::kLinearizable,
+          bool Adaptive = false>
   requires ShardableInner<Inner> && (NumShards >= 1) &&
-           (Policy == SnapshotPolicy::kQuiescent || EpochStampedInner<Inner>) &&
-           // Migration freezes boundary moves at epoch cuts and bulk-moves
-           // keys with apply_batch, so adaptive forests need the stamping
-           // machinery even under kQuiescent plus a bulk update path.
+           // Migration bulk-moves keys with apply_batch.
            (!Adaptive ||
-            (EpochStampedInner<Inner> &&
-             requires(Inner t, BatchOp* b, int n) { t.apply_batch(b, n); })) &&
-           (RPath == ReadPath::kDirect ||
-            (EpochStampedInner<Inner> &&
-             std::same_as<typename Inner::AugType::Value, std::int64_t>))
+            requires(Inner t, BatchOp* b, int n) { t.apply_batch(b, n); })
 class ShardedSet {
  public:
   using Aug = typename Inner::AugType;
@@ -218,21 +190,13 @@ class ShardedSet {
   explicit ShardedSet(Key keyspace) {
     repartition(keyspace);
     // Attach the epoch clock before any update can run, so every root
-    // the forest ever installs (beyond the initial empty roots, which the
-    // resolve walk accepts as the oldest state) is stamped.  Stamping is
-    // on under BOTH policies, deliberately: (a) it is what keeps the
-    // snapshot_consistency ratio a pure *acquisition*-cost measurement
-    // (the write paths are identical), and (b) the planned hot-shard
-    // migration protocol (ROADMAP) needs epoch cuts on the *default*
-    // quiescent forests.  The quiescent-side cost is one clock read
-    // (a CAS for an epoch's first stamp) plus one uncontended stamp CAS
-    // on a just-written line per root refresh — inside smoke-gate noise.
-    // kCached forests construct the clock in unique-stamp mode (see
-    // epoch_): the aggregate cache validates by stamp equality, which is
-    // only meaningful when no two roots can share a stamp (see
-    // aggregate_cache.h).
-    if constexpr (EpochStampedInner<Inner>) {
-      for (auto& s : shards_) s->set_epoch_source(&epoch_);
+    // the forest ever installs is stamped, and mint the initial empty
+    // roots' stamps here too: the aggregate cache keys on root stamps,
+    // and a read then never mints one for a shard no update has touched.
+    EbrGuard g;
+    for (auto& s : shards_) {
+      s->set_epoch_source(&epoch_);
+      version_epoch<Aug>(s->root_version_unsafe(), epoch_);
     }
   }
 
@@ -246,20 +210,12 @@ class ShardedSet {
   }
 
   static constexpr int num_shards() { return NumShards; }
-  static constexpr SnapshotPolicy snapshot_policy() { return Policy; }
-  static constexpr ReadPath read_path() { return RPath; }
   static constexpr bool adaptive_rebalancing() { return Adaptive; }
-
-  // Introspection hook picked up by the API layer (SetModel::consistency):
-  // cross-shard composite queries linearize only under kLinearizable.
-  static constexpr bool composite_queries_linearizable() {
-    return Policy == SnapshotPolicy::kLinearizable;
-  }
 
   Key keyspace() const { return keyspace_; }
 
-  // Current epoch of the snapshot clock (tests; advanced only by cuts
-  // that follow a root stamp — and by unique mints — read by every stamp).
+  // Current epoch of the snapshot clock (tests; advanced by every minted
+  // stamp and by the first cut after one).
   std::uint64_t current_epoch() const { return epoch_.now(); }
 
   // Adapts the shard map to keys drawn from [0, max_key).  Only honored
@@ -364,13 +320,13 @@ class ShardedSet {
   // Pins every shard's root version under ONE EBR guard: `guard_` is
   // declared (and therefore constructed) before the root-pinning loop in
   // the constructor runs, and it spans every query made through the
-  // snapshot — composite queries never re-enter the EBR per shard.  Under
-  // SnapshotPolicy::kLinearizable the pinning loop is the second phase of
-  // the two-phase acquisition: phase one takes a cut of the owner's epoch
-  // clock (the snapshot's linearization point; it advances the clock only
-  // if a root was stamped since the last cut), phase two resolves each
-  // shard's root against the cut's epoch, walking the root's prev_root
-  // history backward past any installation stamped after the cut.  The
+  // snapshot — composite queries never re-enter the EBR per shard.  The
+  // pinning loop is the second phase of the two-phase acquisition: phase
+  // one takes a cut of the owner's epoch clock (the snapshot's
+  // linearization point; it advances the clock only if a root was
+  // stamped since the last cut), phase two resolves each shard's root
+  // against the cut's epoch, walking the root's prev_root history
+  // backward past any installation stamped after the cut.  The
   // forest's own range_aggregate builds a partial snapshot that pins only
   // the shards its range covers.  The shard-size prefix sums are
   // materialized lazily, once, on the first query that needs them
@@ -398,9 +354,8 @@ class ShardedSet {
 
     ~Snapshot() CBAT_RELEASE() {}
 
-    // The cut's epoch (kLinearizable; 0 under kQuiescent, and 0 too for a
-    // cut of a clock nothing has stamped yet).  All composite queries on
-    // this snapshot linearize at the cut that returned it.
+    // The cut's epoch.  All composite queries on this snapshot linearize
+    // at the cut that returned it.
     std::uint64_t epoch() const { return epoch_; }
 
     bool contains(Key k) const CBAT_REQUIRES(ebr_capability) {
@@ -464,7 +419,7 @@ class ShardedSet {
     // fully-covered middle shard contributes its root's supplementary
     // field in O(1), and contiguity keeps the combine in key order.  The
     // boundary descents are the only O(log n) part, so they are what the
-    // range cache memoizes (shard_range_agg) under ReadPath::kCached.
+    // range cache memoizes (shard_range_agg).
     AugValue range_aggregate(Key lo, Key hi) const
         CBAT_REQUIRES(ebr_capability) {
       if (lo > hi) return Aug::sentinel();
@@ -477,9 +432,9 @@ class ShardedSet {
         // Middle shards lose their O(1) root-aug shortcut: the root
         // aggregates EVERYTHING in the tree, stale out-of-range copies
         // included, so each middle shard answers its owned range with a
-        // restricted descent (cached under kCached like the boundary
-        // pieces — the (lo, hi) pair is part of the cache entry, so a
-        // map change re-keys the lookup by itself).
+        // restricted descent (cached like the boundary pieces — the
+        // (lo, hi) pair is part of the cache entry, so a map change
+        // re-keys the lookup by itself).
         AugValue acc = shard_range_agg(slo, lo, map_->hi_of(slo));
         for (int s = slo + 1; s < shi; ++s) {
           acc = Aug::combine(
@@ -575,49 +530,25 @@ class ShardedSet {
       // first member); TSA does not track member-subobject guards, so
       // assert the capability it already pinned.
       ebr_assert_held();
-      if constexpr (Policy == SnapshotPolicy::kLinearizable) {
-        // Every update whose response preceded this call was stamped
-        // <= epoch_, so it resolves inside the cut, and every root stamped
-        // after the cut reads a larger epoch, so it resolves past it
-        // (EpochClock::cut; the walk's reclamation argument is at
-        // version_resolve_epoch).
-        epoch_ = s.epoch_.cut();
-        if constexpr (Adaptive) {
-          // Resolve the map the same way the roots are resolved: newest
-          // table whose flip was stamped at or before the cut.  Any
-          // (map@E, roots@E) pair is consistent — the owned-range
-          // restriction below hides a destination's pre-flip copies and
-          // a source's post-flip leftovers on every cut.
-          map_ = s.resolve_map_epoch(
-              s.map_.load(std::memory_order_seq_cst), epoch_);
-        }
-      } else if constexpr (Adaptive) {
-        map_ = s.map_.load(std::memory_order_acquire);
+      // Every update whose response preceded this call was stamped
+      // <= epoch_, so it resolves inside the cut, and every root stamped
+      // after the cut reads a larger epoch, so it resolves past it
+      // (EpochClock::cut; the walk's reclamation argument is at
+      // version_resolve_epoch).
+      epoch_ = s.epoch_.cut();
+      if constexpr (Adaptive) {
+        // Resolve the map the same way the roots are resolved: newest
+        // table whose flip was stamped at or before the cut.  Any
+        // (map@E, roots@E) pair is consistent — the owned-range
+        // restriction below hides a destination's pre-flip copies and a
+        // source's post-flip leftovers on every cut.
+        map_ = s.resolve_map_epoch(s.map_.load(std::memory_order_seq_cst),
+                                   epoch_);
       }
-      for (;;) {
-        for (int i = first; i <= last; ++i) {
-          if (hook != nullptr) hook(hook_ctx, i);
-          const V* r = s.shards_[i]->root_version_unsafe();
-          if constexpr (Policy == SnapshotPolicy::kLinearizable) {
-            r = version_resolve_epoch<Aug>(r, epoch_, s.epoch_);
-          }
-          roots_[i] = r;
-        }
-        if constexpr (Adaptive && Policy == SnapshotPolicy::kQuiescent) {
-          // A quiescent cut must not pair an OLD map with roots pinned
-          // after a newer map's post-flip cleanup (the cleanup's erases
-          // would make the migrated range vanish from both shards under
-          // the old restriction).  Re-check the map after pinning: flips
-          // are rare, the loop virtually never retries, and the guard
-          // held across the whole loop rules out map-pointer ABA (a
-          // retired map cannot be freed and reallocated while we run).
-          const ShardMap* cur = s.map_.load(std::memory_order_acquire);
-          if (cur != map_) {
-            map_ = cur;
-            continue;
-          }
-        }
-        break;
+      for (int i = first; i <= last; ++i) {
+        if (hook != nullptr) hook(hook_ctx, i);
+        roots_[i] = version_resolve_epoch<Aug>(
+            s.shards_[i]->root_version_unsafe(), epoch_, s.epoch_);
       }
     }
 
@@ -669,26 +600,21 @@ class ShardedSet {
     }
 
     // Partial range aggregate of shard s over [lo, hi], cached per shard
-    // for the hot ranges under ReadPath::kCached.  The (lo, hi) pair is
-    // part of the entry, so boundary pieces of different ranges that
-    // hash together only cost each other misses, never wrong answers.
+    // for the hot ranges.  The (lo, hi) pair is part of the entry, so
+    // boundary pieces of different ranges that hash together only cost
+    // each other misses, never wrong answers.
     AugValue shard_range_agg(int s, Key lo, Key hi) const
         CBAT_REQUIRES(ebr_capability) {
-      if constexpr (RPath == ReadPath::kCached) {
-        const std::uint64_t stamp =
-            version_epoch<Aug>(roots_[s], owner_->epoch_);
-        std::int64_t v;
-        if (owner_->cache_.load_range(s, lo, hi, stamp, &v)) {
-          Counters::bump(Counter::kAggCacheHits);
-          return v;
-        }
-        Counters::bump(Counter::kAggCacheMisses);
-        const AugValue fresh = version_range_aggregate<Aug>(roots_[s], lo, hi);
-        owner_->cache_.store_range(s, lo, hi, stamp, fresh);
-        return fresh;
-      } else {
-        return version_range_aggregate<Aug>(roots_[s], lo, hi);
+      const std::uint64_t stamp = version_epoch<Aug>(roots_[s], owner_->epoch_);
+      std::int64_t v;
+      if (owner_->cache_.load_range(s, lo, hi, stamp, &v)) {
+        Counters::bump(Counter::kAggCacheHits);
+        return v;
       }
+      Counters::bump(Counter::kAggCacheMisses);
+      const AugValue fresh = version_range_aggregate<Aug>(roots_[s], lo, hi);
+      owner_->cache_.store_range(s, lo, hi, stamp, fresh);
+      return fresh;
     }
 
     EbrGuard guard_;
@@ -1307,12 +1233,10 @@ class ShardedSet {
       nm->prev = m;
       map_.store(nm, std::memory_order_seq_cst);
       epoch_.finalize(nm->flip_epoch);
-      if constexpr (RPath == ReadPath::kCached) {
-        // Range-cache entries are keyed by (range, root stamp), and one
-        // root answers one range one way, so survivors cannot validate
-        // wrongly — the sweep just reclaims ways early.
-        cache_.invalidate_all();
-      }
+      // Range-cache entries are keyed by (range, root stamp), and one root
+      // answers one range one way, so survivors cannot validate wrongly —
+      // the sweep just reclaims ways early.
+      cache_.invalidate_all();
       ebr_retire(const_cast<ShardMap*>(m));
     }
     run_hook(kMigHookFlipped);
@@ -1417,19 +1341,15 @@ class ShardedSet {
   Key keyspace_ = 0;
   Key width_ = 1;
   // Snapshot clock; its epochs start at 1 so every assigned stamp is
-  // distinguishable from kEpochTbd (0).  Unique-stamp mode under kCached
-  // (the aggregate cache keys on stamps).  Cache-line aligned by its
-  // type: every root stamp and every linearizable cut touches it.
-  // Mutable: cuts advance it from const composite queries; it is
-  // bookkeeping for the cut, not observable set state.
-  mutable EpochClock epoch_{RPath == ReadPath::kCached};
-  // The epoch-stamped range-aggregate cache, materialized only for
-  // ReadPath::kCached.  Mutable for the same reason as epoch_: it is
-  // memoization filled by const composite queries.
-  struct NoCache {};
-  [[no_unique_address]] mutable std::conditional_t<
-      RPath == ReadPath::kCached, AggregateCache<NumShards>, NoCache>
-      cache_;
+  // distinguishable from kEpochTbd (0), and every stamp is unique (the
+  // aggregate cache keys on stamps).  Cache-line aligned by its type:
+  // every root stamp and every cut touches it.  Mutable: cuts advance it
+  // from const composite queries; it is bookkeeping for the cut, not
+  // observable set state.
+  mutable EpochClock epoch_;
+  // The epoch-stamped range-aggregate cache.  Mutable for the same reason
+  // as epoch_: it is memoization filled by const composite queries.
+  mutable AggregateCache<NumShards> cache_;
   // shared: the current boundary table (Adaptive; null otherwise).
   // Swapped only by the migrator holding mig_.gate; loaded under an EBR
   // guard by everyone else (replaced tables are EBR-retired).  Mutable
@@ -1445,39 +1365,17 @@ class ShardedSet {
   std::array<Padded<Inner>, NumShards> shards_;
 };
 
-// The shard counts the registry exposes ("Sharded4-BAT", ...); definitions
-// live in sharded_set.cpp so the template is compiled once.
+// The shard counts the registry exposes ("Sharded4-BAT", ...) and the
+// adaptive forests ("Sharded16-BAT-Adapt" and its 4-shard test twin);
+// definitions live in sharded_set.cpp so the template is compiled once.
 extern template class ShardedSet<Bat<SizeAug>, 1>;
 extern template class ShardedSet<Bat<SizeAug>, 4>;
 extern template class ShardedSet<Bat<SizeAug>, 16>;
 extern template class ShardedSet<Bat<SizeAug>, 64>;
 extern template class ShardedSet<BatDel<SizeAug>, 16>;
 extern template class ShardedSet<Bat<SizeAug>, 4,
-                                 SnapshotPolicy::kLinearizable>;
+                                 SnapshotPolicy::kLinearizable, true>;
 extern template class ShardedSet<Bat<SizeAug>, 16,
-                                 SnapshotPolicy::kLinearizable>;
-// Cached ("-Cached") and adaptive ("-Adapt") forests, each under both
-// snapshot policies.
-extern template class ShardedSet<Bat<SizeAug>, 16, SnapshotPolicy::kQuiescent,
-                                 ReadPath::kCached>;
-extern template class ShardedSet<Bat<SizeAug>, 16,
-                                 SnapshotPolicy::kLinearizable,
-                                 ReadPath::kCached>;
-extern template class ShardedSet<Bat<SizeAug>, 16, SnapshotPolicy::kQuiescent,
-                                 ReadPath::kDirect, true>;
-extern template class ShardedSet<Bat<SizeAug>, 16,
-                                 SnapshotPolicy::kLinearizable,
-                                 ReadPath::kDirect, true>;
-// 4-shard cached and adaptive variants the tests drive directly.
-extern template class ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kQuiescent,
-                                 ReadPath::kCached>;
-extern template class ShardedSet<Bat<SizeAug>, 4,
-                                 SnapshotPolicy::kLinearizable,
-                                 ReadPath::kCached>;
-extern template class ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kQuiescent,
-                                 ReadPath::kDirect, true>;
-extern template class ShardedSet<Bat<SizeAug>, 4,
-                                 SnapshotPolicy::kLinearizable,
-                                 ReadPath::kDirect, true>;
+                                 SnapshotPolicy::kLinearizable, true>;
 
 }  // namespace cbat

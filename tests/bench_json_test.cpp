@@ -284,13 +284,12 @@ TEST(BenchJsonSchema, DocumentRoundTrips) {
   rec.metrics = {{"cas_per_prop", 22.2}};
   out.runs.push_back(rec);
 
-  // Second run: the read-side fields — a non-default read_path, the
-  // hot-range query kind, and the cache hit-rate metric compare_bench.py
-  // gates on — on a registered forest, so its capabilities are emitted.
+  // Second run: the read-side fields — the hot-range query kind and the
+  // cache hit-rate metric compare_bench.py gates on — on a registered
+  // forest, so its capabilities and its cached read path are emitted.
   RunRecord rc = rec;
-  rc.series = "Sharded16-BAT-Cached";
-  rc.read_path = "cached";
-  rc.result.structure = "Sharded16-BAT-Cached";
+  rc.series = "Sharded16-BAT";
+  rc.result.structure = "Sharded16-BAT";
   rc.result.config.workload.query_kind = QueryKind::kRangeAgg;
   rc.metrics = {{"agg_cache_hit_rate", 0.97}};
   out.runs.push_back(rc);
@@ -327,11 +326,13 @@ TEST(BenchJsonSchema, DocumentRoundTrips) {
   EXPECT_DOUBLE_EQ(lat.at("query").at("p90").num, 9000);
   EXPECT_DOUBLE_EQ(lat.at("find").at("count").num, 0);
   EXPECT_DOUBLE_EQ(run.at("metrics").at("cas_per_prop").num, 22.2);
-  // Every run carries a read_path; the default is "direct".
+  // Every run carries a read_path, derived from the structure's type: a
+  // single tree reads its pinned root directly...
   EXPECT_EQ(run.at("read_path").str, "direct");
 
   const Value& rcr = sc.at("runs").item(1);
-  EXPECT_EQ(rcr.at("series").str, "Sharded16-BAT-Cached");
+  EXPECT_EQ(rcr.at("series").str, "Sharded16-BAT");
+  // ...and every forest serves range aggregates through its cache.
   EXPECT_EQ(rcr.at("read_path").str, "cached");
   EXPECT_EQ(rcr.at("config").at("query_kind").str, "range_agg");
   EXPECT_DOUBLE_EQ(rcr.at("metrics").at("agg_cache_hit_rate").num, 0.97);

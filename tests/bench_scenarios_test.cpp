@@ -32,8 +32,8 @@ TEST(ScenarioRegistry, ListsAllPaperScenarios) {
   const std::vector<std::string> expected = {
       "fig5a",  "fig5b",  "fig5c",  "fig6",
       "fig7",   "fig8",   "fig9",   "fig10",
-      "table3", "shard_sweep", "shard_hotspot", "snapshot_consistency",
-      "read_burst", "rebalance", "micro_components", "micro_llxscx"};
+      "table3", "shard_sweep", "shard_hotspot", "read_burst",
+      "rebalance", "micro_components", "micro_llxscx"};
   const auto names = ScenarioRegistry::instance().names();
   // >= rather than ==: other tests may add scenarios, and gtest order is
   // not guaranteed under --gtest_shuffle.

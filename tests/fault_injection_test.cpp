@@ -34,11 +34,10 @@ namespace cbat {
 namespace {
 
 using BT = Bat<SizeAug>;
-// Adaptive AND cached: one structure reaches the migration sites (and the
-// apply_batch bulk moves behind them) and the aggregate-cache seqlock
-// fills.
-using SH = ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kQuiescent,
-                      ReadPath::kCached, true>;
+// The adaptive forest reaches the migration sites (and the apply_batch
+// bulk moves behind them) and, like every forest, the aggregate-cache
+// seqlock fills.
+using SH = ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kLinearizable, true>;
 
 constexpr Key kKeySpace = 1 << 14;
 

@@ -11,19 +11,21 @@
 // by the number already *begun* when its queries returned (the real-time
 // constraint of linearizability).
 //
-// The deterministic tests drive the real Snapshot acquisition code
-// through its mid-acquire test hook: two sequential inserts (a then b,
-// landing in the first and last shard) are injected after the first
-// shard's root is pinned.  The quiescent policy then observes {b present,
-// a absent} — b's insert began after a's completed, so no prefix matches
-// and the checker rejects the history.  The epoch-stamped policy resolves
-// the last shard's root back past the cut and observes the empty prefix:
-// same interleaving, linearizable history.  The concurrent test runs the
-// same checker over a free-running writer/reader schedule (TSan-gated in
-// CI alongside the sharded_set suite).
+// The deterministic tests inject two sequential inserts (a then b, landing
+// in the first and last shard) after the first shard's root is read.  A
+// naive cut that reads the raw shard roots one after another — built in
+// the negative-control test itself — then observes {b present, a absent}:
+// b's insert began after a's completed, so no prefix matches and the
+// checker rejects the history.  The forest's Snapshot, driven through its
+// mid-acquire test hook, resolves the last shard's root back past its
+// epoch cut and observes the empty prefix: same interleaving,
+// linearizable history.  The concurrent tests run the same checker over
+// free-running writer/reader schedules (TSan-gated in CI alongside the
+// sharded_set suite).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <iterator>
@@ -38,8 +40,7 @@
 namespace cbat {
 namespace {
 
-using Quiescent4 = ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kQuiescent>;
-using Lin4 = ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kLinearizable>;
+using Sharded4 = ShardedSet<Bat<SizeAug>, 4>;
 
 // One reader observation: the membership of every tracked key as seen
 // through a single Snapshot, plus the real-time bounds on which writer
@@ -76,31 +77,38 @@ std::vector<std::vector<bool>> pair_prefix_states() {
   return {{false, false}, {true, false}, {true, true}};
 }
 
+// Real-time bounds of one observation taken across the injected inserts:
+// no tracked op had completed at acquisition, both had begun by the
+// response.
+TrackedObservation across_both_inserts() {
+  TrackedObservation o;
+  o.done_at_inv = 0;
+  o.started_at_resp = 2;
+  return o;
+}
+
 // Acquires one Snapshot of a set holding no tracked key, injecting both
 // inserts after shard 0's root is pinned and before shard 1's is read.
-// With `stamp_first`, an untracked key is inserted and erased beforehand,
-// so the epoch clock reads stamped when the cut is taken (a fresh set's
-// clock reads clean).  Returns the observation with its (trivially known)
-// real-time bounds: no tracked op had completed at acquisition, both had
-// begun by the response.
-template <class Set>
-TrackedObservation observe_with_mid_acquire_writes(bool stamp_first = false) {
+// The epoch clock reads clean when the cut is taken — a first cut clears
+// the stamped bit the constructor's initial-root stamps set — or, with
+// `stamp_first`, stamped: an untracked key is inserted and erased after
+// that first cut.
+TrackedObservation observe_with_mid_acquire_writes(bool stamp_first) {
   constexpr Key kUntracked = 2000;  // shard 2
-  Set set(kKeyspace);
+  Sharded4 set(kKeyspace);
+  EXPECT_EQ(set.size(), 0);  // the first cut
   if (stamp_first) {
     EXPECT_TRUE(set.insert(kUntracked));
     EXPECT_TRUE(set.erase(kUntracked));
   }
   const auto hook = [](void* ctx, int next_shard) {
     if (next_shard != 1) return;
-    auto* s = static_cast<Set*>(ctx);
+    auto* s = static_cast<Sharded4*>(ctx);
     s->insert(kKeyA);  // completes before insert(kKeyB) is invoked
     s->insert(kKeyB);
   };
-  typename Set::Snapshot snap(set, hook, &set);
-  TrackedObservation o;
-  o.done_at_inv = 0;
-  o.started_at_resp = 2;
+  Sharded4::Snapshot snap(set, hook, &set);
+  TrackedObservation o = across_both_inserts();
   o.members = {snap.contains(kKeyA), snap.contains(kKeyB)};
   // Whatever the cut, one pinned snapshot must at least be internally
   // consistent: size agrees with the tracked memberships (the set never
@@ -111,34 +119,46 @@ TrackedObservation observe_with_mid_acquire_writes(bool stamp_first = false) {
   return o;
 }
 
-// The quiescent cut reads shard roots one after another, so it observes
-// the *second* insert while missing the *first* — a state no prefix of
-// the writer's sequence explains.  This is the violation the epoch cut
-// exists to close; if this test ever fails, the quiescent path silently
-// became linearizable and the "-Lin" variants (and their acquisition
-// cost) are dead weight.
+// The negative control: a naive cut that reads the shard roots one after
+// another, with no epoch cut and no resolve walk, observes the *second*
+// insert while missing the *first* — a state no prefix of the writer's
+// sequence explains.  This is the violation the epoch cut exists to
+// close; if the checker ever accepts it, the checker cannot tell the
+// forest's cut from the sweep it replaced.
 TEST(CrossShardLinearizability, CheckerRejectsQuiescentCut) {
-  const TrackedObservation o =
-      observe_with_mid_acquire_writes<Quiescent4>();
-  EXPECT_FALSE(o.members[0]) << "shard 0 was pinned before insert(a)";
-  EXPECT_TRUE(o.members[1]) << "shard 3 was pinned after insert(b)";
+  Sharded4 set(kKeyspace);
+  TrackedObservation o = across_both_inserts();
+  {
+    EbrGuard g;
+    std::array<const Version<SizeAug>*, 4> roots{};
+    for (int i = 0; i < 4; ++i) {
+      if (i == 1) {
+        set.insert(kKeyA);  // completes before insert(kKeyB) is invoked
+        set.insert(kKeyB);
+      }
+      roots[i] = set.shard_at(i).root_version_unsafe();
+    }
+    o.members = {
+        version_contains<SizeAug>(roots[set.shard_of(kKeyA)], kKeyA),
+        version_contains<SizeAug>(roots[set.shard_of(kKeyB)], kKeyB)};
+  }
+  EXPECT_FALSE(o.members[0]) << "shard 0 was read before insert(a)";
+  EXPECT_TRUE(o.members[1]) << "shard 3 was read after insert(b)";
   EXPECT_FALSE(observation_linearizes(pair_prefix_states(), o))
       << "{b without a} must not linearize: insert(a) completed before "
          "insert(b) began";
 }
 
-// Same interleaving, epoch-stamped acquisition: both inserts are stamped
-// after the snapshot's cut, so resolving shard 3's root walks its history
-// back past b's installation and the observation is the (legal) empty
-// prefix.  Run from both clock states a cut can find: on a clean word the
-// cut returns c-1 without writing (the inserts then stamp c — a clean
-// path that returned c would accept b and fail here), on a stamped word
-// it advances the clock and returns c (the inserts stamp c+1).
+// Same interleaving, through the forest's Snapshot: both inserts are
+// stamped after the snapshot's cut, so resolving shard 3's root walks its
+// history back past b's installation and the observation is the (legal)
+// empty prefix.  Run from both clock states a cut can find: on a clean
+// word the cut returns c-1 without writing, on a stamped word it advances
+// the clock and returns c; the inserts then mint stamps above either.
 TEST(CrossShardLinearizability, CheckerAcceptsEpochStampedCut) {
   for (const bool stamped_word : {false, true}) {
     SCOPED_TRACE(stamped_word ? "stamped word" : "clean word");
-    const TrackedObservation o =
-        observe_with_mid_acquire_writes<Lin4>(stamped_word);
+    const TrackedObservation o = observe_with_mid_acquire_writes(stamped_word);
     EXPECT_FALSE(o.members[0]);
     EXPECT_FALSE(o.members[1]) << "b's root must resolve past the cut";
     EXPECT_TRUE(observation_linearizes(pair_prefix_states(), o));
@@ -147,46 +167,45 @@ TEST(CrossShardLinearizability, CheckerAcceptsEpochStampedCut) {
 
 // --- epoch bookkeeping ----------------------------------------------------
 
+// Every stamp mints a fresh epoch.  The clock starts at 1 and the
+// constructor mints one stamp per shard for the initial roots (2..5);
+// after that every insert here installs one root and mints one stamp, and
+// a cut that follows a stamp returns it and advances the clock past it.
 TEST(CrossShardLinearizability, EpochAdvancesPerAcquisitionAndCutsPin) {
-  Lin4 set(kKeyspace);
-  EXPECT_EQ(set.current_epoch(), 1u);
-  ASSERT_TRUE(set.insert(kKeyA));
+  Sharded4 set(kKeyspace);
+  EXPECT_EQ(set.current_epoch(), 5u);
+  ASSERT_TRUE(set.insert(kKeyA));  // mints 6
+  EXPECT_EQ(set.current_epoch(), 6u);
 
-  Lin4::Snapshot s1(set);
-  EXPECT_EQ(s1.epoch(), 1u);
-  EXPECT_EQ(set.current_epoch(), 2u);
+  Sharded4::Snapshot s1(set);
+  EXPECT_EQ(s1.epoch(), 6u);
+  EXPECT_EQ(set.current_epoch(), 7u);
   // Completed before acquisition: included.
   EXPECT_TRUE(s1.contains(kKeyA));
   EXPECT_EQ(s1.size(), 1);
 
-  ASSERT_TRUE(set.insert(kKeyB));
-  Lin4::Snapshot s2(set);
-  EXPECT_EQ(s2.epoch(), 2u);
+  ASSERT_TRUE(set.insert(kKeyB));  // mints 8
+  Sharded4::Snapshot s2(set);
+  EXPECT_EQ(s2.epoch(), 8u);
+  EXPECT_EQ(set.current_epoch(), 9u);
   EXPECT_TRUE(s2.contains(kKeyB));
   EXPECT_EQ(s2.size(), 2);
   // The older cut is immutable.
   EXPECT_FALSE(s1.contains(kKeyB));
   EXPECT_EQ(s1.size(), 1);
-
-  // Quiescent forests never advance the counter (acquisition is a plain
-  // root sweep), but their write path stamps all the same.
-  Quiescent4 q(kKeyspace);
-  q.insert(kKeyA);
-  Quiescent4::Snapshot qs(q);
-  EXPECT_EQ(qs.epoch(), 0u);
-  EXPECT_EQ(q.current_epoch(), 1u);
 }
 
 // The skip rule: a cut advances the clock only when a root was stamped
 // since the previous cut.  A read burst with no update shares one epoch
-// and writes nothing; one completed update between two cuts costs
-// exactly one advance, and the cut after it sees the update.
+// and writes nothing; one completed insert between two cuts mints one
+// stamp, and the cut after it returns that stamp, advances past it, and
+// sees the insert.
 TEST(CrossShardLinearizability, ReadBurstSharesOneEpoch) {
-  Lin4 set(kKeyspace);
+  Sharded4 set(kKeyspace);
   ASSERT_TRUE(set.insert(kKeyA));
   std::uint64_t e0 = 0;
   {
-    Lin4::Snapshot s(set);  // the insert stamped: this cut advances
+    Sharded4::Snapshot s(set);  // the insert stamped: this cut advances
     e0 = s.epoch();
     EXPECT_TRUE(s.contains(kKeyA));
   }
@@ -194,7 +213,7 @@ TEST(CrossShardLinearizability, ReadBurstSharesOneEpoch) {
   EXPECT_EQ(c0, e0 + 1);
 
   for (int i = 0; i < 8; ++i) {
-    Lin4::Snapshot s(set);
+    Sharded4::Snapshot s(set);
     EXPECT_EQ(s.epoch(), e0) << i;
     EXPECT_TRUE(s.contains(kKeyA)) << i;
   }
@@ -206,12 +225,12 @@ TEST(CrossShardLinearizability, ReadBurstSharesOneEpoch) {
   EXPECT_TRUE(set.contains(kKeyA));
   EXPECT_EQ(set.current_epoch(), c0) << "a read burst advanced the clock";
 
-  Lin4::Snapshot before(set);
+  Sharded4::Snapshot before(set);
   EXPECT_EQ(before.epoch(), e0);
-  ASSERT_TRUE(set.insert(kKeyB));
-  Lin4::Snapshot after(set);
-  EXPECT_EQ(after.epoch(), c0);
-  EXPECT_EQ(set.current_epoch(), c0 + 1);
+  ASSERT_TRUE(set.insert(kKeyB));  // mints c0 + 1
+  Sharded4::Snapshot after(set);
+  EXPECT_EQ(after.epoch(), c0 + 1);
+  EXPECT_EQ(set.current_epoch(), c0 + 2);
   EXPECT_FALSE(before.contains(kKeyB));
   EXPECT_TRUE(after.contains(kKeyB));
   EXPECT_EQ(after.size(), 2);
@@ -230,7 +249,7 @@ TEST(CrossShardLinearizability, ReadsFinalizeTheRootStampTheyObserve) {
     std::atomic<bool> parked{false};
     std::atomic<bool> release{false};
   };
-  Lin4 set(kKeyspace);
+  Sharded4 set(kKeyspace);
   Park park;
   set.shard_at(0).set_root_install_hook(
       [](void* ctx) {
@@ -247,7 +266,7 @@ TEST(CrossShardLinearizability, ReadsFinalizeTheRootStampTheyObserve) {
   const bool seen = set.contains(kKeyA);
   EXPECT_TRUE(seen) << "the parked root already carries a";
   {
-    Lin4::Snapshot snap(set);
+    Sharded4::Snapshot snap(set);
     EXPECT_EQ(snap.contains(kKeyA), seen)
         << "a cut taken after a read that saw a must see a";
     EXPECT_EQ(snap.size(), 1);
@@ -264,7 +283,7 @@ TEST(CrossShardLinearizability, ReadsFinalizeTheRootStampTheyObserve) {
 // std::set oracle equivalence run with snapshots interleaved to keep the
 // epoch moving.
 TEST(CrossShardLinearizability, LinearizableForestMatchesOracle) {
-  Lin4 set(kKeyspace);
+  Sharded4 set(kKeyspace);
   std::set<Key> oracle;
   Xoshiro256 rng(2026);
   for (int step = 0; step < 4000; ++step) {
@@ -275,7 +294,7 @@ TEST(CrossShardLinearizability, LinearizableForestMatchesOracle) {
       ASSERT_EQ(set.insert(k), oracle.insert(k).second) << k;
     }
     if (step % 200 != 199) continue;
-    Lin4::Snapshot snap(set);
+    Sharded4::Snapshot snap(set);
     ASSERT_EQ(snap.size(), static_cast<std::int64_t>(oracle.size()));
     for (Key q : {Key{0}, Key{999}, Key{1000}, Key{2500}, Key{3999}}) {
       ASSERT_EQ(snap.contains(q), oracle.count(q) > 0) << q;
@@ -341,7 +360,7 @@ TEST(CrossShardLinearizability, ConcurrentSingleWriterHistoryLinearizes) {
     }
   }
 
-  Lin4 set(kKeyspace);
+  Sharded4 set(kKeyspace);
   std::atomic<std::int64_t> started{0};
   std::atomic<std::int64_t> done{0};
   std::atomic<bool> stop{false};
@@ -371,7 +390,7 @@ TEST(CrossShardLinearizability, ConcurrentSingleWriterHistoryLinearizes) {
       do {
         TrackedObservation o;
         o.done_at_inv = done.load(std::memory_order_seq_cst);
-        Lin4::Snapshot snap(set);
+        Sharded4::Snapshot snap(set);
         o.members.reserve(kTracked);
         std::int64_t present = 0;
         for (const Key k : tracked) {
@@ -487,7 +506,7 @@ TEST(CrossShardLinearizability, ConcurrentBatchedTwoWriterHistoryLinearizes) {
     }
   }
 
-  Lin4 set(kKeyspace);
+  Sharded4 set(kKeyspace);
   std::atomic<std::int64_t> started_a{0}, done_a{0};
   std::atomic<std::int64_t> started_b{0}, done_b{0};
   std::atomic<int> writers_left{2};
@@ -533,7 +552,7 @@ TEST(CrossShardLinearizability, ConcurrentBatchedTwoWriterHistoryLinearizes) {
     do {
       const std::int64_t inv_a = done_a.load(std::memory_order_seq_cst);
       const std::int64_t inv_b = done_b.load(std::memory_order_seq_cst);
-      Lin4::Snapshot snap(set);
+      Sharded4::Snapshot snap(set);
       TrackedObservation oa, ob;
       std::int64_t present = 0;
       for (const Key k : keys_a) {
@@ -571,7 +590,7 @@ TEST(CrossShardLinearizability, ConcurrentBatchedTwoWriterHistoryLinearizes) {
         << "]";
   }
   // Quiescence: both histories fully applied.
-  Lin4::Snapshot snap(set);
+  Sharded4::Snapshot snap(set);
   for (std::size_t i = 0; i < keys_a.size(); ++i) {
     EXPECT_EQ(snap.contains(keys_a[i]), prefix_a.back()[i]) << keys_a[i];
   }
@@ -589,19 +608,16 @@ TEST(CrossShardLinearizability, ConcurrentBatchedTwoWriterHistoryLinearizes) {
 // validation is removed (make load_range ignore `stamp` and it turns
 // red).
 
-using LinCached4 = ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kLinearizable,
-                              ReadPath::kCached>;
-
 // Range cache: a snapshot pins shard 0's root, an update CASes that root
 // mid-acquisition, and the snapshot then answers (correctly, on its old
 // cut) and MEMOIZES that answer under the old root's stamp — a stale
 // entry written into the cache after the root has already moved.  A
-// fresh query, whose pinned root carries the new fetch_add-minted stamp,
+// fresh query, whose pinned root carries the new minted stamp,
 // probes the same entry and must reject it: with the stamp check gone it
 // would serve the pre-update aggregate.
 TEST(StaleAggregateCache, RangeEntryOutlivedByRootCas) {
   constexpr Key kLo = 100, kHi = 900;  // inside shard 0 (width 1000)
-  LinCached4 set(kKeyspace);
+  Sharded4 set(kKeyspace);
   for (Key k = kLo; k <= kHi; k += 100) ASSERT_TRUE(set.insert(k));
   const std::int64_t before = 9;
   ASSERT_EQ(set.range_aggregate(kLo, kHi), before);
@@ -609,9 +625,9 @@ TEST(StaleAggregateCache, RangeEntryOutlivedByRootCas) {
   // Pin shard 0, then land an in-range insert before shard 1 is read.
   const auto hook = [](void* ctx, int next_shard) {
     if (next_shard != 1) return;
-    ASSERT_TRUE(static_cast<LinCached4*>(ctx)->insert(kLo + 50));
+    ASSERT_TRUE(static_cast<Sharded4*>(ctx)->insert(kLo + 50));
   };
-  LinCached4::Snapshot snap(set, hook, &set);
+  Sharded4::Snapshot snap(set, hook, &set);
   // The snapshot's cut predates the insert; its answer — which it also
   // stores into the range cache under the OLD root's stamp — is `before`.
   EXPECT_EQ(snap.range_aggregate(kLo, kHi), before);
@@ -652,7 +668,7 @@ TEST(StaleAggregateCache, ConcurrentCachedReadsLinearize) {
     }
   }
 
-  LinCached4 set(kKeyspace);
+  Sharded4 set(kKeyspace);
   std::atomic<std::int64_t> started{0};
   std::atomic<std::int64_t> done{0};
   std::atomic<bool> stop{false};
@@ -727,8 +743,8 @@ TEST(StaleAggregateCache, ConcurrentCachedReadsLinearize) {
 // destination's copy exact — remove mig_log()/replay_log() and the
 // post-flip membership diverges from the oracle.
 
-using AdaptLin4 = ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kLinearizable,
-                             ReadPath::kDirect, /*Adaptive=*/true>;
+using Adapt4 = ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kLinearizable,
+                          /*Adaptive=*/true>;
 
 // Shared state for the deterministic hook: the set, a same-thread oracle,
 // and the per-stage updates to apply.  The hook runs on the migrator's
@@ -736,17 +752,17 @@ using AdaptLin4 = ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kLinearizable,
 // sealed (kCopyBegin/kCopied before the seal, kOpened/kCleaned after the
 // flip); sealed stages apply out-of-range updates, which never park.
 struct MigHookState {
-  AdaptLin4* set = nullptr;
+  Adapt4* set = nullptr;
   std::set<Key>* oracle = nullptr;
   std::vector<int> stages;
 };
 
-void check_against_oracle(const AdaptLin4& set, const std::set<Key>& oracle,
+void check_against_oracle(const Adapt4& set, const std::set<Key>& oracle,
                           int stage) {
   // Single-threaded history: a linearizable snapshot taken between
   // operations must equal the oracle exactly, whatever migration phase
   // the forest is in.
-  AdaptLin4::Snapshot snap(set);
+  Adapt4::Snapshot snap(set);
   ASSERT_EQ(snap.size(), static_cast<std::int64_t>(oracle.size()))
       << "stage " << stage;
   for (Key k : {Key{100}, Key{506}, Key{515}, Key{650}, Key{705}, Key{905},
@@ -762,7 +778,7 @@ void check_against_oracle(const AdaptLin4& set, const std::set<Key>& oracle,
 void mig_stage_hook(void* ctx, int stage) {
   auto* st = static_cast<MigHookState*>(ctx);
   st->stages.push_back(stage);
-  AdaptLin4& set = *st->set;
+  Adapt4& set = *st->set;
   std::set<Key>& oracle = *st->oracle;
   // Every stage op TOGGLES its key, so it is effective (and asserted so)
   // no matter how many migrations ran before — a silently lost update
@@ -777,13 +793,13 @@ void mig_stage_hook(void* ctx, int stage) {
     }
   };
   switch (stage) {
-    case AdaptLin4::kMigHookCopyBegin:
+    case Adapt4::kMigHookCopyBegin:
       // Copy phase, pre-bulk-copy: an in-range update double-routes (it
       // lands in the source shard and is logged for replay).
       toggle(996);
       toggle(515);
       break;
-    case AdaptLin4::kMigHookCopied:
+    case Adapt4::kMigHookCopied:
       // Copy phase, AFTER the bulk copy seeded the destination: these
       // land in the source and reach the destination only through the
       // dirty-log replay — the stage that catches a disabled
@@ -792,20 +808,20 @@ void mig_stage_hook(void* ctx, int stage) {
       toggle(705);
       toggle(506);
       break;
-    case AdaptLin4::kMigHookSealed:
-    case AdaptLin4::kMigHookReplayed:
-    case AdaptLin4::kMigHookFlipped:
+    case Adapt4::kMigHookSealed:
+    case Adapt4::kMigHookReplayed:
+    case Adapt4::kMigHookFlipped:
       // Range sealed: in-range updates would park on this very thread,
       // so exercise out-of-range ones (they must never block).
       toggle(2105 + static_cast<Key>(stage));
       break;
-    case AdaptLin4::kMigHookOpened:
+    case Adapt4::kMigHookOpened:
       // Phase kDone: in-range updates resume and must route by the NEW
       // map (the key now lives in the destination shard).
       toggle(996);
       toggle(650);
       break;
-    case AdaptLin4::kMigHookCleaned:
+    case Adapt4::kMigHookCleaned:
       toggle(650);
       break;
     default:
@@ -818,7 +834,7 @@ void mig_stage_hook(void* ctx, int stage) {
 // protocol stage; membership must match the oracle at each cut and after
 // the move (both migration directions).
 TEST(MigrationLinearizability, EveryCutStageMatchesOracle) {
-  AdaptLin4 set(kKeyspace);
+  Adapt4 set(kKeyspace);
   set.set_adaptive_enabled(false);  // manual migrations only
   std::set<Key> oracle;
   for (Key k = 5; k < 1000; k += 10) {  // 100 keys, all in shard 0
@@ -836,10 +852,10 @@ TEST(MigrationLinearizability, EveryCutStageMatchesOracle) {
   // The hook fired at every protocol boundary, in order.
   ASSERT_EQ(st.stages,
             (std::vector<int>{
-                AdaptLin4::kMigHookCopyBegin, AdaptLin4::kMigHookCopied,
-                AdaptLin4::kMigHookSealed, AdaptLin4::kMigHookReplayed,
-                AdaptLin4::kMigHookFlipped, AdaptLin4::kMigHookOpened,
-                AdaptLin4::kMigHookCleaned}));
+                Adapt4::kMigHookCopyBegin, Adapt4::kMigHookCopied,
+                Adapt4::kMigHookSealed, Adapt4::kMigHookReplayed,
+                Adapt4::kMigHookFlipped, Adapt4::kMigHookOpened,
+                Adapt4::kMigHookCleaned}));
   check_against_oracle(set, oracle, /*stage=*/-1);
 
   // Move the range back (dst == src - 1 exercises the other median
@@ -887,7 +903,7 @@ TEST(MigrationLinearizability, ConcurrentHistoryLinearizesAcrossMoves) {
     }
   }
 
-  AdaptLin4 set(kKeyspace);
+  Adapt4 set(kKeyspace);
   set.set_adaptive_enabled(false);  // the migrator thread drives moves
   // Static ballast in shard 0 so every boundary move has keys to split;
   // multiples of 5 never collide with the tracked keys.
@@ -931,7 +947,7 @@ TEST(MigrationLinearizability, ConcurrentHistoryLinearizesAcrossMoves) {
     do {
       TrackedObservation o;
       o.done_at_inv = done.load(std::memory_order_seq_cst);
-      AdaptLin4::Snapshot snap(set);
+      Adapt4::Snapshot snap(set);
       std::int64_t present = 0;
       for (const Key k : tracked) {
         const bool m = snap.contains(k);

@@ -1,8 +1,8 @@
 // Tests for the shard layer (src/shard/sharded_set.h): shard-map algebra,
 // a std::set-oracle equivalence check for the cross-shard order statistics
-// (exercising keys and ranges that straddle shard boundaries), snapshot
-// multi-query consistency, and a multi-threaded quiescent-consistency
-// check that is run under TSan in CI.
+// and the cached range aggregates (exercising keys and ranges that
+// straddle shard boundaries), snapshot multi-query consistency, and a
+// multi-threaded consistency check that is run under TSan in CI.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -98,51 +98,67 @@ struct Oracle {
   }
 };
 
+// Two inputs: sparse checks after long update runs, and checks a few
+// updates apart, so the hot ranges' pieces are served from the aggregate
+// cache between the updates that re-stamp their shards.
 TEST(ShardedSet, OracleEquivalenceAcrossShardBoundaries) {
   constexpr Key kKeyspace = 4000;  // shard width 1000 in Sharded4
-  Sharded4 set(kKeyspace);
-  Oracle oracle;
-  Xoshiro256 rng(42);
+  const struct {
+    std::uint64_t seed;
+    int steps;
+    int check_every;
+  } inputs[] = {{42, 6000, 100}, {1234, 4000, 5}};
+  for (const auto& in : inputs) {
+    SCOPED_TRACE(testing::Message() << "seed " << in.seed);
+    Sharded4 set(kKeyspace);
+    Oracle oracle;
+    Xoshiro256 rng(in.seed);
 
-  // Mixed random inserts/erases, biased around the three shard boundaries
-  // (1000/2000/3000) so boundary keys and straddling ranges are common.
-  for (int step = 0; step < 6000; ++step) {
-    Key k;
-    if (rng.below(4) == 0) {
-      const Key boundary = 1000 * static_cast<Key>(1 + rng.below(3));
-      k = boundary - 3 + static_cast<Key>(rng.below(7));
-    } else {
-      k = static_cast<Key>(rng.below(kKeyspace));
-    }
-    if (rng.below(3) == 0) {
-      EXPECT_EQ(set.erase(k), oracle.s.erase(k) > 0) << k;
-    } else {
-      EXPECT_EQ(set.insert(k), oracle.s.insert(k).second) << k;
-    }
+    // Mixed random inserts/erases, biased around the three shard
+    // boundaries (1000/2000/3000) so boundary keys and straddling ranges
+    // are common.
+    for (int step = 0; step < in.steps; ++step) {
+      Key k;
+      if (rng.below(4) == 0) {
+        const Key boundary = 1000 * static_cast<Key>(1 + rng.below(3));
+        k = boundary - 3 + static_cast<Key>(rng.below(7));
+      } else {
+        k = static_cast<Key>(rng.below(kKeyspace));
+      }
+      if (rng.below(3) == 0) {
+        EXPECT_EQ(set.erase(k), oracle.s.erase(k) > 0) << k;
+      } else {
+        EXPECT_EQ(set.insert(k), oracle.s.insert(k).second) << k;
+      }
 
-    if (step % 100 != 99) continue;
-    ASSERT_EQ(set.size(), static_cast<std::int64_t>(oracle.s.size()));
-    // Point queries at and around the boundaries.
-    for (Key q : {Key{0}, Key{999}, Key{1000}, Key{1001}, Key{2500},
-                  Key{3999}, Key{4500}}) {
-      ASSERT_EQ(set.contains(q), oracle.s.count(q) > 0) << q;
-      ASSERT_EQ(set.rank(q), oracle.rank(q)) << q;
-    }
-    // Selects across the whole size range, plus both out-of-range sides.
-    const std::int64_t n = set.size();
-    for (std::int64_t i : {std::int64_t{0}, std::int64_t{1}, n / 4, n / 2,
-                           n, n + 1}) {
-      ASSERT_EQ(set.select(i), oracle.select(i)) << i;
-    }
-    // Ranges that straddle one, two, and three boundaries, plus empty and
-    // degenerate ones.
-    const struct {
-      Key lo, hi;
-    } ranges[] = {{900, 1100},  {500, 2500},   {0, 3999},  {1000, 2999},
-                  {2500, 2500}, {3000, 2000},  {-50, 800}, {3900, 9999}};
-    for (const auto& r : ranges) {
-      ASSERT_EQ(set.range_count(r.lo, r.hi), oracle.range_count(r.lo, r.hi))
-          << r.lo << ".." << r.hi;
+      if (step % in.check_every != in.check_every - 1) continue;
+      ASSERT_EQ(set.size(), static_cast<std::int64_t>(oracle.s.size()));
+      // Point queries at and around the boundaries.
+      for (Key q : {Key{0}, Key{999}, Key{1000}, Key{1001}, Key{2500},
+                    Key{3999}, Key{4500}}) {
+        ASSERT_EQ(set.contains(q), oracle.s.count(q) > 0) << q;
+        ASSERT_EQ(set.rank(q), oracle.rank(q)) << q;
+      }
+      // Selects across the whole size range, plus both out-of-range sides.
+      const std::int64_t n = set.size();
+      for (std::int64_t i : {std::int64_t{0}, std::int64_t{1}, n / 4, n / 2,
+                             n, n + 1}) {
+        ASSERT_EQ(set.select(i), oracle.select(i)) << i;
+      }
+      // Ranges inside one shard and straddling one, two, and three
+      // boundaries, plus empty and degenerate ones.  range_aggregate
+      // (SizeAug: the key count) goes through the partial pin and the
+      // aggregate cache.
+      const struct {
+        Key lo, hi;
+      } ranges[] = {{900, 1100},  {500, 2500},  {0, 3999},  {1000, 2999},
+                    {2500, 2500}, {3000, 2000}, {-50, 800}, {3900, 9999}};
+      for (const auto& r : ranges) {
+        const std::int64_t want = oracle.range_count(r.lo, r.hi);
+        ASSERT_EQ(set.range_count(r.lo, r.hi), want) << r.lo << ".." << r.hi;
+        ASSERT_EQ(set.range_aggregate(r.lo, r.hi), want)
+            << r.lo << ".." << r.hi;
+      }
     }
   }
 }
@@ -181,22 +197,39 @@ TEST(ShardedSet, CompositeQueriesAgreeOnOneSnapshot) {
   EXPECT_TRUE(set.contains(fresh));
 }
 
+// A sized int64 augmentation that also carries a key sum: the low 32
+// bits count keys, the high bits sum them (both stay small here, so the
+// packed addition never carries between the halves).  Forests require an
+// int64 aggregate; this is how a test composes a non-count one.
+struct PackedCountSumAug {
+  using Value = std::int64_t;
+  static Value leaf(Key k) { return k * (Value{1} << 32) + 1; }
+  static Value sentinel() { return 0; }
+  static Value combine(Value l, Value r) { return l + r; }
+  static std::int64_t size_of(Value v) { return v & 0xffffffff; }
+  static std::int64_t sum_of(Value v) { return v >> 32; }
+};
+
 TEST(ShardedSet, RangeAggregateComposesAcrossShards) {
-  ShardedSet<Bat<SizeSumAug>, 4> set(4000);
+  using Aug = PackedCountSumAug;
+  ShardedSet<Bat<Aug>, 4> set(4000);
   std::int64_t sum = 0;
   for (Key k = 10; k < 4000; k += 10) {
     set.insert(k);
     if (k >= 500 && k <= 3500) sum += k;
   }
-  const auto agg = set.range_aggregate(500, 3500);
-  EXPECT_EQ(SizeSumAug::size_of(agg), set.range_count(500, 3500));
-  EXPECT_EQ(agg.second, sum);
+  // Twice: the second read is served from the aggregate cache.
+  for (int i = 0; i < 2; ++i) {
+    const auto agg = set.range_aggregate(500, 3500);
+    EXPECT_EQ(Aug::size_of(agg), set.range_count(500, 3500));
+    EXPECT_EQ(Aug::sum_of(agg), sum);
+  }
 }
 
-// Quiescent consistency: concurrent mixed updates with concurrent
-// snapshot readers; each reader's snapshot must be internally consistent
-// at all times, and after quiescence the forest must equal a sequential
-// replay oracle cross-checked per shard.  TSan runs this in CI.
+// Concurrent mixed updates with concurrent snapshot readers; each
+// reader's snapshot must be internally consistent at all times, and after
+// quiescence the forest must equal a sequential replay oracle cross-checked
+// per shard.  TSan runs this in CI.
 TEST(ShardedSet, MultiThreadedQuiescentConsistency) {
   constexpr Key kKeyspace = 1 << 14;
   constexpr int kUpdaters = 3;
@@ -265,12 +298,7 @@ TEST(ShardedSet, MultiThreadedQuiescentConsistency) {
   EXPECT_TRUE(std::equal(keys.begin(), keys.end(), oracle.begin()));
 }
 
-// --- the cached read path (epoch-stamped aggregate cache) -----------------
-
-using QuiescentCached4 =
-    ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kQuiescent, ReadPath::kCached>;
-using LinCached4 = ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kLinearizable,
-                              ReadPath::kCached>;
+// --- the epoch-stamped aggregate cache -------------------------------------
 
 // The cache's only correctness job is refusing entries whose stamp or
 // bounds are not the caller's; everything else is best effort.
@@ -304,84 +332,11 @@ TEST(AggregateCache4, ValidatesByStampIdentity) {
   EXPECT_FALSE(cache.load_range(0, 100, 900, 9, &v));
 }
 
-// range_aggregate over one shard, across shards, and over an empty range,
-// after every few updates: the hot ranges repeat, so their pieces are
-// served from the cache (through the partial pin of only the covered
-// shards) between the updates that re-stamp them.
-template <class Set>
-void check_cached_range_aggregates(const Set& set, const Oracle& oracle) {
-  const struct {
-    Key lo, hi;
-  } ranges[] = {
-      {1100, 1900},  // inside shard 1
-      {1000, 2999},  // shards 1-2, exactly
-      {500, 3500},   // boundary pieces in shards 0 and 3, two middles
-      {0, 3999},     // the whole keyspace
-      {2500, 2500},  // one key
-  };
-  for (const auto& r : ranges) {
-    ASSERT_EQ(set.range_aggregate(r.lo, r.hi), oracle.range_count(r.lo, r.hi))
-        << r.lo << ".." << r.hi;
-  }
-  ASSERT_EQ(set.range_aggregate(2000, 1000), 0) << "empty range";
-}
-
-// Mixed updates with composite reads after every step, so the per-query
-// snapshot and the range cache run constantly against a std::set oracle.
-TEST(ShardedSetCached, OracleEquivalenceThroughCachedReads) {
-  constexpr Key kKeyspace = 4000;
-  QuiescentCached4 set(kKeyspace);
-  Oracle oracle;
-  Xoshiro256 rng(1234);
-  for (int step = 0; step < 4000; ++step) {
-    const Key k = static_cast<Key>(rng.below(kKeyspace));
-    if (rng.below(3) == 0) {
-      ASSERT_EQ(set.erase(k), oracle.s.erase(k) > 0) << k;
-    } else {
-      ASSERT_EQ(set.insert(k), oracle.s.insert(k).second) << k;
-    }
-    ASSERT_EQ(set.size(), static_cast<std::int64_t>(oracle.s.size()));
-    if (step % 5 != 4) continue;
-    const Key q = static_cast<Key>(rng.below(kKeyspace));
-    ASSERT_EQ(set.rank(q), oracle.rank(q)) << q;
-    ASSERT_EQ(set.range_count(q, q + 500), oracle.range_count(q, q + 500))
-        << q;
-    check_cached_range_aggregates(set, oracle);
-    const std::int64_t n = static_cast<std::int64_t>(oracle.s.size());
-    if (n > 0) {
-      const std::int64_t i = 1 + static_cast<std::int64_t>(
-                                     rng.below(static_cast<std::uint64_t>(n)));
-      ASSERT_EQ(set.select(i), oracle.select(i)) << i;
-    }
-    ASSERT_EQ(set.select(n + 1), std::nullopt);
-  }
-}
-
-TEST(ShardedSetCached, LinearizableVariantMatchesOracleToo) {
-  constexpr Key kKeyspace = 4000;
-  LinCached4 set(kKeyspace);
-  Oracle oracle;
-  Xoshiro256 rng(4321);
-  for (int step = 0; step < 3000; ++step) {
-    const Key k = static_cast<Key>(rng.below(kKeyspace));
-    if (rng.below(3) == 0) {
-      ASSERT_EQ(set.erase(k), oracle.s.erase(k) > 0) << k;
-    } else {
-      ASSERT_EQ(set.insert(k), oracle.s.insert(k).second) << k;
-    }
-    if (step % 5 != 4) continue;
-    ASSERT_EQ(set.size(), static_cast<std::int64_t>(oracle.s.size()));
-    const Key q = static_cast<Key>(rng.below(kKeyspace));
-    ASSERT_EQ(set.rank(q), oracle.rank(q)) << q;
-    check_cached_range_aggregates(set, oracle);
-  }
-}
-
 // Cache accounting: the first range_aggregate of a range misses, and
 // undisturbed repeats hit.
-TEST(ShardedSetCached, CacheCountersAdvance) {
+TEST(ShardedSet, CacheCountersAdvance) {
   constexpr Key kKeyspace = 4000;
-  QuiescentCached4 set(kKeyspace);
+  Sharded4 set(kKeyspace);
   for (Key k = 0; k < kKeyspace; k += 5) set.insert(k);
   const auto before = Counters::snapshot();
   for (int i = 0; i < 200; ++i) set.range_aggregate(1000, 2999);
@@ -394,8 +349,8 @@ TEST(ShardedSetCached, CacheCountersAdvance) {
 
 // --- adaptive rebalancing (epoch-cut key migration) ------------------------
 
-using Adapt4 = ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kQuiescent,
-                          ReadPath::kDirect, /*Adaptive=*/true>;
+using Adapt4 = ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kLinearizable,
+                          /*Adaptive=*/true>;
 
 // rebalance_once argument guards: non-adjacent pairs, out-of-bounds
 // indices, and shards too small to split must all refuse without
@@ -447,7 +402,7 @@ TEST(AdaptiveShardedSet, PolicyMigratesUnderSkewedUpdates) {
 }
 
 // Migrations racing real update/reader traffic (TSan-gated in CI, with
-// the quiescent-consistency suite).  Updaters own disjoint key classes so
+// the rest of this suite).  Updaters own disjoint key classes so
 // the final contents replay deterministically; a migrator thread
 // ping-pongs the 0/1 boundary through entire protocol cycles while the
 // policy (short check period) is free to add its own moves; a reader
