@@ -64,11 +64,12 @@ int main() {
               static_cast<long long>(erased->rank(2)));
 
   // Tuning goes through one front door: configure() takes a SetOptions
-  // bag and applies its engaged fields all or nothing.  Here the adaptive
-  // sharded forest aligns its shard map to the keyspace and turns on
-  // online hot-shard rebalancing; configure() applies nothing and returns
+  // bag and applies its engaged fields all or nothing.  Here a sharded
+  // forest aligns its shard map to the keyspace and keeps its online
+  // hot-shard rebalancing on (the "-Adapt" entry creates it on; every
+  // forest starts with it off); configure() applies nothing and returns
   // false if any engaged field cannot be honored (e.g. the same options
-  // on a non-adaptive structure).
+  // on a single tree, which has no shards to rebalance).
   auto forest = registry.create("Sharded16-BAT-Adapt");
   cbat::api::SetOptions opts;
   opts.key_range_hint = 1 << 20;

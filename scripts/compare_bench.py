@@ -20,8 +20,9 @@ Modes:
       --scenarios restricts the gate to the named scenarios (others stay
       in the report but cannot fail the comparison).
       --hit-rate-drop gates the cached series' aggregate-cache hit rate;
-      --adaptive-floor gates the adaptive series against their static
-      twins within the current run.
+      --adaptive-floor gates the adaptive series (a forest with its
+      hot-shard controller on) against their controller-off twins within
+      the current run.
 
 Exit codes: 0 ok, 1 regression found, 2 schema/usage error.
 """
@@ -178,10 +179,11 @@ MIN_GATEABLE_THETA = 1.2
 
 
 def report_adaptive(cur_doc, floor, scenarios):
-    """Gates the adaptive shard layer on not collapsing to the static one.
+    """Gates the hot-shard controller on not collapsing to the forest
+    with the controller off.
 
     For every scenario cell that ran both an adaptive series
-    (capabilities.adaptive) and its static twin (same name minus the
+    (capabilities.adaptive) and its controller-off twin (same name minus the
     "-Adapt" infix) at theta >= MIN_GATEABLE_THETA, compares the
     adaptive/static geomean throughput ratio against `floor` and
     requires the adaptive cells to have actually migrated
@@ -279,7 +281,7 @@ def main():
     ap.add_argument("--adaptive-floor", type=float, default=None,
                     metavar="RATIO",
                     help="fail if the current run's adaptive series "
-                         "collapse onto their static twins: requires "
+                         "collapse onto their controller-off twins: requires "
                          "adaptive/static geomean throughput >= RATIO at "
                          "theta >= 1.2 and at least one recorded "
                          "migration; the comparison is always reported "

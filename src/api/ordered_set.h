@@ -118,7 +118,8 @@ struct SetOptions {
   // advance + sweep and counts an ebr_pressure_events.  0 disables the
   // guardrail; negative is malformed (rejected).  Process-wide.
   std::optional<std::int64_t> ebr_limbo_high_water;
-  // Online hot-shard rebalancing ("-Adapt" forests only).  Per instance.
+  // Online hot-shard rebalancing (every shard forest; off unless set, or
+  // unless the registry entry switches it on).  Per instance.
   std::optional<bool> adaptive_rebalance;
   // A shard migrates when its update rate exceeds this multiple (> 1) of
   // the mean.  Per instance.
@@ -129,7 +130,7 @@ struct SetOptions {
 };
 
 // Optional extension: structures with the online hot-shard rebalancer's
-// knobs (the adaptive shard forests) take SetOptions' rebalancing fields.
+// knobs (the shard forests) take SetOptions' rebalancing fields.
 template <class S>
 concept Rebalanceable = requires(S s, bool on, double f, std::uint32_t p) {
   s.set_adaptive_enabled(on);
@@ -153,7 +154,7 @@ void apply_process_options(const SetOptions& o);
 struct StructureInfo {
   bool ranked = false;    // order statistics (RankedSet)
   Consistency consistency = Consistency::kLinearizable;  // composite queries
-  bool adaptive = false;  // online hot-shard rebalancing
+  bool adaptive = false;  // hot-shard controller on at creation
   int shards = 1;         // forest width (1 = single tree)
   // Range aggregates go through an epoch-stamped aggregate cache (every
   // shard forest) rather than reading the pinned roots directly.
@@ -360,35 +361,7 @@ class StructureRegistry {
   // the type rather than trusted from the caller.
   template <OrderedSet T>
   void register_type(const std::string& name, bool in_comparison = false) {
-    Entry e;
-    e.factory = [name] {
-      auto s = std::make_unique<SetModel<T>>();
-      s->set_name(name);
-      return std::unique_ptr<AbstractOrderedSet>(std::move(s));
-    };
-    e.ranked = RankedSet<T>;
-    e.in_comparison = in_comparison;
-    // Capabilities come from the TYPE, through the same static hooks the
-    // layers already expose — never parsed back out of the name (the old
-    // scheme; it broke the moment a name stopped encoding a property).
-    e.info.ranked = e.ranked;
-    if constexpr (ConsistencyIntrospectable<T>) {
-      e.info.consistency = T::composite_queries_linearizable()
-                               ? Consistency::kLinearizable
-                               : Consistency::kQuiescentlyConsistent;
-    }
-    if constexpr (requires {
-                    { T::adaptive_rebalancing() } -> std::convertible_to<bool>;
-                  }) {
-      e.info.adaptive = T::adaptive_rebalancing();
-    }
-    if constexpr (requires {
-                    { T::num_shards() } -> std::convertible_to<int>;
-                  }) {
-      e.info.shards = T::num_shards();
-      e.info.cached_reads = true;  // every shard forest caches
-    }
-    register_structure(name, std::move(e));
+    register_structure(name, type_entry<T>(name, in_comparison));
   }
 
   // Instantiates `name`, or returns nullptr if it is not registered.
@@ -411,6 +384,39 @@ class StructureRegistry {
 
  private:
   StructureRegistry();  // registers the builtin structures
+
+  // The entry register_type records for T: a default-constructing factory
+  // and the capabilities derived from the type.  A builtin entry that
+  // builds its instance differently (Sharded16-BAT-Adapt) starts from it,
+  // swaps the factory and states what it changed.
+  template <OrderedSet T>
+  static Entry type_entry(const std::string& name,
+                          bool in_comparison = false) {
+    Entry e;
+    e.factory = [name] {
+      auto s = std::make_unique<SetModel<T>>();
+      s->set_name(name);
+      return std::unique_ptr<AbstractOrderedSet>(std::move(s));
+    };
+    e.ranked = RankedSet<T>;
+    e.in_comparison = in_comparison;
+    // Capabilities come from the TYPE, through the same static hooks the
+    // layers already expose — never parsed back out of the name (the old
+    // scheme; it broke the moment a name stopped encoding a property).
+    e.info.ranked = e.ranked;
+    if constexpr (ConsistencyIntrospectable<T>) {
+      e.info.consistency = T::composite_queries_linearizable()
+                               ? Consistency::kLinearizable
+                               : Consistency::kQuiescentlyConsistent;
+    }
+    if constexpr (requires {
+                    { T::num_shards() } -> std::convertible_to<int>;
+                  }) {
+      e.info.shards = T::num_shards();
+      e.info.cached_reads = true;  // every shard forest caches
+    }
+    return e;
+  }
 
   std::map<std::string, Entry> entries_;
 };

@@ -705,17 +705,18 @@ void run_read_burst(ScenarioContext& ctx) {
   Counters::reset();
 }
 
-// rebalance: the adaptive shard layer (ShardMap indirection + epoch-cut
-// key migration, src/shard/) against the static forest on a pure-update
-// Zipfian mix.  Contiguous static sharding sends the Zipf head to shard 0,
-// which at theta >= 1.2 absorbs nearly all updates; the adaptive forest
-// detects the hot shard from its update-rate counters and migrates key
-// ranges to the cool neighbors until no further median split helps.  Each
+// rebalance: one forest type with its hot-shard controller on
+// ("Sharded16-BAT-Adapt") and off ("Sharded16-BAT") on a pure-update
+// Zipfian mix.  The even split sends the Zipf head to shard 0, which at
+// theta >= 1.2 absorbs nearly all updates; with the controller on, the
+// forest detects the hot shard from its update-rate counters and migrates
+// key ranges (epoch-cut key migration, src/shard/) to the cool neighbors
+// until no further median split helps.  Each
 // adaptive cell records `migrations` / `migrated_keys` / `double_routes` /
 // `shard_imbalance` (hot-shard rate over the mean, averaged over policy
 // checks) into the schema-1 JSON; scripts/compare_bench.py requires the
 // migration metrics on every adaptive run (missing = schema error) and
-// gates on the adaptive series not collapsing to the static one at
+// gates on the adaptive series not collapsing to the controller-off one at
 // theta >= 1.2.  Smoke oversubscribes: the hot-shard penalty is runnable
 // threads convoying on one shard's root refresh.
 void run_rebalance(ScenarioContext& ctx) {
@@ -1113,8 +1114,8 @@ void register_builtin_scenarios(ScenarioRegistry& reg) {
            "aggregate cache on query-heavy mixes",
            run_read_burst});
   reg.add({"rebalance",
-           "Adaptive shard layer: online hot-shard rebalancing vs the "
-           "static forest under Zipf skew",
+           "Hot-shard rebalancing: one forest with its controller on vs "
+           "off under Zipf skew",
            run_rebalance});
   reg.add({"micro_components",
            "Micro: component kernels (EBR guard, Zipf, flat set, propagate, "

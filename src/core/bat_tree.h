@@ -5,7 +5,9 @@
 // allocates), then calls Propagate to carry the update's effect on the
 // supplementary fields up to the root.  Queries read Root.version once and
 // run sequential algorithms on the resulting immutable snapshot
-// (version_queries.h).
+// (version_queries.h).  Every update carries one key: there is no bulk
+// path, and the shard layer's key migration moves keys with plain
+// insert/erase too.
 //
 // Three variants, selected by the Delegation template parameter:
 //   kNone     — plain BAT (paper Fig. 3): double refresh per node.
@@ -33,13 +35,6 @@
 namespace cbat {
 
 enum class Delegation { kNone, kDel, kEagerDel };
-
-// One request of an apply_batch bulk update; the tree fills `result`.
-struct BatchOp {
-  Key key;
-  bool is_insert;
-  bool result;
-};
 
 namespace detail {
 
@@ -123,47 +118,6 @@ class BatTree {
     const bool result = tree_.erase(k);
     propagate(k);
     return result;
-  }
-
-  // Bulk update path (the shard layer's key migration moves ranges with
-  // it): applies every request under ONE EbrGuard, then runs ONE merged
-  // Propagate over the union of the search paths, so key-adjacent updates
-  // share their descent prefix and the whole batch pays a single top-level
-  // root refresh/CAS instead of one per update.  `ops` must be sorted by
-  // key (duplicates allowed; they are applied in the given order).  Fills
-  // op.result.
-  //
-  // Linearization: each request takes effect (becomes visible to
-  // version-tree queries) no later than the batch's root refresh, which
-  // happens before apply_batch returns — so every request linearizes
-  // within the call, exactly like a solo update made during it.
-  void apply_batch(BatchOp* ops, int n) {
-    if (n <= 0) return;
-    EbrGuard g;
-    // Perturbation inside the guard: a delay here stretches the pinned
-    // epoch across the whole batch, pressuring EBR (limbo growth) and any
-    // concurrent migration quiescence wait.
-    CBAT_FAULT_POINT("bat.apply_batch");
-    for (int i = 0; i < n; ++i) {
-      ops[i].result =
-          ops[i].is_insert ? tree_.insert(ops[i].key) : tree_.erase(ops[i].key);
-    }
-    if (n == 1) {
-      propagate(ops[0].key);
-      return;
-    }
-    // Dedup: one bottom-up refresh of a key's path covers every update on
-    // that path that landed before the Propagate started (§4), so each
-    // distinct key is propagated once.
-    Scratch& s = scratch();
-    s.batch_keys.clear();
-    for (int i = 0; i < n; ++i) {
-      if (s.batch_keys.empty() || s.batch_keys.back() != ops[i].key) {
-        s.batch_keys.push_back(ops[i].key);
-      }
-    }
-    propagate_batch(s.batch_keys.data(),
-                    static_cast<int>(s.batch_keys.size()));
   }
 
   // --- queries (linearized at the read of Root.version) ------------------
@@ -329,8 +283,7 @@ class BatTree {
   // the root it answers from (read_root) — so an update's stamp is
   // assigned no later than its response or the first read that observes
   // it, and stamps are monotone along every root's prev_root chain.  Each
-  // stamp mints a fresh epoch and marks it stamped, which is what makes
-  // the next cut advance the clock (EpochClock::cut).  Null (the default)
+  // stamp mints a fresh epoch (EpochClock::finalize).  Null (the default)
   // disables stamping; standalone trees pay only a dead branch.
   void set_epoch_source(EpochClock* clock) { epoch_source_ = clock; }
 
@@ -516,10 +469,6 @@ class BatTree {
     std::vector<Node*> stack;
     FlatPtrSet refreshed;
     std::vector<V*> to_retire;
-    // Batch propagate only: per-stack-entry exclusive upper bound of the
-    // entry's subtree, and the deduped key list (owned by apply_batch).
-    std::vector<Key> stack_hi;
-    std::vector<Key> batch_keys;
   };
 
   static Scratch& scratch() {
@@ -586,83 +535,6 @@ class BatTree {
     // version tree; older snapshots are protected by their epochs.
     for (V* v : s.to_retire) pool_retire(v);
     (void)delegated;
-  }
-
-  // Merged Propagate over a batch of strictly-increasing keys: refreshes
-  // the union of the search paths in post-order (every node after all its
-  // descendants on any path), so each key's path is refreshed bottom-up —
-  // the per-key requirement of §4 — while shared prefixes, and in
-  // particular the root CAS, are paid once for the whole batch.
-  //
-  // The in-order sweep works off subtree upper bounds: pushing child c of
-  // x in direction 0 bounds c's subtree by x.key (left subtrees hold keys
-  // < x.key).  Bounds shrink monotonically along a path, so when moving
-  // from key k to the next key k' > k, exactly the stack entries whose
-  // bound is <= k' are off k''s path; they are popped and refreshed now
-  // (post-order), and the entries above them — the shared prefix — are
-  // deferred to a later key.  Like the single-key loop, the sweep
-  // re-descends after every refresh so rotation patches (nil versions)
-  // installed concurrently below an entry are picked up before the entry
-  // itself is refreshed.
-  //
-  // Uses the plain double refresh for every node (correct for all
-  // variants, §4.1); delegation stays a single-key optimization because a
-  // delegatee only covers the contended node's own root path, not the
-  // batch's remaining sibling subtrees.
-  void propagate_batch(const Key* keys, int n)
-      CBAT_REQUIRES(ebr_capability) {
-    Counters::bump(Counter::kPropagateCalls);
-    Scratch& s = scratch();
-    s.stack.clear();
-    s.stack_hi.clear();
-    s.refreshed.clear();
-    s.to_retire.clear();
-    Node* const root = tree_.root();
-    s.stack.push_back(root);
-    s.stack_hi.push_back(kInf2);
-
-    bool first_descent = true;
-    for (int i = 0; i < n; ++i) {
-      const Key k = keys[i];
-      // kInf2 exceeds every subtree bound, so the last key drains the
-      // whole stack (root included).
-      const Key next_key = (i + 1 < n) ? keys[i + 1] : kInf2;
-      while (true) {
-        // Walk down from the top of the stack along k's search path until
-        // the child has already been refreshed or is a leaf.
-        Node* x = s.stack.back();
-        Key hi = s.stack_hi.back();
-        while (true) {
-          const int d = dir_of(k, x);
-          Node* c = x->child[d].load(std::memory_order_acquire);
-          if (s.refreshed.contains(c) || c->is_leaf()) break;
-          hi = (d == 0) ? std::min(hi, x->key) : hi;
-          s.stack.push_back(c);
-          s.stack_hi.push_back(hi);
-          x = c;
-          Counters::bump(first_descent ? Counter::kSearchPathNodes
-                                       : Counter::kPropagateExtraNodes);
-        }
-        first_descent = false;
-        // Entries whose subtree can still contain next_key are shared
-        // prefix: defer them so the batch stays post-order.
-        if (s.stack_hi.back() > next_key) break;
-        Node* top = s.stack.back();
-        s.stack.pop_back();
-        s.stack_hi.pop_back();
-        Counters::bump(Counter::kPropagateNodes);
-        refresh_double(top, s);
-        s.refreshed.insert(top);
-        if (top == root) break;  // only reached while draining the last key
-      }
-    }
-    // Same epoch discipline as the single-key Propagate: finalize the
-    // covering root's stamp before the batch reports and before any
-    // superseded root is retired.
-    if (epoch_source_ != nullptr) {
-      stamp_epoch(root_version());
-    }
-    for (V* v : s.to_retire) pool_retire(v);
   }
 
   // The plain double refresh (Fig. 3 lines 43-45): if our refresh CAS

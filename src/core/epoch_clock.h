@@ -1,23 +1,17 @@
-// EpochClock — a forest's snapshot clock with skip-or-advance cuts.
+// EpochClock — a forest's snapshot clock: one counter of minted stamps.
 //
 // Root installations stamp versions from the clock after the fact (vcas-
 // style deferred timestamps); a linearizable cut reads the clock and then
 // resolves every root back to the newest version stamped at or before the
-// epoch it got.  The clock's one word holds the epoch `c` (bits 63..1) and
-// a *stamped* bit (bit 0) meaning "some stamp may carry c":
+// epoch it got.  The clock's one word is the newest minted epoch `c`:
 //
-//   * A stamp mints a fresh epoch: a CAS (retried on contention) from
-//     (c, *) to (c+1, set), handing out c+1.  No two stamps are equal —
-//     the aggregate cache keys on stamps — and no stamp c is ever
-//     published while the bit for c reads clear.
-//   * A cut that reads the bit clear returns c-1 and writes nothing: no
-//     stamp c exists yet, and any stamp published later reads c or more.
-//     A read burst with no update between its cuts therefore shares one
-//     epoch at the cost of one shared load each.
-//   * A cut that reads the bit set CASes the word to (c+1, clear) and
-//     returns c whether or not its CAS wins — a failed CAS means another
-//     cut or a mint already moved the clock past c.  This is the
-//     CAS-if-unchanged advance of Wei et al.'s takeSnapshot.
+//   * A stamp mints a fresh epoch: one fetch_add from c to c+1, handing
+//     out c+1.  No two stamps are equal — the aggregate cache keys on
+//     stamps.
+//   * A cut returns c with one load and writes nothing: every stamp
+//     minted before the load is <= c, and every stamp minted after it is
+//     > c.  A read burst with no update between its cuts therefore shares
+//     one epoch at the cost of one shared load each.
 //
 // Every word operation is seq_cst: the soundness argument (see
 // docs/ARCHITECTURE.md "How the epoch cut works") orders all stamps and
@@ -41,10 +35,8 @@ class alignas(kCacheLine) EpochClock {
   EpochClock(const EpochClock&) = delete;
   EpochClock& operator=(const EpochClock&) = delete;
 
-  // The current epoch c (introspection; starts at 1).
-  std::uint64_t now() const {
-    return word_.load(std::memory_order_seq_cst) >> 1;
-  }
+  // The newest minted epoch (introspection; starts at 1).
+  std::uint64_t now() const { return c_.load(std::memory_order_seq_cst); }
 
   // Finalizes a deferred stamp slot (a root version's epoch, a shard map's
   // flip epoch) if it is still kEpochTbd and returns the final stamp.  The
@@ -62,36 +54,23 @@ class alignas(kCacheLine) EpochClock {
     return s;
   }
 
-  // Takes a cut: returns epoch e such that every stamp published before
-  // the call is <= e and every stamp published after it is > e.
-  std::uint64_t cut() {
-    std::uint64_t w = word_.load(std::memory_order_seq_cst);
-    const std::uint64_t c = w >> 1;
-    if ((w & kStamped) == 0) return c - 1;
-    word_.compare_exchange_strong(w, (c + 1) << 1, std::memory_order_seq_cst);
-    return c;
-  }
+  // Takes a cut: returns epoch e such that every stamp minted before the
+  // call is <= e and every stamp minted after it is > e.
+  std::uint64_t cut() const { return c_.load(std::memory_order_seq_cst); }
 
  private:
-  static constexpr std::uint64_t kStamped = 1;
-
-  // Advance to (c+1, stamped) and return c+1.  Every write to the word is
-  // an RMW, so each mint's release sequence runs to the end of the word's
-  // history, and any cut that reads the word at or after this mint
-  // acquires from it — which makes the caller's root install, sequenced
-  // before the mint, visible to the cut's root loads.
+  // Advance to c+1 and return it.  Every write to the word is an RMW, so
+  // each mint's release sequence runs to the end of the word's history,
+  // and any cut that reads the word at or after this mint acquires from
+  // it — which makes the caller's root install, sequenced before the
+  // mint, visible to the cut's root loads.
   std::uint64_t mint() {
-    std::uint64_t w = word_.load(std::memory_order_seq_cst);
-    while (!word_.compare_exchange_weak(w, (w | kStamped) + 2,
-                                        std::memory_order_seq_cst)) {
-      // w reloaded: mint from the clock's new value.
-    }
-    return (w >> 1) + 1;
+    return c_.fetch_add(1, std::memory_order_seq_cst) + 1;
   }
 
   // shared: the one word every stamp and cut of a forest touches; the
   // class is cache-line aligned so it never shares a line with its owner.
-  std::atomic<std::uint64_t> word_{std::uint64_t{1} << 1};  // epoch 1, clear
+  std::atomic<std::uint64_t> c_{1};
 };
 
 }  // namespace cbat

@@ -87,12 +87,12 @@ std::uint64_t version_epoch_peek(const Version<Aug>* v)
 // Resolves a root version against cut epoch `e` (EpochClock::cut): walks
 // the root history backward to the newest root stamped at or before `e`,
 // helping to finalize unassigned stamps on the way.  Safe under an EBR
-// guard taken before the cut: a stamp above `e` is published only after
-// the clock's stamped bit was set for its epoch, which happened after the
-// cut read the clock word (the cut saw that bit clear, or advanced past
-// it) and so inside the guard; a superseded root is retired only after
-// its successor's stamp is final, so every prev_root this walk
-// dereferences was retired — if at all — inside the guard's epoch.
+// guard taken before the cut: a stamp above `e` was minted after the cut
+// read the clock (the clock only counts up, and the cut returned the
+// newest minted epoch), and so inside the guard; a superseded root is
+// retired only after its successor's stamp is final, so every prev_root
+// this walk dereferences was retired — if at all — inside the guard's
+// epoch.
 template <Augmentation Aug>
 const Version<Aug>* version_resolve_epoch(const Version<Aug>* v,
                                           std::uint64_t e, EpochClock& clock)

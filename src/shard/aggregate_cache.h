@@ -3,14 +3,15 @@
 // concurrent aggregate queries).
 //
 // A ShardedSet snapshot answers range_aggregate by combining per-shard
-// pieces: a partial descent in each boundary shard (and, on adaptive
-// forests, an owned-range descent in each middle shard).  Each piece is a
-// pure function of the shard's pinned root version and the bounds, and
-// the epoch stamps give every root an identity the cache can key on: a
-// piece computed from a root stamped `e` is valid exactly while the pinned
-// root's stamp is still `e`.  The cache therefore stores (stamp, bounds,
-// value) entries and validates by comparison — invalidation is free,
-// performed by the very counter the roots already carry.
+// pieces: a partial descent in each boundary shard (and, for a middle
+// shard a migration's window marks dirty, an owned-range descent).  Each
+// piece is a pure function of the shard's pinned root version and the
+// bounds, and the epoch stamps give every root an identity the cache can
+// key on: a piece computed from a root stamped `e` is valid exactly while
+// the pinned root's stamp is still `e`.  The cache therefore stores
+// (stamp, bounds, value) entries and validates by comparison —
+// invalidation is free, performed by the very counter the roots already
+// carry.
 //
 // Soundness requires stamps to be *unique* per root: if two roots shared a
 // stamp, the cache could serve one root's aggregate for the other.  The
@@ -92,13 +93,13 @@ class AggregateCache {
   }
 
   // Drops every entry (stamp -> kEpochTbd, which load_range always
-  // rejects).  Called by the adaptive shard layer when it installs a new
-  // shard map.  Not needed for correctness — lookups key entries by the
-  // exact (lo, hi) they aggregate, and a given (root version, range) pair
-  // always has one answer, so survivors from the old map either mismatch
-  // the new owned bounds or are still right — but after a flip most
-  // surviving ranges never recur, so the sweep reclaims the ways for the
-  // new map's working set.  Best effort per entry (an entry mid-fill
+  // rejects).  Called by the shard layer when a migration flips its
+  // shard map's bounds.  Not needed for correctness — lookups key entries
+  // by the exact (lo, hi) they aggregate, and a given (root version,
+  // range) pair always has one answer, so survivors from the old map
+  // either mismatch the new owned bounds or are still right — but after a
+  // flip most surviving ranges never recur, so the sweep reclaims the ways
+  // for the new map's working set.  Best effort per entry (an entry mid-fill
   // keeps its writer's value).
   void invalidate_all() const {
     for (int s = 0; s < NumShards; ++s) {

@@ -28,15 +28,11 @@ void set_default_keyspace(Key keyspace) {
 
 }  // namespace shard_detail
 
-// The registry-visible shard counts, compiled once for every user, plus
-// the adaptive forests ("Sharded16-BAT-Adapt" and its 4-shard test twin).
+// The registry-visible shard counts, compiled once for every user.
 template class ShardedSet<Bat<SizeAug>, 1>;
 template class ShardedSet<Bat<SizeAug>, 4>;
 template class ShardedSet<Bat<SizeAug>, 16>;
 template class ShardedSet<Bat<SizeAug>, 64>;
 template class ShardedSet<BatDel<SizeAug>, 16>;
-template class ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kLinearizable, true>;
-template class ShardedSet<Bat<SizeAug>, 16, SnapshotPolicy::kLinearizable,
-                          true>;
 
 }  // namespace cbat

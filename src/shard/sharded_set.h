@@ -23,41 +23,50 @@
 // installation stamps (BatTree::set_epoch_source, vcas-style deferred
 // timestamps as in Wei et al.'s constant-time snapshots), and every stamp
 // mints a fresh epoch.  Acquisition is two-phase: take a cut of the clock —
-// the snapshot's linearization point — then resolve each pinned shard's
-// root to the newest version stamped at or before the cut's epoch, walking
-// the root's prev_root history backward when an installation raced past
-// the cut.  A cut advances the clock only when some root was stamped since
-// the previous cut (EpochClock::cut); otherwise it is one shared load, so
-// a read burst shares one epoch.  Updates pay one minted stamp per root
-// refresh; acquisition pays the cut plus a usually-empty history walk per
-// pinned shard, and range_aggregate pins only the shards its range covers.
+// the snapshot's linearization point, one load that never writes — then
+// resolve each pinned shard's root to the newest version stamped at or
+// before the cut's epoch, walking the root's prev_root history backward
+// when an installation raced past the cut.  A read burst with no update in
+// between therefore shares one epoch.  Updates pay one minted stamp per
+// root refresh; acquisition pays the cut plus a usually-empty history walk
+// per pinned shard, and range_aggregate pins only the shards its range
+// covers.
 //
-// Shard map: shard_of(k) = clamp(k / width) with width = ceil(keyspace /
-// NumShards).  The keyspace defaults to `default_keyspace()` and can be
-// adapted to a workload with `key_range_hint(max_key)` *while the set is
-// empty* (the benchmark driver calls this before prefilling).  The map is
-// monotone, so order statistics compose across shards by construction; keys
-// outside [0, keyspace) are legal and simply land in the first or last
-// shard.
+// Shard map.  Routing goes through a ShardMap: an immutable table of owned
+// upper bounds behind one atomic pointer.  The first map splits the
+// keyspace evenly (width = ceil(keyspace / NumShards)); the keyspace
+// defaults to `default_keyspace()` and can be adapted to a workload with
+// `key_range_hint(max_key)` *while the set is empty* (the benchmark driver
+// calls this before prefilling).  Every map is monotone, so order
+// statistics compose across shards by construction; keys outside
+// [0, keyspace) are legal and land in the first or last shard.  A lookup
+// guesses the shard by the even division and steps to the owner on the
+// map: exact, with no step, until a boundary moves.
 //
-// Adaptive sharding (the Adaptive template parameter; ROADMAP: hot-shard
-// rebalancing).  The static contiguous split leaves a Zipfian hot shard
-// reserializing updates; "-Adapt" forests replace it with a ShardMap
-// indirection — an atomically-swappable boundary table — plus per-shard
-// update-rate tracking and a piggybacked RebalanceController that sheds
-// half of a hot shard's owned range to a cooler adjacent neighbor (a
-// local rule in the spirit of Bampas et al.'s self-stabilizing
-// containment-tree balancing: no global coordinator, convergence while
-// traffic continues).  A boundary move runs the epoch-cut migration
-// protocol (docs/ARCHITECTURE.md "The migration protocol"): freeze the
-// move behind a phase word, bulk-move the keys on a linearizable epoch
-// cut via apply_batch, double-route in-flight updates through a dirty-key
-// log, seal the range for one grace period to replay the log, then
-// publish the new map and retire the moved keys' source-shard copies.
-// Composite queries stay correct because every shard's contribution is
-// restricted to the owned range of the map the snapshot pinned: a key's
-// copies outside its owning shard's range are invisible on every cut, so
-// any (map, roots) combination a snapshot can assemble is consistent.
+// Hot-shard rebalancing (ROADMAP: hot-shard rebalancing).  The even split
+// leaves a Zipfian hot shard reserializing updates.  Every forest tracks
+// per-shard update rates for a piggybacked RebalanceController — off by
+// default, switched per instance (set_adaptive_enabled) — that sheds half
+// of a hot shard's owned keys to a cooler adjacent neighbor (a local rule
+// in the spirit of Bampas et al.'s self-stabilizing containment-tree
+// balancing: no global coordinator, convergence while traffic continues).
+// A boundary move runs the epoch-cut migration protocol
+// (docs/ARCHITECTURE.md "How a key migration works"): freeze the move
+// behind a phase word, copy the keys on a linearizable epoch cut with
+// per-key inserts, double-route in-flight updates through a dirty-key log,
+// seal the range for one grace period to replay the log, then publish the
+// new map and erase the moved keys' source-shard copies.
+//
+// Clean and dirty shards.  A migration's copies and leftovers are keys a
+// shard holds outside its owned range.  Each map carries a mask of the
+// shards that may hold such keys, and a migration brackets its window with
+// maps: the mask {src, dst} before the first copy, an empty mask once the
+// leftovers are erased.  A snapshot reads the mask of the map it pinned: a
+// clean shard answers from its root fields as if no boundary had ever
+// moved, and only a window's two shards pay descents restricted to their
+// owned range — a key's copies outside its owning shard's range are
+// invisible on every cut, so any (map, roots) pair a snapshot can assemble
+// is consistent.
 //
 // Range-aggregate cache (ROADMAP: read-side scaling).  The per-shard
 // pieces of a range_aggregate — the boundary descents, the only O(log n)
@@ -77,7 +86,6 @@
 #include <limits>
 #include <optional>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "core/bat_tree.h"
@@ -125,49 +133,45 @@ concept ShardableInner =
 // SnapshotPolicy::kLinearizable>` by type.
 enum class SnapshotPolicy { kLinearizable };
 
+// NumShards <= 64: a map's dirty mask is one 64-bit word.
 template <class Inner = Bat<SizeAug>, int NumShards = 16,
-          SnapshotPolicy = SnapshotPolicy::kLinearizable,
-          bool Adaptive = false>
-  requires ShardableInner<Inner> && (NumShards >= 1) &&
-           // Migration bulk-moves keys with apply_batch.
-           (!Adaptive ||
-            requires(Inner t, BatchOp* b, int n) { t.apply_batch(b, n); })
+          SnapshotPolicy = SnapshotPolicy::kLinearizable>
+  requires ShardableInner<Inner> && (NumShards >= 1) && (NumShards <= 64)
 class ShardedSet {
  public:
   using Aug = typename Inner::AugType;
   using AugValue = typename Aug::Value;
   using V = Version<Aug>;
 
-  // The atomically-swappable boundary table (Adaptive forests).  Shard s
-  // owns the inclusive key range [lo_of(s), hi_of(s)]; upper[NumShards-1]
-  // is pinned to kMaxUserKey so the table always covers the keyspace.
-  // Maps are immutable once published: a boundary move installs a fresh
-  // table whose `prev` points at the one it replaced and whose
-  // `flip_epoch` is stamped after installation (kEpochTbd until then,
-  // help-stamped by readers — the same deferred-timestamp discipline as
-  // root stamps), so linearizable snapshots can resolve the map chain to
-  // the newest table at or before their cut.  Replaced tables are
-  // EBR-retired; an accepted table's `prev` is never dereferenced, which
-  // is what bounds the walk to live memory (see resolve_map_epoch).
+  // The atomically-swappable boundary table.  Shard s owns the inclusive
+  // key range [lo_of(s), hi_of(s)]; upper[NumShards-1] is pinned to
+  // kMaxUserKey so the table always covers the keyspace.  Bit s of `dirty`
+  // is set when shard s may hold keys outside its owned range (a
+  // migration's window, see migrate).  Maps are immutable once published:
+  // a migration installs a fresh table whose `prev` points at the one it
+  // replaced and whose `flip_epoch` is stamped after installation
+  // (kEpochTbd until then, help-stamped by readers — the same
+  // deferred-timestamp discipline as root stamps), so snapshots resolve
+  // the map chain to the newest table at or before their cut.  Replaced
+  // tables are EBR-retired; an accepted table's `prev` is never
+  // dereferenced, which is what bounds the walk to live memory (see
+  // resolve_map_epoch).
   struct ShardMap {
-    std::array<Key, NumShards> upper{};  // inclusive owned upper bounds
-    std::uint64_t gen = 1;               // monotone map generation
-    const ShardMap* prev = nullptr;
-    // shared: stamped once at the flip; cold after publication.
+    // shared: stamped once at installation; cold after publication.
     mutable std::atomic<std::uint64_t> flip_epoch{kEpochTbd};
+    std::uint64_t dirty = 0;             // shards that may hold strays
+    std::uint64_t gen = 1;               // 1 + completed boundary moves
+    const ShardMap* prev = nullptr;
+    std::array<Key, NumShards> upper{};  // inclusive owned upper bounds
 
-    int shard_of(Key k) const {
-      int lo = 0, hi = NumShards - 1;
-      while (lo < hi) {
-        const int mid = (lo + hi) / 2;
-        if (k <= upper[mid]) {
-          hi = mid;
-        } else {
-          lo = mid + 1;
-        }
-      }
-      return lo;
+    // The owner of k, stepping from any shard index `s` (the caller's
+    // guess) over the monotone bounds.
+    int owner(Key k, int s) const {
+      while (s > 0 && k <= upper[s - 1]) --s;
+      while (s < NumShards - 1 && k > upper[s]) ++s;
+      return s;
     }
+    bool is_dirty(int s) const { return ((dirty >> s) & 1) != 0; }
     Key lo_of(int s) const {
       return s == 0 ? std::numeric_limits<Key>::min() : upper[s - 1] + 1;
     }
@@ -183,7 +187,7 @@ class ShardedSet {
   static constexpr int kMigHookReplayed = 3;   // dirty log applied to dst
   static constexpr int kMigHookFlipped = 4;    // new map installed+stamped
   static constexpr int kMigHookOpened = 5;     // phase kDone, range live
-  static constexpr int kMigHookCleaned = 6;    // source copies retired
+  static constexpr int kMigHookCleaned = 6;    // source copies erased
   using MigrationHook = void (*)(void* ctx, int stage);
 
   ShardedSet() : ShardedSet(shard_detail::default_keyspace()) {}
@@ -201,21 +205,17 @@ class ShardedSet {
   }
 
   ~ShardedSet() {
-    if constexpr (Adaptive) {
-      // Only the current map is owned here; every replaced map was
-      // EBR-retired at its flip and the reclaimer frees it independently
-      // (its deleter does not touch this set).
-      delete map_.load(std::memory_order_acquire);
-    }
+    // Only the current map is owned here; every replaced map was
+    // EBR-retired at its replacement and the reclaimer frees it
+    // independently (its deleter does not touch this set).
+    delete map_.load(std::memory_order_acquire);
   }
 
   static constexpr int num_shards() { return NumShards; }
-  static constexpr bool adaptive_rebalancing() { return Adaptive; }
 
   Key keyspace() const { return keyspace_; }
 
-  // Current epoch of the snapshot clock (tests; advanced by every minted
-  // stamp and by the first cut after one).
+  // Current epoch of the snapshot clock: the newest minted stamp (tests).
   std::uint64_t current_epoch() const { return epoch_.now(); }
 
   // Adapts the shard map to keys drawn from [0, max_key).  Only honored
@@ -231,38 +231,22 @@ class ShardedSet {
 
   // --- updates: exactly one shard, one EBR-guarded BAT update -------------
 
-  bool insert(Key k) {
-    if constexpr (Adaptive) {
-      return adaptive_update(k, /*is_insert=*/true);
-    } else {
-      return shard(k).insert(k);
-    }
-  }
-  bool erase(Key k) {
-    if constexpr (Adaptive) {
-      return adaptive_update(k, /*is_insert=*/false);
-    } else {
-      return shard(k).erase(k);
-    }
-  }
+  bool insert(Key k) { return update(k, /*is_insert=*/true); }
+  bool erase(Key k) { return update(k, /*is_insert=*/false); }
 
   // --- queries -------------------------------------------------------------
 
   bool contains(Key k) const {
-    if constexpr (Adaptive) {
-      // Route by the current map, under a guard so the map stays live.
-      // Correct in every migration phase: before the flip the old map
-      // routes a migrating key to its source shard, which stays
-      // authoritative until the range is sealed and replayed; after the
-      // flip the new map routes to the destination, which the replay made
-      // identical to the source at the moment updates were still blocked —
-      // at the flip instant both routes give the same answer.
-      EbrGuard g;
-      const ShardMap* m = map_.load(std::memory_order_acquire);
-      return shards_[m->shard_of(k)]->contains(k);
-    } else {
-      return shard(k).contains(k);
-    }
+    // Route by the current map, under a guard so the map stays live.
+    // Correct in every migration phase: before the flip the old map
+    // routes a migrating key to its source shard, which stays
+    // authoritative until the range is sealed and replayed; after the
+    // flip the new map routes to the destination, which the replay made
+    // identical to the source at the moment updates were still blocked —
+    // at the flip instant both routes give the same answer.
+    EbrGuard g;
+    return shards_[route(map_.load(std::memory_order_acquire), k)]->contains(
+        k);
   }
 
   // All composite queries pin one Snapshot so their per-shard reads merge a
@@ -287,18 +271,13 @@ class ShardedSet {
     return snap.range_count(lo, hi);
   }
   AugValue range_aggregate(Key lo, Key hi) const {
-    if constexpr (!Adaptive) {
-      // Pin only the shards the range covers: the answer reads no other
-      // root, so resolving them would be pure acquisition cost.  (rank,
-      // select and size read the prefix sums over every shard and keep
-      // the single all-shard pass.)
-      if (lo > hi) return Aug::sentinel();
-      const Snapshot snap(*this, shard_of(lo), shard_of(hi), nullptr, nullptr);
-      return snap.range_aggregate(lo, hi);
-    } else {
-      const Snapshot snap(*this);
-      return snap.range_aggregate(lo, hi);
-    }
+    // Pin only the shards the range covers on the pinned map, routing lo
+    // and hi once: the answer reads no other root, so resolving them
+    // would be pure acquisition cost.  (rank, select and size read the
+    // prefix sums over every shard and keep the single all-shard pass.)
+    if (lo > hi) return Aug::sentinel();
+    const Snapshot snap(*this, lo, hi);
+    return snap.aggregate(lo, hi, snap.first_, snap.last_);
   }
   std::optional<Key> select_in_range(Key lo, Key hi, std::int64_t i) const {
     const Snapshot snap(*this);
@@ -323,14 +302,13 @@ class ShardedSet {
   // snapshot — composite queries never re-enter the EBR per shard.  The
   // pinning loop is the second phase of the two-phase acquisition: phase
   // one takes a cut of the owner's epoch clock (the snapshot's
-  // linearization point; it advances the clock only if a root was
-  // stamped since the last cut), phase two resolves each shard's root
-  // against the cut's epoch, walking the root's prev_root history
-  // backward past any installation stamped after the cut.  The
-  // forest's own range_aggregate builds a partial snapshot that pins only
-  // the shards its range covers.  The shard-size prefix sums are
-  // materialized lazily, once, on the first query that needs them
-  // (rank/select/size); order-free queries such as floor or
+  // linearization point) and resolves the map against it, phase two
+  // resolves each shard's root against the cut's epoch, walking the
+  // root's prev_root history backward past any installation stamped after
+  // the cut.  The forest's own range_aggregate builds a partial snapshot
+  // that pins only the shards its range covers.  The shard-size prefix
+  // sums are materialized lazily, once, on the first query that needs
+  // them (rank/select/size); order-free queries such as floor or
   // range_aggregate skip the O(NumShards) size reads entirely.
   //
   // For Thread Safety Analysis the Snapshot IS a scoped ebr_capability
@@ -348,7 +326,14 @@ class ShardedSet {
         : Snapshot(s, nullptr, nullptr) {}
     Snapshot(const ShardedSet& s, MidAcquireHook hook, void* hook_ctx)
         CBAT_ACQUIRE(ebr_capability)
-        : Snapshot(s, 0, NumShards - 1, hook, hook_ctx) {}
+        : owner_(&s) {
+      // guard: guard_ is constructed before this body runs (it is the
+      // first member); TSA does not track member-subobject guards, so
+      // assert the capability it already pinned.
+      ebr_assert_held();
+      take_cut();
+      pin(hook, hook_ctx);
+    }
     Snapshot(const Snapshot&) = delete;
     Snapshot& operator=(const Snapshot&) = delete;
 
@@ -357,6 +342,13 @@ class ShardedSet {
     // The cut's epoch.  All composite queries on this snapshot linearize
     // at the cut that returned it.
     std::uint64_t epoch() const { return epoch_; }
+
+    // The shards this cut treats as dirty: bit s set when shard s may
+    // hold keys outside its owned range on the pinned map, so its answers
+    // are restricted to that range.  Zero outside a migration's window.
+    std::uint64_t dirty_shards() const CBAT_REQUIRES(ebr_capability) {
+      return map_->dirty;
+    }
 
     bool contains(Key k) const CBAT_REQUIRES(ebr_capability) {
       return version_contains<Aug>(root_of(k), k);
@@ -367,28 +359,23 @@ class ShardedSet {
     }
 
     // Keys <= k: the full shards below k's shard, by prefix sum, plus one
-    // rank descent inside it.  Adaptive shards subtract the keys below
-    // their owned range — the routing map guarantees k itself lies inside
-    // the owning shard's range, so only the low side needs the clamp.
+    // rank descent inside it.  A dirty shard subtracts its keys below its
+    // owned range — the routing map guarantees k itself lies inside the
+    // owning shard's range, so only the low side needs the clamp.
     std::int64_t rank(Key k) const CBAT_REQUIRES(ebr_capability) {
       const int s = snap_shard_of(k);
-      if constexpr (Adaptive) {
-        return prefix()[s] + version_rank<Aug>(roots_[s], k) -
-               version_rank_less<Aug>(roots_[s], map_->lo_of(s));
-      } else {
-        return prefix()[s] + version_rank<Aug>(roots_[s], k);
-      }
+      const std::int64_t r = prefix()[s] + version_rank<Aug>(roots_[s], k);
+      if (!map_->is_dirty(s)) return r;
+      return r - version_rank_less<Aug>(roots_[s], map_->lo_of(s));
     }
 
     // Keys < k.
     std::int64_t rank_less(Key k) const CBAT_REQUIRES(ebr_capability) {
       const int s = snap_shard_of(k);
-      if constexpr (Adaptive) {
-        return prefix()[s] + version_rank_less<Aug>(roots_[s], k) -
-               version_rank_less<Aug>(roots_[s], map_->lo_of(s));
-      } else {
-        return prefix()[s] + version_rank_less<Aug>(roots_[s], k);
-      }
+      const std::int64_t r =
+          prefix()[s] + version_rank_less<Aug>(roots_[s], k);
+      if (!map_->is_dirty(s)) return r;
+      return r - version_rank_less<Aug>(roots_[s], map_->lo_of(s));
     }
 
     // i-th smallest key overall (1-based): binary-search the prefix sums
@@ -399,12 +386,9 @@ class ShardedSet {
       if (i < 1 || i > pre[NumShards]) return std::nullopt;
       const auto it = std::lower_bound(pre.begin() + 1, pre.end(), i);
       const int s = static_cast<int>(it - pre.begin()) - 1;
-      if constexpr (Adaptive) {
-        return version_select_in_range<Aug>(roots_[s], map_->lo_of(s),
-                                            map_->hi_of(s), i - pre[s]);
-      } else {
-        return version_select<Aug>(roots_[s], i - pre[s]);
-      }
+      if (!map_->is_dirty(s)) return version_select<Aug>(roots_[s], i - pre[s]);
+      return version_select_in_range<Aug>(roots_[s], map_->lo_of(s),
+                                          map_->hi_of(s), i - pre[s]);
     }
 
     // Keys in [lo, hi]: two composite rank descents (the middle shards are
@@ -415,41 +399,11 @@ class ShardedSet {
       return rank(hi) - rank_less(lo);
     }
 
-    // Aggregate over [lo, hi]: boundary shards answer partially, every
-    // fully-covered middle shard contributes its root's supplementary
-    // field in O(1), and contiguity keeps the combine in key order.  The
-    // boundary descents are the only O(log n) part, so they are what the
-    // range cache memoizes (shard_range_agg).
+    // Aggregate over [lo, hi]; see aggregate().
     AugValue range_aggregate(Key lo, Key hi) const
         CBAT_REQUIRES(ebr_capability) {
       if (lo > hi) return Aug::sentinel();
-      const int slo = snap_shard_of(lo);
-      const int shi = snap_shard_of(hi);
-      if (slo == shi) {
-        return shard_range_agg(slo, lo, hi);
-      }
-      if constexpr (Adaptive) {
-        // Middle shards lose their O(1) root-aug shortcut: the root
-        // aggregates EVERYTHING in the tree, stale out-of-range copies
-        // included, so each middle shard answers its owned range with a
-        // restricted descent (cached like the boundary pieces — the
-        // (lo, hi) pair is part of the cache entry, so a map change
-        // re-keys the lookup by itself).
-        AugValue acc = shard_range_agg(slo, lo, map_->hi_of(slo));
-        for (int s = slo + 1; s < shi; ++s) {
-          acc = Aug::combine(
-              acc, shard_range_agg(s, map_->lo_of(s), map_->hi_of(s)));
-        }
-        return Aug::combine(acc, shard_range_agg(shi, map_->lo_of(shi), hi));
-      } else {
-        AugValue acc = shard_range_agg(slo, lo, kMaxUserKey);
-        for (int s = slo + 1; s < shi; ++s) {
-          acc = Aug::combine(acc, roots_[s]->aug);
-        }
-        return Aug::combine(
-            acc,
-            shard_range_agg(shi, std::numeric_limits<Key>::min(), hi));
-      }
+      return aggregate(lo, hi, snap_shard_of(lo), snap_shard_of(hi));
     }
 
     // i-th smallest key within [lo, hi] (1-based), all on this snapshot.
@@ -462,18 +416,14 @@ class ShardedSet {
     }
 
     // Largest key <= k: try k's shard, then walk down over empty-below
-    // shards (usually zero or one extra probe).  Adaptive shards clamp
-    // the probe to the owned range and reject answers below it — a stale
-    // out-of-range copy must neither be returned nor end the walk.
+    // shards (usually zero or one extra probe).  Each probe is clamped to
+    // the shard's owned range and rejects answers below it — a stray copy
+    // must neither be returned nor end the walk.
     std::optional<Key> floor(Key k) const CBAT_REQUIRES(ebr_capability) {
       for (int s = snap_shard_of(k); s >= 0; --s) {
-        if constexpr (Adaptive) {
-          const Key cap = std::min(k, map_->hi_of(s));
-          if (auto r = version_floor<Aug>(roots_[s], cap)) {
-            if (*r >= map_->lo_of(s)) return r;
-          }
-        } else {
-          if (auto r = version_floor<Aug>(roots_[s], k)) return r;
+        const Key cap = std::min(k, map_->hi_of(s));
+        if (auto r = version_floor<Aug>(roots_[s], cap)) {
+          if (*r >= map_->lo_of(s)) return r;
         }
       }
       return std::nullopt;
@@ -482,33 +432,25 @@ class ShardedSet {
     // Smallest key >= k.
     std::optional<Key> ceiling(Key k) const CBAT_REQUIRES(ebr_capability) {
       for (int s = snap_shard_of(k); s < NumShards; ++s) {
-        if constexpr (Adaptive) {
-          const Key flo = std::max(k, map_->lo_of(s));
-          if (auto r = version_ceiling<Aug>(roots_[s], flo)) {
-            if (*r <= map_->hi_of(s)) return r;
-          }
-        } else {
-          if (auto r = version_ceiling<Aug>(roots_[s], k)) return r;
+        const Key flo = std::max(k, map_->lo_of(s));
+        if (auto r = version_ceiling<Aug>(roots_[s], flo)) {
+          if (*r <= map_->hi_of(s)) return r;
         }
       }
       return std::nullopt;
     }
 
-    // All keys in [lo, hi] in order; shard contiguity makes simple
-    // per-shard concatenation sorted (adaptive shards clamp each
-    // collection to the shard's owned slice of [lo, hi]).
+    // All keys in [lo, hi] in order; shard contiguity makes per-shard
+    // concatenation, each clamped to the shard's owned slice of [lo, hi],
+    // sorted.
     std::vector<Key> keys(Key lo = std::numeric_limits<Key>::min(),
                           Key hi = kMaxUserKey, std::size_t limit = 0) const
         CBAT_REQUIRES(ebr_capability) {
       std::vector<Key> out;
       for (int s = 0; s < NumShards; ++s) {
-        if constexpr (Adaptive) {
-          const Key l = std::max(lo, map_->lo_of(s));
-          const Key h = std::min(hi, map_->hi_of(s));
-          if (l <= h) version_collect_range<Aug>(roots_[s], l, h, &out, limit);
-        } else {
-          version_collect_range<Aug>(roots_[s], lo, hi, &out, limit);
-        }
+        const Key l = std::max(lo, map_->lo_of(s));
+        const Key h = std::min(hi, map_->hi_of(s));
+        if (l <= h) version_collect_range<Aug>(roots_[s], l, h, &out, limit);
         if (limit > 0 && out.size() >= limit) break;
       }
       return out;
@@ -521,50 +463,78 @@ class ShardedSet {
    private:
     friend ShardedSet;
 
-    // Pins shards first..last only; the forest's own range_aggregate takes
-    // a partial snapshot, whose answer reads no other root.
-    Snapshot(const ShardedSet& s, int first, int last, MidAcquireHook hook,
-             void* hook_ctx) CBAT_ACQUIRE(ebr_capability)
+    // Pins only the shards [lo, hi] covers on the resolved map; the
+    // forest's own range_aggregate takes this partial snapshot, whose
+    // answer reads no other root.
+    Snapshot(const ShardedSet& s, Key lo, Key hi) CBAT_ACQUIRE(ebr_capability)
         : owner_(&s) {
-      // guard: guard_ is constructed before this body runs (it is the
-      // first member); TSA does not track member-subobject guards, so
-      // assert the capability it already pinned.
+      // guard: as in the public constructor.
       ebr_assert_held();
-      // Every update whose response preceded this call was stamped
-      // <= epoch_, so it resolves inside the cut, and every root stamped
-      // after the cut reads a larger epoch, so it resolves past it
-      // (EpochClock::cut; the walk's reclamation argument is at
-      // version_resolve_epoch).
-      epoch_ = s.epoch_.cut();
-      if constexpr (Adaptive) {
-        // Resolve the map the same way the roots are resolved: newest
-        // table whose flip was stamped at or before the cut.  Any
-        // (map@E, roots@E) pair is consistent — the owned-range
-        // restriction below hides a destination's pre-flip copies and a
-        // source's post-flip leftovers on every cut.
-        map_ = s.resolve_map_epoch(s.map_.load(std::memory_order_seq_cst),
-                                   epoch_);
-      }
-      for (int i = first; i <= last; ++i) {
+      take_cut();
+      first_ = snap_shard_of(lo);
+      last_ = snap_shard_of(hi);
+      pin(nullptr, nullptr);
+    }
+
+    // Phase one.  Every update whose response preceded this call was
+    // stamped <= epoch_, so it resolves inside the cut, and every root
+    // stamped after the cut reads a larger epoch, so it resolves past it
+    // (EpochClock::cut; the walk's reclamation argument is at
+    // version_resolve_epoch).  The map resolves the same way as the
+    // roots: newest table installed at or before the cut, whose dirty
+    // mask covers every shard holding strays at the cut (see migrate).
+    void take_cut() CBAT_REQUIRES(ebr_capability) {
+      epoch_ = owner_->epoch_.cut();
+      map_ = owner_->resolve_map_epoch(
+          owner_->map_.load(std::memory_order_seq_cst), epoch_);
+    }
+
+    // Phase two: resolve shards first_..last_.
+    void pin(MidAcquireHook hook, void* hook_ctx)
+        CBAT_REQUIRES(ebr_capability) {
+      for (int i = first_; i <= last_; ++i) {
         if (hook != nullptr) hook(hook_ctx, i);
         roots_[i] = version_resolve_epoch<Aug>(
-            s.shards_[i]->root_version_unsafe(), epoch_, s.epoch_);
+            owner_->shards_[i]->root_version_unsafe(), epoch_,
+            owner_->epoch_);
       }
     }
 
-    // Shard routing on THIS snapshot's view: the pinned map under
-    // Adaptive (the live map may flip while the snapshot is open), the
-    // static division otherwise.
+    // Shard routing on THIS snapshot's map (the live map may change while
+    // the snapshot is open).
     int snap_shard_of(Key k) const CBAT_REQUIRES(ebr_capability) {
-      if constexpr (Adaptive) {
-        return map_->shard_of(k);
-      } else {
-        return owner_->shard_of(k);
-      }
+      return owner_->route(map_, k);
     }
 
     const V* root_of(Key k) const CBAT_REQUIRES(ebr_capability) {
       return roots_[snap_shard_of(k)];
+    }
+
+    // Aggregate over [lo, hi], with lo in shard slo and hi in shard shi:
+    // boundary shards answer partially, every fully-covered middle shard
+    // contributes in key order — a clean one its root's supplementary
+    // field in O(1), a dirty one a descent over its owned range.  The
+    // descents are the only O(log n) part, so they are what the range
+    // cache memoizes (shard_range_agg).  A clean boundary piece leaves its
+    // outer bound open: it has no strays to exclude, and an open low
+    // bound descends one path fewer.
+    AugValue aggregate(Key lo, Key hi, int slo, int shi) const
+        CBAT_REQUIRES(ebr_capability) {
+      if (slo == shi) return shard_range_agg(slo, lo, hi);
+      AugValue acc = shard_range_agg(
+          slo, lo, map_->is_dirty(slo) ? map_->hi_of(slo) : kMaxUserKey);
+      for (int s = slo + 1; s < shi; ++s) {
+        acc = Aug::combine(
+            acc, map_->is_dirty(s)
+                     ? shard_range_agg(s, map_->lo_of(s), map_->hi_of(s))
+                     : roots_[s]->aug);
+      }
+      return Aug::combine(
+          acc, shard_range_agg(shi,
+                               map_->is_dirty(shi)
+                                   ? map_->lo_of(shi)
+                                   : std::numeric_limits<Key>::min(),
+                               hi));
     }
 
     // Lazy prefix-sum materialization, once per snapshot, guarded by a
@@ -574,26 +544,22 @@ class ShardedSet {
     const std::array<std::int64_t, NumShards + 1>& prefix() const
         CBAT_REQUIRES(ebr_capability) {
       if (prefix_ready_) return prefix_;
-      // Straight fill from the pinned roots, one aug load per shard —
-      // deliberately NOT memoized by stamp.  A root's epoch stamp lives on
-      // the same version-node cache line as its aug field, so validating
-      // a memoized size by stamp touches the same NumShards lines as
-      // refilling it and then pays the compare on top.
-      // Adaptive shards count only their owned range: a migration's
-      // bulk-copied destination keys (pre-flip) and not-yet-cleaned
-      // source keys (post-flip) both live outside their shard's owned
-      // range under the pinned map, so version_size would double-count
-      // exactly them.  The restricted count is a rank descent per end
-      // instead of one aug load — the adaptivity tax on rank/select.
+      // Straight fill from the pinned roots, one aug load per clean shard
+      // — deliberately NOT memoized by stamp.  A root's epoch stamp lives
+      // on the same version-node cache line as its aug field, so
+      // validating a memoized size by stamp touches the same NumShards
+      // lines as refilling it and then pays the compare on top.  A dirty
+      // shard counts only its owned range: a migration's copies (pre-flip)
+      // and leftovers (post-flip) live outside it, and version_size would
+      // double-count exactly them.
       prefix_[0] = 0;
       for (int i = 0; i < NumShards; ++i) {
-        if constexpr (Adaptive) {
-          prefix_[i + 1] =
-              prefix_[i] + version_range_count<Aug>(roots_[i], map_->lo_of(i),
-                                                    map_->hi_of(i));
-        } else {
-          prefix_[i + 1] = prefix_[i] + version_size<Aug>(roots_[i]);
-        }
+        prefix_[i + 1] =
+            prefix_[i] +
+            (map_->is_dirty(i)
+                 ? version_range_count<Aug>(roots_[i], map_->lo_of(i),
+                                            map_->hi_of(i))
+                 : version_size<Aug>(roots_[i]));
       }
       prefix_ready_ = true;
       return prefix_;
@@ -620,20 +586,23 @@ class ShardedSet {
     EbrGuard guard_;
     const ShardedSet* owner_;
     std::uint64_t epoch_ = 0;
-    // The boundary table this snapshot routes and restricts by (Adaptive
-    // only; null otherwise).  Pinned by guard_ like the roots.
+    // The boundary table this snapshot routes and restricts by.  Pinned
+    // by guard_ like the roots.
     const ShardMap* map_ = nullptr;
+    // The pinned shards: all of them, or a partial range_aggregate's.
+    int first_ = 0;
+    int last_ = NumShards - 1;
     std::array<const V*, NumShards> roots_;
     mutable bool prefix_ready_ = false;
     mutable std::array<std::int64_t, NumShards + 1> prefix_;
   };
 
-  // Shard index owning key k; monotone non-decreasing in k, which is what
-  // lets rank/select compose by prefix sums.
+  // Shard index owning key k on the current map; monotone non-decreasing
+  // in k, which is what lets rank/select compose by prefix sums.  A
+  // migration may move k's owner right after the call returns.
   int shard_of(Key k) const {
-    if (k <= 0) return 0;
-    const Key s = k / width_;
-    return s >= NumShards ? NumShards - 1 : static_cast<int>(s);
+    EbrGuard g;
+    return route(map_.load(std::memory_order_acquire), k);
   }
 
   Inner& shard_at(int i) { return *shards_[i]; }
@@ -648,28 +617,22 @@ class ShardedSet {
     shards_[0]->warm_up(expected_updates);
   }
 
-  // --- adaptive rebalancing API (Adaptive forests only) --------------------
+  // --- hot-shard rebalancing API --------------------------------------------
 
-  // Master switch for the piggybacked controller; the protocol machinery
-  // stays armed (rebalance_once still works), only the policy goes quiet.
-  void set_adaptive_enabled(bool on)
-    requires(Adaptive)
-  {
+  // Switches this forest's piggybacked controller (off by default); the
+  // protocol machinery stays armed either way (rebalance_once works).
+  void set_adaptive_enabled(bool on) {
     // relaxed: policy switch; no data is published with it.
     mig_.enabled.store(on, std::memory_order_relaxed);
   }
   // A shard migrates when its update rate exceeds `f` times the mean
   // (f > 1; default 2.0).
-  void set_rebalance_hot_factor(double f)
-    requires(Adaptive)
-  {
+  void set_rebalance_hot_factor(double f) {
     // relaxed: knob; any racing policy check may use either value.
     if (f > 1.0) mig_.hot_factor.store(f, std::memory_order_relaxed);
   }
   // Updates between two policy checks on one thread (default 2048).
-  void set_rebalance_check_period(std::uint32_t p)
-    requires(Adaptive)
-  {
+  void set_rebalance_check_period(std::uint32_t p) {
     // relaxed: knob; any racing policy check may use either value.
     if (p > 0) mig_.check_period.store(p, std::memory_order_relaxed);
   }
@@ -678,9 +641,7 @@ class ShardedSet {
   // protocol boundary of a migration (the kMigHook* stages) so
   // deterministic interleaving tests can run queries and updates against
   // each phase.  Always invoked outside any EBR guard.
-  void set_migration_hook(MigrationHook h, void* ctx)
-    requires(Adaptive)
-  {
+  void set_migration_hook(MigrationHook h, void* ctx) {
     // relaxed: ctx is published by the hook release store below.
     mig_.hook_ctx.store(ctx, std::memory_order_relaxed);
     mig_.hook.store(h, std::memory_order_release);
@@ -692,9 +653,7 @@ class ShardedSet {
   // rolls back; one-shot.  Out-of-range values (e.g. -1) clear the seam.
   // The CBAT_FAULT_FORCE mig.* sites drive the same path when fault
   // injection is compiled in.
-  void set_migration_abort_point(int b)
-    requires(Adaptive)
-  {
+  void set_migration_abort_point(int b) {
     mig_.abort_at.store(b, std::memory_order_seq_cst);
   }
 
@@ -702,9 +661,7 @@ class ShardedSet {
   // (tests and benchmarks; the policy path takes the same route).  False
   // when another migration is in flight, the pair is not adjacent, or src
   // owns too few keys to split.
-  bool rebalance_once(int src, int dst)
-    requires(Adaptive)
-  {
+  bool rebalance_once(int src, int dst) {
     if (src < 0 || src >= NumShards || dst < 0 || dst >= NumShards ||
         (dst != src - 1 && dst != src + 1)) {
       return false;
@@ -717,18 +674,22 @@ class ShardedSet {
 
   // Current map generation (1 + completed boundary moves); tests use it
   // to await convergence without poking at counters.
-  std::uint64_t map_generation() const
-    requires(Adaptive)
-  {
+  std::uint64_t map_generation() const {
     EbrGuard g;
     return map_.load(std::memory_order_acquire)->gen;
   }
 
  private:
-  Inner& shard(Key k) { return *shards_[shard_of(k)]; }
-  const Inner& shard(Key k) const { return *shards_[shard_of(k)]; }
+  // Even-division guess on the first map's width: exact until a boundary
+  // moves, and never more than the moved boundaries away after.
+  int guess(Key k) const {
+    if (k <= 0) return 0;
+    const Key s = k / width_;
+    return s >= NumShards ? NumShards - 1 : static_cast<int>(s);
+  }
+  int route(const ShardMap* m, Key k) const { return m->owner(k, guess(k)); }
 
-  // --- the epoch-cut migration protocol (Adaptive only) --------------------
+  // --- the epoch-cut migration protocol ------------------------------------
   //
   // One migration descriptor per forest (moves are serialized by the
   // migration gate).  The phase word is the updater-facing contract:
@@ -797,12 +758,12 @@ class ShardedSet {
     // The op counter makes every announcement distinct, so the migrator's
     // quiesce wait is a simple "changed or idle" check with no ABA.
     std::array<Padded<std::atomic<std::uint64_t>>, kMaxThreads> inflight{};
-    // Single-migrator gate; also what serializes map flips.
+    // Single-migrator gate; also what serializes map installs.
     MigrationGate gate;
     // Per-shard update-rate estimators (sampled 1-in-8 by note_update).
     std::array<Padded<std::atomic<std::uint64_t>>, NumShards> rate{};
     // shared: policy knobs (see the public setters); read-mostly.
-    std::atomic<bool> enabled{true};
+    std::atomic<bool> enabled{false};
     std::atomic<std::uint32_t> check_period{2048};
     std::atomic<double> hot_factor{2.0};
     // shared: test seam (set_migration_hook); idle in production.
@@ -815,22 +776,12 @@ class ShardedSet {
     // default build.
     std::atomic<int> abort_at{-1};
   };
-  // Zero-cost stand-in keeping the TSA attribute argument mig_.gate
-  // well-formed in instantiations that compile the real member out:
-  // member declarations — attributes included — are instantiated even for
-  // requires-constrained functions that can never be called there.
-  class CBAT_CAPABILITY("unused") UnusedCapability {};
-  struct NoMigration {
-    [[no_unique_address]] UnusedCapability gate;
-  };
 
   // Announce / retire one in-flight update in this thread's slot.  The
   // announce is seq_cst and MUST precede the phase read (that ordering is
   // the whole barrier: an updater that read the old phase is visibly
   // active to a migrator that scans after its phase store).
-  std::atomic<std::uint64_t>& announce_inflight()
-    requires(Adaptive)
-  {
+  std::atomic<std::uint64_t>& announce_inflight() {
     thread_local std::uint64_t op_seq = 0;
     auto& slot = mig_.inflight[ThreadRegistry::thread_id()].value;
     slot.store((++op_seq << 1) | 1, std::memory_order_seq_cst);
@@ -849,9 +800,7 @@ class ShardedSet {
   // this from note_update, after its update retired).  A slot that
   // changes at all has moved on: either to idle, or to a NEW operation —
   // which read the phase after our caller's phase store.
-  void mig_quiesce()
-    requires(Adaptive)
-  {
+  void mig_quiesce() {
     const int n = ThreadRegistry::instance().max_id();
     for (int t = 0; t < n && t < kMaxThreads; ++t) {
       auto& s = mig_.inflight[t].value;
@@ -868,9 +817,7 @@ class ShardedSet {
   // quiesce orders against us; a sealed-range updater parks with its slot
   // retired (spinning announced would deadlock the migrator's own
   // quiesce).
-  bool adaptive_update(Key k, bool is_insert)
-    requires(Adaptive)
-  {
+  bool update(Key k, bool is_insert) {
     bool r;
     int routed;
     for (;;) {
@@ -913,11 +860,9 @@ class ShardedSet {
   // update, whose own guard then only nests (one epoch announcement per
   // update instead of two).  The in-flight slot, not the guard, orders
   // the update against the migrator.
-  bool route_update(Key k, bool is_insert, int* routed)
-    requires(Adaptive)
-  {
+  bool route_update(Key k, bool is_insert, int* routed) {
     EbrGuard g;
-    const int s = map_.load(std::memory_order_acquire)->shard_of(k);
+    const int s = route(map_.load(std::memory_order_acquire), k);
     *routed = s;
     Inner& t = *shards_[s];
     return is_insert ? t.insert(k) : t.erase(k);
@@ -926,9 +871,7 @@ class ShardedSet {
   // Caller's in-flight slot is announced: the sealing quiesce is what
   // makes the log entry visible to the replay (the release stores below
   // happen before the slot retires, which the migrator waits for).
-  void mig_log(Key k)
-    requires(Adaptive)
-  {
+  void mig_log(Key k) {
     const std::uint32_t i =
         mig_.log_n.fetch_add(1, std::memory_order_acq_rel);
     if (i < Migration::kLogCap) {
@@ -940,11 +883,12 @@ class ShardedSet {
   }
 
   // Rate tracking + piggybacked policy check; called after every update,
-  // outside any guard.  Sampling 1-in-8 keeps the hot shard's rate
-  // counter off the update fast path's critical line budget.
-  void note_update(int shard)
-    requires(Adaptive)
-  {
+  // outside any guard, and a no-op while the controller is off.  Sampling
+  // 1-in-8 keeps the hot shard's rate counter off the update fast path's
+  // critical line budget.
+  void note_update(int shard) {
+    // relaxed: policy switch; a stale read defers or adds one sample.
+    if (!mig_.enabled.load(std::memory_order_relaxed)) return;
     thread_local std::uint32_t ops = 0;
     thread_local std::uint32_t until_check = 1;
     if ((++ops & 7u) == 0) {
@@ -965,11 +909,7 @@ class ShardedSet {
   // hot rate or less, shed half of the hot shard's keys to that neighbor.
   // Piggybacked on updater threads — no coordinator thread; the election
   // gate makes losers skip, not wait.
-  void maybe_rebalance()
-    requires(Adaptive)
-  {
-    // relaxed: policy switch; a stale read just defers one check period.
-    if (!mig_.enabled.load(std::memory_order_relaxed)) return;
+  void maybe_rebalance() {
     if (!mig_.gate.try_acquire()) return;
     std::array<std::uint64_t, NumShards> r;
     std::uint64_t total = 0;
@@ -1022,62 +962,79 @@ class ShardedSet {
   // Resolve shard s's root to the newest version stamped at or before
   // epoch e.  Caller holds a guard.
   const V* resolve_root(int s, std::uint64_t e) const
-      CBAT_REQUIRES(ebr_capability)
-    requires(Adaptive)
-  {
+      CBAT_REQUIRES(ebr_capability) {
     return version_resolve_epoch<Aug>(shards_[s]->root_version_unsafe(), e,
                                       epoch_);
   }
 
-  // Walk the map chain to the newest table whose flip was stamped at or
-  // before epoch e.  The same deferred-timestamp argument as the root
-  // history walk (version_resolve_epoch) makes the prev dereference safe
-  // under the caller's guard: the migrator finalizes flip_epoch BEFORE
-  // retiring the replaced table, so a stamp observed > e was published
+  // Walk the map chain to the newest table whose installation was stamped
+  // at or before epoch e.  The same deferred-timestamp argument as the
+  // root history walk (version_resolve_epoch) makes the prev dereference
+  // safe under the caller's guard: the migrator finalizes flip_epoch
+  // BEFORE retiring the replaced table, so a stamp observed > e was minted
   // after this snapshot's cut read the clock — which means the retire of
   // the table we are stepping to happened after our guard was announced,
   // and EBR keeps it live for us.  A table we accept is never walked past.
   const ShardMap* resolve_map_epoch(const ShardMap* m, std::uint64_t e) const
-      CBAT_REQUIRES(ebr_capability)
-    requires(Adaptive)
-  {
+      CBAT_REQUIRES(ebr_capability) {
     while (epoch_.finalize(m->flip_epoch) > e && m->prev != nullptr) {
       m = m->prev;
     }
     return m;
   }
 
-  void run_hook(int stage)
-    requires(Adaptive)
-  {
+  // Replaces the current map `m` with a table of bounds `upper`,
+  // generation `gen` and dirty mask `dirty`: store it, finalize its
+  // stamp, THEN retire `m` — the order resolve_map_epoch's safety
+  // argument rests on.  Only the gate holder installs maps, so `m` cannot
+  // be retired under the caller.  Returns the new map.
+  const ShardMap* install_map(const ShardMap* m,
+                              const std::array<Key, NumShards>& upper,
+                              std::uint64_t gen, std::uint64_t dirty)
+      CBAT_REQUIRES(mig_.gate) {
+    auto* nm = new ShardMap;
+    nm->dirty = dirty;
+    nm->gen = gen;
+    nm->prev = m;
+    nm->upper = upper;
+    map_.store(nm, std::memory_order_seq_cst);
+    epoch_.finalize(nm->flip_epoch);
+    ebr_retire(const_cast<ShardMap*>(m));
+    return nm;
+  }
+
+  // Closes a migration's window, if one is open: the current bounds with
+  // an empty dirty mask.  Called only after every stray key's erase has
+  // returned, so each erase's stamp precedes this map's and every cut
+  // that pins the clean map also sees the erases.
+  void close_window() CBAT_REQUIRES(mig_.gate) {
+    const ShardMap* m = map_.load(std::memory_order_acquire);
+    if (m->dirty != 0) install_map(m, m->upper, m->gen, 0);
+  }
+
+  void run_hook(int stage) {
     const MigrationHook h = mig_.hook.load(std::memory_order_acquire);
     if (h != nullptr) h(mig_.hook_ctx.load(std::memory_order_acquire), stage);
   }
 
-  // Chunked bulk apply of one-sided ops (keys sorted) to shard s: one
-  // guard and one merged Propagate per chunk (BatTree::apply_batch),
-  // running concurrently with ordinary updates to the same shard.
-  void apply_bulk(int s, const std::vector<Key>& keys, bool is_insert)
-    requires(Adaptive)
-  {
-    static constexpr std::size_t kChunk = 512;
-    std::array<BatchOp, kChunk> ops;
-    std::size_t i = 0;
-    while (i < keys.size()) {
-      const std::size_t n = std::min(kChunk, keys.size() - i);
-      for (std::size_t j = 0; j < n; ++j) {
-        ops[j] = BatchOp{keys[i + j], is_insert, false};
+  // Applies one-sided per-key updates to shard s, concurrently with
+  // ordinary updates to the same shard.  Each is a plain BAT update, so
+  // each has returned — its covering root stamped — before the next
+  // starts.
+  void apply_bulk(int s, const std::vector<Key>& keys, bool is_insert) {
+    Inner& t = *shards_[s];
+    for (const Key k : keys) {
+      if (is_insert) {
+        t.insert(k);
+      } else {
+        t.erase(k);
       }
-      shards_[s]->apply_batch(ops.data(), static_cast<int>(n));
-      i += n;
     }
   }
 
   // Consumes a one-shot abort request armed for boundary `b` (see
   // set_migration_abort_point).
-  bool mig_take_abort(int b)
-    requires(Adaptive)
-  {
+  bool mig_take_abort(int b) {
     int want = b;
     // relaxed: failure order — a non-matching value is left in place and
     // nothing is published either way; the success edge only hands the
@@ -1091,21 +1048,21 @@ class ShardedSet {
   //
   //   (a) phase -> kIdle (seq_cst) disarms double-routing (kCopy loggers)
   //       and releases parked kSeal updaters; both re-route by the OLD
-  //       map, which was never replaced, so src keeps serving the range.
+  //       bounds, which were never replaced, so src keeps serving the
+  //       range.
   //   (b) one quiesce lets every update that saw kCopy/kSeal finish — all
   //       of them applied to src (pre-flip updates never write dst), so
   //       after it dst's keys in [cut_lo, cut_hi] are exactly the
   //       migrator's own copies.
   //   (c) discard the copy: erase that range from dst.  The erases are
-  //       invisible to queries (every live map excludes the range from
-  //       dst's owned slice) — ASan and the leak checks in
-  //       sharded_set_test verify nothing is stranded.
+  //       invisible to queries (the window map keeps dst dirty, and every
+  //       map excludes the range from dst's owned slice) — ASan and the
+  //       leak checks in sharded_set_test verify nothing is stranded.
+  //   (d) close the window, once the erases have returned.
   //
   // Always returns false so migrate() can `return abort_migration(...)`.
   bool abort_migration(int dst, Key cut_lo, Key cut_hi)
-      CBAT_REQUIRES(mig_.gate)
-    requires(Adaptive)
-  {
+      CBAT_REQUIRES(mig_.gate) {
     mig_.phase.store(Migration::kIdle, std::memory_order_seq_cst);
     mig_quiesce();
     std::vector<Key> copied;
@@ -1115,6 +1072,7 @@ class ShardedSet {
                                  cut_hi, &copied, 0);
     }
     apply_bulk(dst, copied, /*is_insert=*/false);
+    close_window();
     Counters::bump(Counter::kShardMigrationAborts);
     return false;
   }
@@ -1122,9 +1080,7 @@ class ShardedSet {
   // One boundary move, start to finish.  Caller holds the migration gate
   // (statically enforced) and no EBR guard.  Numbered comments match
   // docs/ARCHITECTURE.md.
-  bool migrate(int src, int dst) CBAT_REQUIRES(mig_.gate)
-    requires(Adaptive)
-  {
+  bool migrate(int src, int dst) CBAT_REQUIRES(mig_.gate) {
     // Only the migrator swaps the map and we ARE the migrator (we hold
     // the gate), so the current map cannot be retired under us.
     const ShardMap* m = map_.load(std::memory_order_acquire);
@@ -1175,9 +1131,15 @@ class ShardedSet {
       return abort_migration(dst, cut_lo, cut_hi);
     }
 
-    // (2) Bulk copy on a linearizable cut: collect src's range at E0 and
-    // insert it into dst.  dst's copies stay invisible until the flip
-    // (the pre-flip maps exclude the range from dst's owned slice).
+    // (2) Open the window, then bulk-copy on a linearizable cut: collect
+    // src's range at E0 and insert it into dst key by key.  The window
+    // map (old bounds, src and dst dirty) is stamped before the first
+    // copy, so every root holding a copy is stamped after it: a cut that
+    // pins an older map sees no copy.  dst's copies stay invisible until
+    // the flip (the old bounds exclude the range from dst's owned slice).
+    const std::uint64_t window = (std::uint64_t{1} << src) |
+                                 (std::uint64_t{1} << dst);
+    m = install_map(m, m->upper, m->gen, window);
     std::vector<Key> moved;
     {
       EbrGuard g;
@@ -1222,22 +1184,15 @@ class ShardedSet {
       return abort_migration(dst, cut_lo, cut_hi);
     }
 
-    // (5) Flip: publish the new boundary table, then finalize its epoch
-    // stamp BEFORE retiring the old table — the order resolve_map_epoch's
-    // safety argument rests on.
+    // (5) Flip: publish the new bounds, still with the window's mask.
     {
-      ShardMap* nm = new ShardMap;
-      nm->upper = m->upper;
-      nm->upper[dst == src + 1 ? src : dst] = new_upper;
-      nm->gen = m->gen + 1;
-      nm->prev = m;
-      map_.store(nm, std::memory_order_seq_cst);
-      epoch_.finalize(nm->flip_epoch);
+      std::array<Key, NumShards> upper = m->upper;
+      upper[dst == src + 1 ? src : dst] = new_upper;
+      install_map(m, upper, m->gen + 1, window);
       // Range-cache entries are keyed by (range, root stamp), and one root
       // answers one range one way, so survivors cannot validate wrongly —
       // the sweep just reclaims ways early.
       cache_.invalidate_all();
-      ebr_retire(const_cast<ShardMap*>(m));
     }
     run_hook(kMigHookFlipped);
     // Post-commit perturbation only (no CBAT_FAULT_FORCE): past the flip,
@@ -1252,10 +1207,11 @@ class ShardedSet {
     run_hook(kMigHookOpened);
     CBAT_FAULT_POINT("mig.opened");
 
-    // (7) Retire the moved keys' source copies.  No updater can apply a
-    // range key to src after the flip (kSeal blocked it, kDone routes it
-    // to dst), so one collection is complete; the erases are invisible
-    // to every cut because post-flip maps exclude the range from src.
+    // (7) Erase the moved keys' source copies, then close the window.  No
+    // updater can apply a range key to src after the flip (kSeal blocked
+    // it, kDone routes it to dst), so one collection is complete; the
+    // erases are invisible to every cut because the window keeps src
+    // dirty and post-flip maps exclude the range from src.
     std::vector<Key> stale;
     {
       EbrGuard g;
@@ -1263,6 +1219,7 @@ class ShardedSet {
                                  cut_hi, &stale, 0);
     }
     apply_bulk(src, stale, /*is_insert=*/false);
+    close_window();
     mig_.phase.store(Migration::kIdle, std::memory_order_seq_cst);
     run_hook(kMigHookCleaned);
     CBAT_FAULT_POINT("mig.cleaned");
@@ -1276,9 +1233,7 @@ class ShardedSet {
   // truth), re-examine every logged key against src and mirror its state
   // into dst.  On log overflow, diff the whole range instead.
   void replay_log(int src, int dst, Key lo, Key hi)
-      CBAT_REQUIRES(mig_.gate)
-    requires(Adaptive)
-  {
+      CBAT_REQUIRES(mig_.gate) {
     std::vector<Key> ins, del;
     {
       EbrGuard g;
@@ -1312,30 +1267,28 @@ class ShardedSet {
     apply_bulk(dst, del, /*is_insert=*/false);
   }
 
+  // Fresh generation-1 map splitting the keyspace evenly; the plain
+  // delete is covered by this function's single-threaded contract
+  // (constructor, or key_range_hint on an empty idle set).  The stamp is
+  // 1 (not kEpochTbd), the clock's first epoch, so later installations
+  // stamp monotonically above it; every cut accepts the initial table
+  // because it has no predecessor to resolve to.
   void repartition(Key keyspace) {
     keyspace_ = std::max<Key>(keyspace, NumShards);
     // Overflow-free ceiling: keyspace_ may be as large as kInf2, where
     // `(keyspace_ + NumShards - 1)` would wrap.
     width_ = keyspace_ / NumShards + (keyspace_ % NumShards != 0 ? 1 : 0);
-    if constexpr (Adaptive) {
-      // Fresh generation-1 map matching the static division; the plain
-      // delete is covered by this function's single-threaded contract
-      // (constructor, or key_range_hint on an empty idle set).  The stamp
-      // is 1 (not kEpochTbd), the clock's first epoch, so later flips
-      // stamp monotonically above it; every cut accepts the initial table
-      // because it has no predecessor to resolve to.
-      ShardMap* nm = new ShardMap;
-      for (int i = 0; i + 1 < NumShards; ++i) {
-        nm->upper[i] = width_ * (i + 1) - 1;
-      }
-      nm->upper[NumShards - 1] = kMaxUserKey;
-      // relaxed: single-threaded contract (see above); the release store
-      // below publishes the table to the first concurrent reader.
-      nm->flip_epoch.store(1, std::memory_order_relaxed);
-      const ShardMap* old = map_.load(std::memory_order_relaxed);
-      map_.store(nm, std::memory_order_release);
-      delete old;
+    ShardMap* nm = new ShardMap;
+    for (int i = 0; i + 1 < NumShards; ++i) {
+      nm->upper[i] = width_ * (i + 1) - 1;
     }
+    nm->upper[NumShards - 1] = kMaxUserKey;
+    // relaxed: single-threaded contract (see above); the release store
+    // below publishes the table to the first concurrent reader.
+    nm->flip_epoch.store(1, std::memory_order_relaxed);
+    const ShardMap* old = map_.load(std::memory_order_relaxed);
+    map_.store(nm, std::memory_order_release);
+    delete old;
   }
 
   Key keyspace_ = 0;
@@ -1343,39 +1296,33 @@ class ShardedSet {
   // Snapshot clock; its epochs start at 1 so every assigned stamp is
   // distinguishable from kEpochTbd (0), and every stamp is unique (the
   // aggregate cache keys on stamps).  Cache-line aligned by its type:
-  // every root stamp and every cut touches it.  Mutable: cuts advance it
-  // from const composite queries; it is bookkeeping for the cut, not
-  // observable set state.
+  // every root stamp and every cut touches it.  Mutable: map resolution
+  // help-stamps through it from const composite queries; it is
+  // bookkeeping for the cut, not observable set state.
   mutable EpochClock epoch_;
   // The epoch-stamped range-aggregate cache.  Mutable for the same reason
   // as epoch_: it is memoization filled by const composite queries.
   mutable AggregateCache<NumShards> cache_;
-  // shared: the current boundary table (Adaptive; null otherwise).
-  // Swapped only by the migrator holding mig_.gate; loaded under an EBR
-  // guard by everyone else (replaced tables are EBR-retired).  Mutable
-  // for the same reason as epoch_: const composite queries help-stamp
-  // flip_epoch through it.  Read-mostly; a flip rewrites the line anyway.
+  // shared: the current boundary table.  Swapped only by the migrator
+  // holding mig_.gate; loaded under an EBR guard by everyone else
+  // (replaced tables are EBR-retired).  Mutable for the same reason as
+  // epoch_: const composite queries help-stamp flip_epoch through it.
+  // Read-mostly; an installation rewrites the line anyway.
   mutable std::atomic<const ShardMap*> map_{nullptr};
-  // Migration descriptor + controller state (Adaptive only; ~64 KiB,
-  // dominated by the dirty-key log).
-  [[no_unique_address]] std::conditional_t<Adaptive, Migration, NoMigration>
-      mig_;
+  // Migration descriptor + controller state (~82 KiB, dominated by the
+  // dirty-key log and the in-flight slots).
+  Migration mig_;
   // Padded: shards are updated by different threads; their tree roots must
   // not share cache lines.
   std::array<Padded<Inner>, NumShards> shards_;
 };
 
-// The shard counts the registry exposes ("Sharded4-BAT", ...) and the
-// adaptive forests ("Sharded16-BAT-Adapt" and its 4-shard test twin);
-// definitions live in sharded_set.cpp so the template is compiled once.
+// The shard counts the registry exposes ("Sharded4-BAT", ...); definitions
+// live in sharded_set.cpp so the template is compiled once.
 extern template class ShardedSet<Bat<SizeAug>, 1>;
 extern template class ShardedSet<Bat<SizeAug>, 4>;
 extern template class ShardedSet<Bat<SizeAug>, 16>;
 extern template class ShardedSet<Bat<SizeAug>, 64>;
 extern template class ShardedSet<BatDel<SizeAug>, 16>;
-extern template class ShardedSet<Bat<SizeAug>, 4,
-                                 SnapshotPolicy::kLinearizable, true>;
-extern template class ShardedSet<Bat<SizeAug>, 16,
-                                 SnapshotPolicy::kLinearizable, true>;
 
 }  // namespace cbat

@@ -33,8 +33,8 @@ enum class Counter : int {
   // (hit) or had to recompute (miss).
   kAggCacheHits,
   kAggCacheMisses,
-  // Adaptive shard layer (src/shard/): completed boundary migrations, keys
-  // bulk-moved by them, updates that were double-routed into the dirty
+  // Hot-shard rebalancing (src/shard/): completed boundary migrations, keys
+  // moved by them, updates that were double-routed into the dirty
   // log while a copy was in flight, and the controller's imbalance
   // samples (hottest shard's rate over the mean, in milli-units, summed —
   // divide by the sample count for the average the bench reports).

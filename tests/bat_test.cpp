@@ -1,6 +1,5 @@
 // Tests for BAT (plain variant): sequential semantics, order-statistic
-// queries, snapshot consistency, version-tree invariants, concurrency,
-// and the apply_batch bulk path against a std::set oracle.
+// queries, snapshot consistency, version-tree invariants and concurrency.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -320,89 +319,6 @@ TEST(BatConcurrent, SameKeyLinearizable) {
   EXPECT_TRUE(diff == 0 || diff == 1);
   EXPECT_EQ(t.size(), diff);
   EXPECT_EQ(t.contains(5), diff == 1);
-}
-
-// --- apply_batch (the bulk path key migration uses) against an oracle -----
-
-TEST(Bat, ApplyBatchMatchesSequentialOracle) {
-  Tree t;
-  std::set<Key> ref;
-  Xoshiro256 rng(123);
-  for (int round = 0; round < 200; ++round) {
-    std::vector<BatchOp> ops;
-    const int n = 1 + static_cast<int>(rng.below(24));
-    for (int i = 0; i < n; ++i) {
-      ops.push_back(
-          {static_cast<Key>(rng.below(400)), rng.below(2) == 0, false});
-    }
-    std::stable_sort(ops.begin(), ops.end(),
-                     [](const BatchOp& a, const BatchOp& b) {
-                       return a.key < b.key;
-                     });
-    t.apply_batch(ops.data(), n);
-    // The oracle replays the ops in the same (sorted) order the batch
-    // applied them; each result must match the sequential outcome.
-    for (const BatchOp& op : ops) {
-      if (op.is_insert) {
-        ASSERT_EQ(op.result, ref.insert(op.key).second) << op.key;
-      } else {
-        ASSERT_EQ(op.result, ref.erase(op.key) > 0) << op.key;
-      }
-    }
-    ASSERT_EQ(t.size(), static_cast<std::int64_t>(ref.size()));
-  }
-  // The one merged Propagate must have carried everything to the root:
-  // the version tree agrees with the oracle exactly.
-  const auto keys = t.range_collect(0, 400);
-  ASSERT_EQ(std::set<Key>(keys.begin(), keys.end()), ref);
-  EbrGuard g;
-  EXPECT_TRUE(version_tree_valid<SizeAug>(t.root_version_unsafe(),
-                                          std::numeric_limits<Key>::min(),
-                                          kInf2));
-}
-
-TEST(Bat, ApplyBatchHandlesDuplicateKeysInOrder) {
-  Tree t;
-  // insert(5), insert(5), erase(5), insert(9) — sorted, duplicates kept in
-  // order: results must be the sequential ones.
-  std::vector<BatchOp> ops = {
-      {5, true, false},
-      {5, true, false},
-      {5, false, false},
-      {9, true, false},
-  };
-  t.apply_batch(ops.data(), static_cast<int>(ops.size()));
-  EXPECT_TRUE(ops[0].result);
-  EXPECT_FALSE(ops[1].result) << "second insert of the same key fails";
-  EXPECT_TRUE(ops[2].result);
-  EXPECT_TRUE(ops[3].result);
-  EXPECT_FALSE(t.contains(5));
-  EXPECT_TRUE(t.contains(9));
-  EXPECT_EQ(t.size(), 1);
-}
-
-TEST(Bat, ApplyBatchSpanningTheWholeTreeStaysConsistent) {
-  // Batches that touch far-apart subtrees exercise the post-order sweep's
-  // shared-prefix deferral (the root must be refreshed exactly last).
-  Tree t;
-  for (Key k = 0; k < 2000; k += 2) t.insert(k);
-  std::vector<BatchOp> ops;
-  for (int i = 0; i < 40; ++i) {
-    ops.push_back({static_cast<Key>(i * 50 + (i % 2)), i % 2 == 0, false});
-  }
-  t.apply_batch(ops.data(), static_cast<int>(ops.size()));
-  EbrGuard g;
-  EXPECT_TRUE(version_tree_valid<SizeAug>(t.root_version_unsafe(),
-                                          std::numeric_limits<Key>::min(),
-                                          kInf2));
-  // Node tree and version tree agree (the batch propagate reached the
-  // root for every key).
-  std::set<Key> node_keys;
-  for (Key k = 0; k < 2000; ++k) {
-    if (t.node_tree().contains(k)) node_keys.insert(k);
-  }
-  const auto vkeys = t.range_collect(0, 2000);
-  EXPECT_EQ(std::set<Key>(vkeys.begin(), vkeys.end()), node_keys);
 }
 
 }  // namespace

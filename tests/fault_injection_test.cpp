@@ -34,10 +34,9 @@ namespace cbat {
 namespace {
 
 using BT = Bat<SizeAug>;
-// The adaptive forest reaches the migration sites (and the apply_batch
-// bulk moves behind them) and, like every forest, the aggregate-cache
-// seqlock fills.
-using SH = ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kLinearizable, true>;
+// The forest reaches the migration sites (a migrator thread plus its own
+// controller drive them) and the aggregate-cache seqlock fills.
+using SH = ShardedSet<Bat<SizeAug>, 4>;
 
 constexpr Key kKeySpace = 1 << 14;
 
@@ -82,9 +81,10 @@ void validate_versions(SH& s) {
   }
 }
 
-// One chaos run: arm the plan, hammer the set from `threads` workers (plus
-// a migrator ping-ponging a shard boundary where the structure supports
-// it), then disarm and check oracle equivalence + version validity.
+// One chaos run: arm the plan, hammer the set from `threads` workers (plus,
+// on a forest, its hot-shard controller and a migrator ping-ponging a
+// shard boundary), then disarm and check oracle equivalence + version
+// validity.
 template <class Set>
 void chaos_run(Set& s, const FaultPlan& plan, int threads,
                int ops_per_thread) {
@@ -92,6 +92,7 @@ void chaos_run(Set& s, const FaultPlan& plan, int threads,
   std::atomic<bool> stop{false};
   std::thread migrator;
   if constexpr (requires { s.rebalance_once(0, 1); }) {
+    s.set_adaptive_enabled(true);
     migrator = std::thread([&s, &stop] {
       int flip = 0;
       while (!stop.load(std::memory_order_acquire)) {
@@ -272,8 +273,8 @@ TEST(FaultInjection, PerSiteFailuresBat) {
 
 TEST(FaultInjection, PerSiteFailuresShardedSet) {
   const char* sites[] = {
-      "cache.fill_range", "bat.apply_batch", "mig.copy_begin", "mig.copied",
-      "mig.sealed",       "mig.replayed",    "mig.flip",
+      "cache.fill_range", "mig.copy_begin", "mig.copied",
+      "mig.sealed",       "mig.replayed",   "mig.flip",
   };
   const auto before = Counters::snapshot();
   for (std::uint64_t seed : kSeeds) {
@@ -294,10 +295,9 @@ TEST(FaultInjection, SweepCoversThePlanMatrixAndTheInstrumentedSites) {
   // exercised by the plans above but can be scheduler-dependent, so their
   // absence is not an error; print the union for the curious.
   const char* must_see[] = {
-      "pool.alloc_fail",  "ebr.retire",        "ebr.advance",
-      "bat.apply_batch",  "bat.refresh_build", "bat.refresh_cas",
-      "cache.fill_range", "mig.copy_begin",    "mig.flipped",
-      "mig.cleaned",
+      "pool.alloc_fail",   "ebr.retire",       "ebr.advance",
+      "bat.refresh_build", "bat.refresh_cas",  "cache.fill_range",
+      "mig.copy_begin",    "mig.flipped",      "mig.cleaned",
   };
   for (const char* site : must_see) {
     EXPECT_TRUE(g_sites_union.count(site) != 0) << "never visited: " << site;

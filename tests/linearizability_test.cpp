@@ -89,18 +89,8 @@ TrackedObservation across_both_inserts() {
 
 // Acquires one Snapshot of a set holding no tracked key, injecting both
 // inserts after shard 0's root is pinned and before shard 1's is read.
-// The epoch clock reads clean when the cut is taken — a first cut clears
-// the stamped bit the constructor's initial-root stamps set — or, with
-// `stamp_first`, stamped: an untracked key is inserted and erased after
-// that first cut.
-TrackedObservation observe_with_mid_acquire_writes(bool stamp_first) {
-  constexpr Key kUntracked = 2000;  // shard 2
+TrackedObservation observe_with_mid_acquire_writes() {
   Sharded4 set(kKeyspace);
-  EXPECT_EQ(set.size(), 0);  // the first cut
-  if (stamp_first) {
-    EXPECT_TRUE(set.insert(kUntracked));
-    EXPECT_TRUE(set.erase(kUntracked));
-  }
   const auto hook = [](void* ctx, int next_shard) {
     if (next_shard != 1) return;
     auto* s = static_cast<Sharded4*>(ctx);
@@ -149,20 +139,15 @@ TEST(CrossShardLinearizability, CheckerRejectsQuiescentCut) {
          "insert(b) began";
 }
 
-// Same interleaving, through the forest's Snapshot: both inserts are
-// stamped after the snapshot's cut, so resolving shard 3's root walks its
+// Same interleaving, through the forest's Snapshot: both inserts mint
+// stamps above the snapshot's cut, so resolving shard 3's root walks its
 // history back past b's installation and the observation is the (legal)
-// empty prefix.  Run from both clock states a cut can find: on a clean
-// word the cut returns c-1 without writing, on a stamped word it advances
-// the clock and returns c; the inserts then mint stamps above either.
+// empty prefix.
 TEST(CrossShardLinearizability, CheckerAcceptsEpochStampedCut) {
-  for (const bool stamped_word : {false, true}) {
-    SCOPED_TRACE(stamped_word ? "stamped word" : "clean word");
-    const TrackedObservation o = observe_with_mid_acquire_writes(stamped_word);
-    EXPECT_FALSE(o.members[0]);
-    EXPECT_FALSE(o.members[1]) << "b's root must resolve past the cut";
-    EXPECT_TRUE(observation_linearizes(pair_prefix_states(), o));
-  }
+  const TrackedObservation o = observe_with_mid_acquire_writes();
+  EXPECT_FALSE(o.members[0]);
+  EXPECT_FALSE(o.members[1]) << "b's root must resolve past the cut";
+  EXPECT_TRUE(observation_linearizes(pair_prefix_states(), o));
 }
 
 // --- epoch bookkeeping ----------------------------------------------------
@@ -170,7 +155,7 @@ TEST(CrossShardLinearizability, CheckerAcceptsEpochStampedCut) {
 // Every stamp mints a fresh epoch.  The clock starts at 1 and the
 // constructor mints one stamp per shard for the initial roots (2..5);
 // after that every insert here installs one root and mints one stamp, and
-// a cut that follows a stamp returns it and advances the clock past it.
+// a cut returns the newest minted stamp without advancing the clock.
 TEST(CrossShardLinearizability, EpochAdvancesPerAcquisitionAndCutsPin) {
   Sharded4 set(kKeyspace);
   EXPECT_EQ(set.current_epoch(), 5u);
@@ -179,15 +164,15 @@ TEST(CrossShardLinearizability, EpochAdvancesPerAcquisitionAndCutsPin) {
 
   Sharded4::Snapshot s1(set);
   EXPECT_EQ(s1.epoch(), 6u);
-  EXPECT_EQ(set.current_epoch(), 7u);
+  EXPECT_EQ(set.current_epoch(), 6u);
   // Completed before acquisition: included.
   EXPECT_TRUE(s1.contains(kKeyA));
   EXPECT_EQ(s1.size(), 1);
 
-  ASSERT_TRUE(set.insert(kKeyB));  // mints 8
+  ASSERT_TRUE(set.insert(kKeyB));  // mints 7
   Sharded4::Snapshot s2(set);
-  EXPECT_EQ(s2.epoch(), 8u);
-  EXPECT_EQ(set.current_epoch(), 9u);
+  EXPECT_EQ(s2.epoch(), 7u);
+  EXPECT_EQ(set.current_epoch(), 7u);
   EXPECT_TRUE(s2.contains(kKeyB));
   EXPECT_EQ(s2.size(), 2);
   // The older cut is immutable.
@@ -195,22 +180,20 @@ TEST(CrossShardLinearizability, EpochAdvancesPerAcquisitionAndCutsPin) {
   EXPECT_EQ(s1.size(), 1);
 }
 
-// The skip rule: a cut advances the clock only when a root was stamped
-// since the previous cut.  A read burst with no update shares one epoch
-// and writes nothing; one completed insert between two cuts mints one
-// stamp, and the cut after it returns that stamp, advances past it, and
-// sees the insert.
+// A cut never writes the clock.  A read burst with no update shares one
+// epoch; one completed insert between two cuts mints one stamp, and the
+// cut after it returns that stamp and sees the insert.
 TEST(CrossShardLinearizability, ReadBurstSharesOneEpoch) {
   Sharded4 set(kKeyspace);
   ASSERT_TRUE(set.insert(kKeyA));
   std::uint64_t e0 = 0;
   {
-    Sharded4::Snapshot s(set);  // the insert stamped: this cut advances
+    Sharded4::Snapshot s(set);
     e0 = s.epoch();
     EXPECT_TRUE(s.contains(kKeyA));
   }
   const std::uint64_t c0 = set.current_epoch();
-  EXPECT_EQ(c0, e0 + 1);
+  EXPECT_EQ(c0, e0);
 
   for (int i = 0; i < 8; ++i) {
     Sharded4::Snapshot s(set);
@@ -230,7 +213,7 @@ TEST(CrossShardLinearizability, ReadBurstSharesOneEpoch) {
   ASSERT_TRUE(set.insert(kKeyB));  // mints c0 + 1
   Sharded4::Snapshot after(set);
   EXPECT_EQ(after.epoch(), c0 + 1);
-  EXPECT_EQ(set.current_epoch(), c0 + 2);
+  EXPECT_EQ(set.current_epoch(), c0 + 1);
   EXPECT_FALSE(before.contains(kKeyB));
   EXPECT_TRUE(after.contains(kKeyB));
   EXPECT_EQ(after.size(), 2);
@@ -421,130 +404,71 @@ TEST(CrossShardLinearizability, ConcurrentSingleWriterHistoryLinearizes) {
   ASSERT_GT(checked, 0u);
 }
 
-// Batch histories: the writer's tracked membership after t batches is
-// states[t], and batch t (1-based) toggled the tracked keys whose indices
-// are in toggled[t-1].  A batch's requests all linearize inside its
-// apply_batch call but in no fixed order among themselves — a concurrent
-// Propagate on the same shard may carry any of them to the root first —
-// so an observation linearizes iff it equals states[done_at_inv] or, for
-// some batch t in flight during the query, differs from states[t-1] only
-// on keys batch t toggled.
-bool batch_observation_linearizes(
-    const std::vector<std::vector<bool>>& states,
-    const std::vector<std::vector<std::size_t>>& toggled,
-    const TrackedObservation& o) {
-  if (states[static_cast<std::size_t>(o.done_at_inv)] == o.members) {
-    return true;
+// One writer's toggle sequence over `n` tracked keys: (index, is_insert)
+// per operation, and the tracked membership after each prefix.  Toggling
+// makes every update effective, so prefix states track the set exactly.
+void toggle_history(std::size_t n, int ops, std::uint64_t seed,
+                    std::vector<std::pair<std::size_t, bool>>* out,
+                    std::vector<std::vector<bool>>* prefix) {
+  std::vector<bool> state(n, false);
+  prefix->push_back(state);
+  Xoshiro256 rng(seed);
+  for (int j = 0; j < ops; ++j) {
+    const std::size_t i = rng.below(n);
+    const bool is_insert = !state[i];
+    out->emplace_back(i, is_insert);
+    state[i] = is_insert;
+    prefix->push_back(state);
   }
-  const auto hi = std::min<std::int64_t>(
-      o.started_at_resp, static_cast<std::int64_t>(states.size()) - 1);
-  for (std::int64_t t = o.done_at_inv + 1; t <= hi; ++t) {
-    const auto& before = states[static_cast<std::size_t>(t - 1)];
-    const auto& batch = toggled[static_cast<std::size_t>(t - 1)];
-    bool ok = true;
-    for (std::size_t k = 0; k < before.size() && ok; ++k) {
-      ok = o.members[k] == before[k] ||
-           std::find(batch.begin(), batch.end(), k) != batch.end();
-    }
-    if (ok) return true;
-  }
-  return false;
 }
 
 // Two writers over *disjoint* tracked key sets, each spanning all four
-// shards of a linearizable forest: writer A toggles one key at a time
-// through the forest's point updates; writer B applies sorted two-key
-// batches straight to one shard through apply_batch, as the migrator
-// does, so its roots are installed and stamped by the merged
-// propagate_batch.  Disjoint ownership keeps the check exact — each
-// writer's projection of an observation must independently match that
-// writer's history within its own real-time bounds.
-TEST(CrossShardLinearizability, ConcurrentBatchedTwoWriterHistoryLinearizes) {
+// shards of a forest: writer A toggles one key per shard, writer B two
+// keys per shard, each one key at a time through the forest's point
+// updates, so their root installations and stamps interleave on every
+// shard.  Disjoint ownership keeps the check exact — each writer's
+// projection of an observation must independently match that writer's
+// history within its own real-time bounds.
+TEST(CrossShardLinearizability, ConcurrentTwoWriterHistoryLinearizes) {
   constexpr int kShards = 4;
   constexpr int kOpsA = 4000;
-  constexpr int kBatchesB = 2000;
+  constexpr int kOpsB = 4000;
 
-  // Writer A: one key per shard, single toggles.
   std::vector<Key> keys_a;
-  for (int i = 0; i < kShards; ++i) keys_a.push_back(i * 1000 + 100);
-  std::vector<std::vector<bool>> prefix_a;
-  std::vector<std::pair<std::size_t, bool>> ops_a;  // (index, is_insert)
-  {
-    std::vector<bool> state(keys_a.size(), false);
-    prefix_a.push_back(state);
-    Xoshiro256 rng(100);
-    for (int j = 0; j < kOpsA; ++j) {
-      const std::size_t i = rng.below(keys_a.size());
-      const bool is_insert = !state[i];
-      ops_a.emplace_back(i, is_insert);
-      state[i] = is_insert;
-      prefix_a.push_back(state);
-    }
-  }
-  // Writer B: two keys per shard (indices 2i, 2i+1, in key order); each
-  // batch toggles both keys of one shard.
   std::vector<Key> keys_b;
   for (int i = 0; i < kShards; ++i) {
+    keys_a.push_back(i * 1000 + 100);
     keys_b.push_back(i * 1000 + 350);
     keys_b.push_back(i * 1000 + 600);
   }
-  std::vector<std::vector<bool>> states_b;
-  std::vector<std::vector<std::size_t>> toggled_b;
-  std::vector<int> batch_shard;
-  {
-    std::vector<bool> state(keys_b.size(), false);
-    states_b.push_back(state);
-    Xoshiro256 rng(101);
-    for (int t = 0; t < kBatchesB; ++t) {
-      const int s = static_cast<int>(rng.below(kShards));
-      const std::size_t k0 = 2 * static_cast<std::size_t>(s);
-      batch_shard.push_back(s);
-      toggled_b.push_back({k0, k0 + 1});
-      state[k0] = !state[k0];
-      state[k0 + 1] = !state[k0 + 1];
-      states_b.push_back(state);
-    }
-  }
+  std::vector<std::vector<bool>> prefix_a, prefix_b;
+  std::vector<std::pair<std::size_t, bool>> ops_a, ops_b;
+  toggle_history(keys_a.size(), kOpsA, 100, &ops_a, &prefix_a);
+  toggle_history(keys_b.size(), kOpsB, 101, &ops_b, &prefix_b);
 
   Sharded4 set(kKeyspace);
   std::atomic<std::int64_t> started_a{0}, done_a{0};
   std::atomic<std::int64_t> started_b{0}, done_b{0};
   std::atomic<int> writers_left{2};
   std::atomic<bool> stop{false};
-  const auto finish = [&] {
+  const auto run_writer = [&](const std::vector<Key>& keys,
+                              const std::vector<std::pair<std::size_t, bool>>&
+                                  ops,
+                              std::atomic<std::int64_t>& started,
+                              std::atomic<std::int64_t>& done) {
+    for (std::size_t j = 0; j < ops.size(); ++j) {
+      started.store(static_cast<std::int64_t>(j) + 1,
+                    std::memory_order_seq_cst);
+      const auto [i, is_insert] = ops[j];
+      EXPECT_TRUE(is_insert ? set.insert(keys[i]) : set.erase(keys[i])) << j;
+      done.store(static_cast<std::int64_t>(j) + 1, std::memory_order_seq_cst);
+    }
     if (writers_left.fetch_sub(1) == 1) {
       stop.store(true, std::memory_order_release);
     }
   };
-
-  std::thread writer_a([&] {
-    for (int j = 0; j < kOpsA; ++j) {
-      started_a.store(j + 1, std::memory_order_seq_cst);
-      const auto [i, is_insert] = ops_a[static_cast<std::size_t>(j)];
-      const Key k = keys_a[i];
-      EXPECT_TRUE(is_insert ? set.insert(k) : set.erase(k)) << "A/" << j;
-      done_a.store(j + 1, std::memory_order_seq_cst);
-    }
-    finish();
-  });
-  std::thread writer_b([&] {
-    for (int t = 0; t < kBatchesB; ++t) {
-      const auto& before = states_b[static_cast<std::size_t>(t)];
-      const auto& batch = toggled_b[static_cast<std::size_t>(t)];
-      BatchOp ops[2];
-      for (int m = 0; m < 2; ++m) {
-        const std::size_t k = batch[static_cast<std::size_t>(m)];
-        ops[m] = BatchOp{keys_b[k], !before[k], false};
-      }
-      started_b.store(t + 1, std::memory_order_seq_cst);
-      set.shard_at(batch_shard[static_cast<std::size_t>(t)])
-          .apply_batch(ops, 2);
-      done_b.store(t + 1, std::memory_order_seq_cst);
-      // The toggles make every request effective.
-      EXPECT_TRUE(ops[0].result && ops[1].result) << "B/" << t;
-    }
-    finish();
-  });
+  std::thread writer_a([&] { run_writer(keys_a, ops_a, started_a, done_a); });
+  std::thread writer_b([&] { run_writer(keys_b, ops_b, started_b, done_b); });
 
   std::vector<TrackedObservation> log_a, log_b;
   std::thread reader([&] {
@@ -585,7 +509,7 @@ TEST(CrossShardLinearizability, ConcurrentBatchedTwoWriterHistoryLinearizes) {
         << "]";
   }
   for (const auto& o : log_b) {
-    ASSERT_TRUE(batch_observation_linearizes(states_b, toggled_b, o))
+    ASSERT_TRUE(observation_linearizes(prefix_b, o))
         << "writer B bounds [" << o.done_at_inv << ", " << o.started_at_resp
         << "]";
   }
@@ -595,7 +519,7 @@ TEST(CrossShardLinearizability, ConcurrentBatchedTwoWriterHistoryLinearizes) {
     EXPECT_EQ(snap.contains(keys_a[i]), prefix_a.back()[i]) << keys_a[i];
   }
   for (std::size_t i = 0; i < keys_b.size(); ++i) {
-    EXPECT_EQ(snap.contains(keys_b[i]), states_b.back()[i]) << keys_b[i];
+    EXPECT_EQ(snap.contains(keys_b[i]), prefix_b.back()[i]) << keys_b[i];
   }
 }
 
@@ -734,8 +658,8 @@ TEST(StaleAggregateCache, ConcurrentCachedReadsLinearize) {
 
 // --- migration protocol: epoch-cut key moves (ISSUE 7) --------------------
 
-// The adaptive forest moves key ranges between shards while updates and
-// snapshots run.  These tests drive the real migrate() through its
+// A forest moves key ranges between shards while updates and snapshots
+// run.  These tests drive the real migrate() through its
 // phase hook (set_migration_hook) and check that the cut stays
 // linearizable at EVERY protocol boundary.  They are written to fail if
 // double-routing is disabled: the hook lands updates inside the moving
@@ -743,26 +667,36 @@ TEST(StaleAggregateCache, ConcurrentCachedReadsLinearize) {
 // destination's copy exact — remove mig_log()/replay_log() and the
 // post-flip membership diverges from the oracle.
 
-using Adapt4 = ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kLinearizable,
-                          /*Adaptive=*/true>;
-
 // Shared state for the deterministic hook: the set, a same-thread oracle,
 // and the per-stage updates to apply.  The hook runs on the migrator's
 // own thread, so in-range updates are legal only while the range is not
 // sealed (kCopyBegin/kCopied before the seal, kOpened/kCleaned after the
 // flip); sealed stages apply out-of-range updates, which never park.
 struct MigHookState {
-  Adapt4* set = nullptr;
+  Sharded4* set = nullptr;
   std::set<Key>* oracle = nullptr;
   std::vector<int> stages;
 };
 
-void check_against_oracle(const Adapt4& set, const std::set<Key>& oracle,
-                          int stage) {
+// Every move here is between shards 0 and 1.  The window opens before
+// the bulk copy and closes once the cleanup's erases have returned, so a
+// fresh snapshot treats both shards as dirty from kCopied to kOpened and
+// no shard as dirty at kCopyBegin or kCleaned.
+constexpr std::uint64_t kWindow01 = 0b11;
+std::uint64_t dirty_at(int stage) {
+  return stage == Sharded4::kMigHookCopyBegin ||
+                 stage == Sharded4::kMigHookCleaned
+             ? 0
+             : kWindow01;
+}
+
+void check_against_oracle(const Sharded4& set, const std::set<Key>& oracle,
+                          int stage, std::uint64_t dirty) {
   // Single-threaded history: a linearizable snapshot taken between
   // operations must equal the oracle exactly, whatever migration phase
   // the forest is in.
-  Adapt4::Snapshot snap(set);
+  Sharded4::Snapshot snap(set);
+  ASSERT_EQ(snap.dirty_shards(), dirty) << "stage " << stage;
   ASSERT_EQ(snap.size(), static_cast<std::int64_t>(oracle.size()))
       << "stage " << stage;
   for (Key k : {Key{100}, Key{506}, Key{515}, Key{650}, Key{705}, Key{905},
@@ -778,7 +712,7 @@ void check_against_oracle(const Adapt4& set, const std::set<Key>& oracle,
 void mig_stage_hook(void* ctx, int stage) {
   auto* st = static_cast<MigHookState*>(ctx);
   st->stages.push_back(stage);
-  Adapt4& set = *st->set;
+  Sharded4& set = *st->set;
   std::set<Key>& oracle = *st->oracle;
   // Every stage op TOGGLES its key, so it is effective (and asserted so)
   // no matter how many migrations ran before — a silently lost update
@@ -793,13 +727,13 @@ void mig_stage_hook(void* ctx, int stage) {
     }
   };
   switch (stage) {
-    case Adapt4::kMigHookCopyBegin:
+    case Sharded4::kMigHookCopyBegin:
       // Copy phase, pre-bulk-copy: an in-range update double-routes (it
       // lands in the source shard and is logged for replay).
       toggle(996);
       toggle(515);
       break;
-    case Adapt4::kMigHookCopied:
+    case Sharded4::kMigHookCopied:
       // Copy phase, AFTER the bulk copy seeded the destination: these
       // land in the source and reach the destination only through the
       // dirty-log replay — the stage that catches a disabled
@@ -808,34 +742,34 @@ void mig_stage_hook(void* ctx, int stage) {
       toggle(705);
       toggle(506);
       break;
-    case Adapt4::kMigHookSealed:
-    case Adapt4::kMigHookReplayed:
-    case Adapt4::kMigHookFlipped:
+    case Sharded4::kMigHookSealed:
+    case Sharded4::kMigHookReplayed:
+    case Sharded4::kMigHookFlipped:
       // Range sealed: in-range updates would park on this very thread,
       // so exercise out-of-range ones (they must never block).
       toggle(2105 + static_cast<Key>(stage));
       break;
-    case Adapt4::kMigHookOpened:
+    case Sharded4::kMigHookOpened:
       // Phase kDone: in-range updates resume and must route by the NEW
       // map (the key now lives in the destination shard).
       toggle(996);
       toggle(650);
       break;
-    case Adapt4::kMigHookCleaned:
+    case Sharded4::kMigHookCleaned:
       toggle(650);
       break;
     default:
       break;
   }
-  check_against_oracle(set, oracle, stage);
+  check_against_oracle(set, oracle, stage, dirty_at(stage));
 }
 
 // One forced boundary move with updates and snapshots injected at every
-// protocol stage; membership must match the oracle at each cut and after
-// the move (both migration directions).
+// protocol stage; membership and the dirty shards must match the oracle
+// at each cut and after the move (both migration directions, and a
+// rollback at every abort boundary).
 TEST(MigrationLinearizability, EveryCutStageMatchesOracle) {
-  Adapt4 set(kKeyspace);
-  set.set_adaptive_enabled(false);  // manual migrations only
+  Sharded4 set(kKeyspace);
   std::set<Key> oracle;
   for (Key k = 5; k < 1000; k += 10) {  // 100 keys, all in shard 0
     ASSERT_TRUE(set.insert(k));
@@ -852,11 +786,11 @@ TEST(MigrationLinearizability, EveryCutStageMatchesOracle) {
   // The hook fired at every protocol boundary, in order.
   ASSERT_EQ(st.stages,
             (std::vector<int>{
-                Adapt4::kMigHookCopyBegin, Adapt4::kMigHookCopied,
-                Adapt4::kMigHookSealed, Adapt4::kMigHookReplayed,
-                Adapt4::kMigHookFlipped, Adapt4::kMigHookOpened,
-                Adapt4::kMigHookCleaned}));
-  check_against_oracle(set, oracle, /*stage=*/-1);
+                Sharded4::kMigHookCopyBegin, Sharded4::kMigHookCopied,
+                Sharded4::kMigHookSealed, Sharded4::kMigHookReplayed,
+                Sharded4::kMigHookFlipped, Sharded4::kMigHookOpened,
+                Sharded4::kMigHookCleaned}));
+  check_against_oracle(set, oracle, /*stage=*/-1, 0);
 
   // Move the range back (dst == src - 1 exercises the other median
   // branch); the same per-stage checks run again on the reverse cut.
@@ -864,7 +798,17 @@ TEST(MigrationLinearizability, EveryCutStageMatchesOracle) {
   ASSERT_TRUE(set.rebalance_once(1, 0));
   ASSERT_EQ(set.map_generation(), 3u);
   ASSERT_EQ(st.stages.size(), 7u);
-  check_against_oracle(set, oracle, /*stage=*/-2);
+  check_against_oracle(set, oracle, /*stage=*/-2, 0);
+
+  // A rollback closes the window at every abort boundary: the stages it
+  // reached saw the window open, the cut after it sees no dirty shard.
+  for (int b = 0; b <= 4; ++b) {
+    SCOPED_TRACE(testing::Message() << "abort boundary " << b);
+    set.set_migration_abort_point(b);
+    ASSERT_FALSE(set.rebalance_once(0, 1));
+    ASSERT_EQ(set.map_generation(), 3u);
+    check_against_oracle(set, oracle, /*stage=*/-3, 0);
+  }
 
   // Full membership sweep through the per-key read path: source-shard
   // stale copies must have been retired, destination copies adopted.
@@ -903,8 +847,7 @@ TEST(MigrationLinearizability, ConcurrentHistoryLinearizesAcrossMoves) {
     }
   }
 
-  Adapt4 set(kKeyspace);
-  set.set_adaptive_enabled(false);  // the migrator thread drives moves
+  Sharded4 set(kKeyspace);  // the migrator thread drives moves
   // Static ballast in shard 0 so every boundary move has keys to split;
   // multiples of 5 never collide with the tracked keys.
   std::int64_t ballast = 0;
@@ -947,7 +890,7 @@ TEST(MigrationLinearizability, ConcurrentHistoryLinearizesAcrossMoves) {
     do {
       TrackedObservation o;
       o.done_at_inv = done.load(std::memory_order_seq_cst);
-      Adapt4::Snapshot snap(set);
+      Sharded4::Snapshot snap(set);
       std::int64_t present = 0;
       for (const Key k : tracked) {
         const bool m = snap.contains(k);

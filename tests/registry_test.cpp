@@ -255,6 +255,12 @@ TEST(Registry, StructureInfoIsDerivedFromTheType) {
     EXPECT_EQ(set->supports_order_statistics(), c.ranked) << c.name;
     EXPECT_EQ(set->consistency(), c.consistency) << c.name;
   }
+  // Every forest is one type per shard count; only the "-Adapt" entry
+  // builds it with the hot-shard controller on.
+  for (const std::string& name : reg.names()) {
+    EXPECT_EQ(reg.info(name)->adaptive, name == "Sharded16-BAT-Adapt")
+        << name;
+  }
 }
 
 TEST(Registry, ConfigureReportsExactlyWhatItApplied) {
@@ -274,27 +280,30 @@ TEST(Registry, ConfigureReportsExactlyWhatItApplied) {
       << "populated forest must refuse";
   EXPECT_EQ(forest_keyspace(*forest), 10000);
 
-  // Rebalancing fields: only the "-Adapt" forests can honor them.
+  // Rebalancing fields: every forest honors them, single trees refuse.
   api::SetOptions adapt;
   adapt.adaptive_rebalance = false;
   adapt.rebalance_hot_factor = 3.0;
   adapt.rebalance_check_period = 1024;
-  EXPECT_FALSE(reg.create("Sharded16-BAT")->configure(adapt));
+  EXPECT_TRUE(reg.create("Sharded16-BAT")->configure(adapt));
   EXPECT_TRUE(reg.create("Sharded16-BAT-Adapt")->configure(adapt));
+  EXPECT_FALSE(reg.create("BAT")->configure(adapt));
 
   // A mixed bag the structure cannot fully honor applies NOTHING: the
-  // forest refuses the rebalancing field, so its shard map keeps the
+  // forest refuses the malformed hot factor, so its shard map keeps the
   // keyspace it had.
   api::SetOptions mixed;
   mixed.key_range_hint = 4096;
-  mixed.adaptive_rebalance = true;
+  mixed.rebalance_hot_factor = 0.5;
   auto plain = reg.create("Sharded16-BAT");
   const Key keyspace_before = forest_keyspace(*plain);
   ASSERT_NE(keyspace_before, 4096);
   EXPECT_FALSE(plain->configure(mixed));
   EXPECT_EQ(forest_keyspace(*plain), keyspace_before)
       << "a refused configure() must not apply the hint";
-  EXPECT_TRUE(reg.create("Sharded16-BAT-Adapt")->configure(mixed));
+  mixed.rebalance_hot_factor = 3.0;
+  EXPECT_TRUE(plain->configure(mixed));
+  EXPECT_EQ(forest_keyspace(*plain), 4096);
 
   // Same for the process-wide knobs: a malformed limbo mark refuses the
   // whole bag, so the delegation timeout riding along stays put.

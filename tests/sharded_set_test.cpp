@@ -347,17 +347,13 @@ TEST(ShardedSet, CacheCountersAdvance) {
       << "undisturbed repeats must hit";
 }
 
-// --- adaptive rebalancing (epoch-cut key migration) ------------------------
-
-using Adapt4 = ShardedSet<Bat<SizeAug>, 4, SnapshotPolicy::kLinearizable,
-                          /*Adaptive=*/true>;
+// --- hot-shard rebalancing (epoch-cut key migration) -----------------------
 
 // rebalance_once argument guards: non-adjacent pairs, out-of-bounds
 // indices, and shards too small to split must all refuse without
 // touching the map.
 TEST(AdaptiveShardedSet, RebalanceOnceRefusesBadMoves) {
-  Adapt4 set(4096);
-  set.set_adaptive_enabled(false);
+  Sharded4 set(4096);
   EXPECT_EQ(set.map_generation(), 1u);
   EXPECT_FALSE(set.rebalance_once(0, 2)) << "not adjacent";
   EXPECT_FALSE(set.rebalance_once(0, 0)) << "not adjacent";
@@ -379,6 +375,11 @@ TEST(AdaptiveShardedSet, RebalanceOnceRefusesBadMoves) {
   // Membership survived the move.
   for (Key k = 0; k < 64; ++k) EXPECT_TRUE(set.contains(k)) << k;
   EXPECT_EQ(set.size(), 64);
+  // shard_of names the owner on the current map: the moved half now
+  // lives in shard 1, not where the even division puts it.
+  for (Key k = 0; k < 64; ++k) {
+    EXPECT_TRUE(set.shard_at(set.shard_of(k)).contains(k)) << k;
+  }
 }
 
 // The piggybacked policy alone (no explicit rebalance_once) must detect a
@@ -386,7 +387,8 @@ TEST(AdaptiveShardedSet, RebalanceOnceRefusesBadMoves) {
 // so the update-rate counters cross the hot-factor threshold within a
 // few check periods.
 TEST(AdaptiveShardedSet, PolicyMigratesUnderSkewedUpdates) {
-  Adapt4 set(4096);
+  Sharded4 set(4096);
+  set.set_adaptive_enabled(true);  // the controller is off by default
   set.set_rebalance_check_period(128);
   Xoshiro256 rng(5);
   for (int step = 0; step < 20000 && set.map_generation() == 1; ++step) {
@@ -413,7 +415,8 @@ TEST(AdaptiveShardedSet, MigrateUnderLoadStaysExact) {
   constexpr Key kKeyspace = 1 << 12;
   constexpr int kUpdaters = 2;
   constexpr int kOpsPerThread = 12000;
-  Adapt4 set(kKeyspace);
+  Sharded4 set(kKeyspace);
+  set.set_adaptive_enabled(true);  // the policy adds its own moves
   set.set_rebalance_check_period(256);
   std::atomic<bool> stop{false};
 
@@ -445,7 +448,7 @@ TEST(AdaptiveShardedSet, MigrateUnderLoadStaysExact) {
   });
   std::thread reader([&set, &stop] {
     while (!stop.load(std::memory_order_acquire)) {
-      Adapt4::Snapshot snap(set);
+      Sharded4::Snapshot snap(set);
       const std::int64_t n = snap.size();
       ASSERT_GE(n, 0);
       ASSERT_EQ(snap.range_count(std::numeric_limits<Key>::min(),
@@ -481,7 +484,7 @@ TEST(AdaptiveShardedSet, MigrateUnderLoadStaysExact) {
     }
   }
   ASSERT_EQ(set.size(), static_cast<std::int64_t>(oracle.size()));
-  const auto keys = Adapt4::Snapshot(set).keys();
+  const auto keys = Sharded4::Snapshot(set).keys();
   ASSERT_EQ(keys.size(), oracle.size());
   EXPECT_TRUE(std::equal(keys.begin(), keys.end(), oracle.begin()));
   // Per-key sweep through the post-migration routing map.
@@ -499,8 +502,7 @@ TEST(AdaptiveShardedSet, MigrateUnderLoadStaysExact) {
 TEST(AdaptiveShardedSet, AbortRollsBackAtEveryBoundary) {
   for (int b = 0; b <= 4; ++b) {
     SCOPED_TRACE(testing::Message() << "boundary " << b);
-    Adapt4 set(4096);
-    set.set_adaptive_enabled(false);
+    Sharded4 set(4096);
     std::set<Key> oracle;
     for (Key k = 0; k < 64; ++k) {
       ASSERT_TRUE(set.insert(k));
@@ -542,20 +544,19 @@ TEST(AdaptiveShardedSet, AbortRollsBackAtEveryBoundary) {
 // never live updates (those land in the source, which the preserved old
 // map keeps authoritative).
 TEST(AdaptiveShardedSet, AbortPreservesUpdatesRoutedDuringCopy) {
-  Adapt4 set(4096);
-  set.set_adaptive_enabled(false);
+  Sharded4 set(4096);
   std::set<Key> oracle;
   for (Key k = 0; k < 64; ++k) {
     ASSERT_TRUE(set.insert(k));
     oracle.insert(k);
   }
   struct Ctx {
-    Adapt4* set;
+    Sharded4* set;
     std::set<Key>* oracle;
   } ctx{&set, &oracle};
   set.set_migration_hook(
       [](void* p, int stage) {
-        if (stage != Adapt4::kMigHookCopied) return;
+        if (stage != Sharded4::kMigHookCopied) return;
         auto* c = static_cast<Ctx*>(p);
         // Inside the copy window: keys in the migrating range double-route
         // into the half-built destination copy the abort will discard.
