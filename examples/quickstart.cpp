@@ -63,17 +63,14 @@ int main() {
               erased->name().c_str(), static_cast<long long>(erased->size()),
               static_cast<long long>(erased->rank(2)));
 
-  // Tuning goes through one front door: configure() takes a SetOptions
-  // bag and applies its engaged fields all or nothing.  Here a sharded
-  // forest aligns its shard map to the keyspace and keeps its online
-  // hot-shard rebalancing on (the "-Adapt" entry creates it on; every
-  // forest starts with it off); configure() applies nothing and returns
-  // false if any engaged field cannot be honored (e.g. the same options
-  // on a single tree, which has no shards to rebalance).
+  // configure() takes a SetOptions bag.  Here a sharded forest (the
+  // "-Adapt" entry, created with its online hot-shard rebalancing on)
+  // aligns its shard map to the keyspace; configure() applies nothing and
+  // returns false when the hint cannot be honored (a single tree has no
+  // shard map, a populated forest can no longer repartition).
   auto forest = registry.create("Sharded16-BAT-Adapt");
   cbat::api::SetOptions opts;
   opts.key_range_hint = 1 << 20;
-  opts.adaptive_rebalance = true;
   const bool applied = forest->configure(opts);
   if (const auto info = registry.info(forest->name())) {
     std::printf("%s: shards=%d adaptive=%s, configure -> %s\n",

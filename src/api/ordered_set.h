@@ -17,7 +17,6 @@
 // README.md.
 #pragma once
 
-#include <cmath>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
@@ -96,56 +95,13 @@ concept ConsistencyIntrospectable = requires {
   { S::composite_queries_linearizable() } -> std::convertible_to<bool>;
 };
 
-// One bag of tuning knobs for every structure, applied through
-// AbstractOrderedSet::configure — the single front door the benchmark
-// driver and the examples go through.  Each field is optional; a
-// disengaged field means "leave that knob alone".
-//
-// Scope caveat, inherited from the knobs themselves: delegation_timeout
-// and ebr_limbo_high_water are PROCESS-WIDE (they tune layers, not
-// instances), so configure() on one structure adjusts every structure
-// sharing the process.
+// The options bag configure() takes.  Each field is optional; a
+// disengaged field means "leave that setting alone".
 struct SetOptions {
   // Advisory: keys will be drawn from [0, key_range_hint).  Honored by
   // the shard forests while they are empty.  Per instance.
   std::optional<Key> key_range_hint;
-  // Spin budget (iterations) a delegating Propagate waits on another
-  // update before resuming on its own; 0 disables the timeout.
-  // Process-wide.
-  std::optional<std::uint64_t> delegation_timeout;
-  // EBR limbo-pressure guardrail: when a thread's unreclaimed limbo bags
-  // hold at least this many objects, its next retire forces an epoch
-  // advance + sweep and counts an ebr_pressure_events.  0 disables the
-  // guardrail; negative is malformed (rejected).  Process-wide.
-  std::optional<std::int64_t> ebr_limbo_high_water;
-  // Online hot-shard rebalancing (every shard forest; off unless set, or
-  // unless the registry entry switches it on).  Per instance.
-  std::optional<bool> adaptive_rebalance;
-  // A shard migrates when its update rate exceeds this multiple (> 1) of
-  // the mean.  Per instance.
-  std::optional<double> rebalance_hot_factor;
-  // Updates between two rebalance-policy checks on one thread.  Per
-  // instance.
-  std::optional<std::uint32_t> rebalance_check_period;
 };
-
-// Optional extension: structures with the online hot-shard rebalancer's
-// knobs (the shard forests) take SetOptions' rebalancing fields.
-template <class S>
-concept Rebalanceable = requires(S s, bool on, double f, std::uint32_t p) {
-  s.set_adaptive_enabled(on);
-  s.set_rebalance_hot_factor(f);
-  s.set_rebalance_check_period(p);
-};
-
-namespace detail {
-// The process-wide SetOptions fields (delegation_timeout,
-// ebr_limbo_high_water), checked and applied in registry.cpp so this
-// header stays free of the layers that own the knobs.  apply cannot fail
-// once valid returned true.
-bool process_options_valid(const SetOptions& o);
-void apply_process_options(const SetOptions& o);
-}  // namespace detail
 
 // Static capabilities of a registered structure, derived from its type at
 // registration (never parsed back out of its name).  The benchmark
@@ -199,11 +155,10 @@ class AbstractOrderedSet {
     return range_count(lo, hi);
   }
 
-  // Applies the engaged fields of `o` all or nothing: every engaged field
-  // is validated first, and if this structure cannot honor one of them
-  // (a malformed value, a field the structure has no use for, a
-  // key-range hint on a populated forest) configure() applies nothing
-  // and returns false.  See SetOptions.
+  // Applies the engaged fields of `o`, or returns false and applies
+  // nothing when this structure cannot honor one of them (a key-range
+  // hint on a single tree or on a populated forest).  An empty bag
+  // succeeds.  See SetOptions.
   virtual bool configure(const SetOptions& o) = 0;
 
   // The guarantee this structure's composite queries (size/rank/select/
@@ -268,50 +223,12 @@ class SetModel final : public AbstractOrderedSet {
     }
   }
 
-  // All or nothing: every engaged field is checked against what T can
-  // honor before anything is applied.  The key-range hint is the one
-  // field whose acceptance depends on state (an empty forest), so it is
-  // tried last among the checks; what remains after it cannot fail.
   bool configure(const SetOptions& o) override {
-    if (!detail::process_options_valid(o)) return false;
-    if (o.key_range_hint.has_value() && !KeyRangeHintable<T>) return false;
-    if ((o.adaptive_rebalance.has_value() ||
-         o.rebalance_hot_factor.has_value() ||
-         o.rebalance_check_period.has_value()) &&
-        !Rebalanceable<T>) {
-      return false;
-    }
-    // The policy compares against hot_factor * mean rate: NaN/inf never
-    // triggers, <= 1.0 makes every shard "hot" — both malformed.
-    if (o.rebalance_hot_factor.has_value() &&
-        !(std::isfinite(*o.rebalance_hot_factor) &&
-          *o.rebalance_hot_factor > 1.0)) {
-      return false;
-    }
-    // Zero would ask for a policy check on every update.
-    if (o.rebalance_check_period.has_value() &&
-        *o.rebalance_check_period == 0) {
-      return false;
-    }
+    if (!o.key_range_hint.has_value()) return true;
     if constexpr (KeyRangeHintable<T>) {
-      if (o.key_range_hint.has_value() &&
-          !t_.key_range_hint(*o.key_range_hint)) {
-        return false;
-      }
+      return t_.key_range_hint(*o.key_range_hint);
     }
-    detail::apply_process_options(o);
-    if constexpr (Rebalanceable<T>) {
-      if (o.adaptive_rebalance.has_value()) {
-        t_.set_adaptive_enabled(*o.adaptive_rebalance);
-      }
-      if (o.rebalance_hot_factor.has_value()) {
-        t_.set_rebalance_hot_factor(*o.rebalance_hot_factor);
-      }
-      if (o.rebalance_check_period.has_value()) {
-        t_.set_rebalance_check_period(*o.rebalance_check_period);
-      }
-    }
-    return true;
+    return false;
   }
 
   Consistency consistency() const override {
@@ -344,10 +261,7 @@ class StructureRegistry {
 
   struct Entry {
     Factory factory;
-    bool ranked = false;       // satisfies RankedSet (order statistics)
-    bool in_comparison = false;  // member of the Figures 6-9 comparison set
-    int order = 0;             // registration order; fixes plot ordering
-    StructureInfo info;        // type-derived capabilities (register_type)
+    StructureInfo info;  // type-derived capabilities (register_type)
   };
 
   static StructureRegistry& instance();
@@ -357,18 +271,17 @@ class StructureRegistry {
   void register_structure(std::string name, Entry entry);
 
   // Registers a concrete type under `name`.  The concept check happens
-  // here: T must at least be an OrderedSet, and `ranked` is derived from
-  // the type rather than trusted from the caller.
+  // here: T must at least be an OrderedSet, and its capabilities are
+  // derived from the type rather than trusted from the caller.
   template <OrderedSet T>
-  void register_type(const std::string& name, bool in_comparison = false) {
-    register_structure(name, type_entry<T>(name, in_comparison));
+  void register_type(const std::string& name) {
+    register_structure(name, type_entry<T>(name));
   }
 
   // Instantiates `name`, or returns nullptr if it is not registered.
   std::unique_ptr<AbstractOrderedSet> create(const std::string& name) const;
 
   bool contains(const std::string& name) const;
-  bool is_ranked(const std::string& name) const;
 
   // The registered structure's static capabilities, or nullopt if the
   // name is unknown.
@@ -376,11 +289,6 @@ class StructureRegistry {
 
   // All registered names, sorted.
   std::vector<std::string> names() const;
-
-  // The cross-structure comparison set used by Figures 6-9 (the paper
-  // plots BAT-EagerDel, its best variant, against the four baselines;
-  // Figures 5 and 10 additionally include the other BAT variants).
-  std::vector<std::string> comparison_set() const;
 
  private:
   StructureRegistry();  // registers the builtin structures
@@ -390,20 +298,17 @@ class StructureRegistry {
   // builds its instance differently (Sharded16-BAT-Adapt) starts from it,
   // swaps the factory and states what it changed.
   template <OrderedSet T>
-  static Entry type_entry(const std::string& name,
-                          bool in_comparison = false) {
+  static Entry type_entry(const std::string& name) {
     Entry e;
     e.factory = [name] {
       auto s = std::make_unique<SetModel<T>>();
       s->set_name(name);
       return std::unique_ptr<AbstractOrderedSet>(std::move(s));
     };
-    e.ranked = RankedSet<T>;
-    e.in_comparison = in_comparison;
     // Capabilities come from the TYPE, through the same static hooks the
     // layers already expose — never parsed back out of the name (the old
     // scheme; it broke the moment a name stopped encoding a property).
-    e.info.ranked = e.ranked;
+    e.info.ranked = RankedSet<T>;
     if constexpr (ConsistencyIntrospectable<T>) {
       e.info.consistency = T::composite_queries_linearizable()
                                ? Consistency::kLinearizable

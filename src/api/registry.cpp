@@ -1,6 +1,5 @@
 #include "api/ordered_set.h"
 
-#include <algorithm>
 #include <mutex>
 
 #include "btree/verbtree.h"
@@ -8,7 +7,6 @@
 #include "chromatic/chromatic_set.h"
 #include "core/bat_tree.h"
 #include "frbst/frbst.h"
-#include "reclamation/ebr.h"
 #include "shard/sharded_set.h"
 #include "vcasbst/vcas_bst.h"
 
@@ -28,7 +26,6 @@ static_assert(OrderedSet<ChromaticSet> && !RankedSet<ChromaticSet>);
 // plus the key-range hint the driver uses to align the shard map.
 static_assert(RankedSet<ShardedSet<Bat<SizeAug>, 16>>);
 static_assert(KeyRangeHintable<ShardedSet<Bat<SizeAug>, 16>>);
-static_assert(RankedSet<ShardedSet<BatDel<SizeAug>, 16>>);
 static_assert(!KeyRangeHintable<Bat<SizeAug>>);
 // Every forest answers composite queries on an epoch cut, so none carries
 // the weaker-consistency hook: they report the linearizable default.
@@ -36,9 +33,6 @@ static_assert(!ConsistencyIntrospectable<ShardedSet<Bat<SizeAug>, 16>>);
 // Single trees keep the default too: no hook, composite queries
 // linearizable.
 static_assert(!ConsistencyIntrospectable<Bat<SizeAug>>);
-// Every forest carries the hot-shard rebalancer and takes its knobs.
-static_assert(Rebalanceable<ShardedSet<Bat<SizeAug>, 16>>);
-static_assert(!Rebalanceable<Bat<SizeAug>>);
 
 namespace {
 std::mutex& registry_mutex() {
@@ -54,29 +48,27 @@ StructureRegistry& StructureRegistry::instance() {
 
 StructureRegistry::StructureRegistry() {
   // The eight names used throughout the paper's figures and tables.
-  register_type<Bat<SizeAug>>("BAT", /*in_comparison=*/false);
-  register_type<BatDel<SizeAug>>("BAT-Del", /*in_comparison=*/false);
-  register_type<BatEagerDel<SizeAug>>("BAT-EagerDel", /*in_comparison=*/true);
-  register_type<FrBst<SizeAug>>("FR-BST", /*in_comparison=*/true);
-  register_type<VcasBst>("VcasBST", /*in_comparison=*/true);
-  register_type<VerBTree>("VerlibBTree", /*in_comparison=*/true);
-  register_type<BundledTree>("BundledCitrusTree", /*in_comparison=*/true);
-  register_type<ChromaticSet>("ChromaticSet", /*in_comparison=*/false);
-  // The sharded BAT forests (shard layer).  Not in the paper's comparison
-  // set — they have their own scenarios (shard_sweep, shard_hotspot).
+  register_type<Bat<SizeAug>>("BAT");
+  register_type<BatDel<SizeAug>>("BAT-Del");
+  register_type<BatEagerDel<SizeAug>>("BAT-EagerDel");
+  register_type<FrBst<SizeAug>>("FR-BST");
+  register_type<VcasBst>("VcasBST");
+  register_type<VerBTree>("VerlibBTree");
+  register_type<BundledTree>("BundledCitrusTree");
+  register_type<ChromaticSet>("ChromaticSet");
+  // The sharded BAT forests (shard layer), with scenarios of their own
+  // (shard_sweep, shard_hotspot, read_burst, rebalance).
   register_type<ShardedSet<Bat<SizeAug>, 1>>("Sharded1-BAT");
   register_type<ShardedSet<Bat<SizeAug>, 4>>("Sharded4-BAT");
   register_type<ShardedSet<Bat<SizeAug>, 16>>("Sharded16-BAT");
   register_type<ShardedSet<Bat<SizeAug>, 64>>("Sharded64-BAT");
-  register_type<ShardedSet<BatDel<SizeAug>, 16>>("Sharded16-BAT-Del");
   // A second name for Sharded16-BAT, the same type: perfbench's workloads
   // resolve it, and its traced run dynamic_casts the instance to that
   // type.
   register_type<ShardedSet<Bat<SizeAug>, 16>>("Sharded16-BAT-Lin");
   // The same type with its hot-shard controller switched on (the
   // rebalance scenario and compare_bench.py's "-Adapt" twin rule use it);
-  // every other forest starts with the controller off.  The rebalancing
-  // knobs arrive through configure(SetOptions) on every forest.
+  // every other forest starts with the controller off.
   using Forest16 = ShardedSet<Bat<SizeAug>, 16>;
   Entry adapt = type_entry<Forest16>("Sharded16-BAT-Adapt");
   adapt.factory = [] {
@@ -89,37 +81,8 @@ StructureRegistry::StructureRegistry() {
   register_structure("Sharded16-BAT-Adapt", std::move(adapt));
 }
 
-namespace detail {
-
-bool process_options_valid(const SetOptions& o) {
-  // 0 means "guardrail off"; a negative mark is malformed (no limbo
-  // population can be below zero, so it would arm a dead trigger).
-  return !o.ebr_limbo_high_water.has_value() || *o.ebr_limbo_high_water >= 0;
-}
-
-void apply_process_options(const SetOptions& o) {
-  if (o.delegation_timeout.has_value()) {
-    // The spin budget is a per-instantiation static on BatTree; apply it
-    // to every variant the registry instantiates so the knob stays
-    // process-wide as documented.
-    Bat<SizeAug>::set_delegation_timeout(*o.delegation_timeout);
-    BatDel<SizeAug>::set_delegation_timeout(*o.delegation_timeout);
-    BatEagerDel<SizeAug>::set_delegation_timeout(*o.delegation_timeout);
-  }
-  if (o.ebr_limbo_high_water.has_value()) {
-    set_ebr_limbo_high_water(*o.ebr_limbo_high_water);
-  }
-}
-
-}  // namespace detail
-
 void StructureRegistry::register_structure(std::string name, Entry entry) {
   std::lock_guard<std::mutex> g(registry_mutex());
-  static int next_order = 0;
-  // Re-registering a name (tests shadowing a builtin with an instrumented
-  // double) keeps its position so figure series ordering stays stable.
-  const auto it = entries_.find(name);
-  entry.order = it != entries_.end() ? it->second.order : next_order++;
   entries_[std::move(name)] = std::move(entry);
 }
 
@@ -140,12 +103,6 @@ bool StructureRegistry::contains(const std::string& name) const {
   return entries_.count(name) > 0;
 }
 
-bool StructureRegistry::is_ranked(const std::string& name) const {
-  std::lock_guard<std::mutex> g(registry_mutex());
-  const auto it = entries_.find(name);
-  return it != entries_.end() && it->second.ranked;
-}
-
 std::optional<StructureInfo> StructureRegistry::info(
     const std::string& name) const {
   std::lock_guard<std::mutex> g(registry_mutex());
@@ -159,19 +116,6 @@ std::vector<std::string> StructureRegistry::names() const {
   std::vector<std::string> out;
   out.reserve(entries_.size());
   for (const auto& [name, entry] : entries_) out.push_back(name);
-  return out;
-}
-
-std::vector<std::string> StructureRegistry::comparison_set() const {
-  std::lock_guard<std::mutex> g(registry_mutex());
-  std::vector<std::pair<int, std::string>> picked;
-  for (const auto& [name, entry] : entries_) {
-    if (entry.in_comparison) picked.emplace_back(entry.order, name);
-  }
-  std::sort(picked.begin(), picked.end());
-  std::vector<std::string> out;
-  out.reserve(picked.size());
-  for (auto& [order, name] : picked) out.push_back(std::move(name));
   return out;
 }
 

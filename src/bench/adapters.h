@@ -12,7 +12,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "api/ordered_set.h"
 
@@ -27,14 +26,6 @@ using SetAdapter = api::AbstractOrderedSet;
 // unknown names.
 inline std::unique_ptr<SetAdapter> make_structure(const std::string& name) {
   return api::StructureRegistry::instance().create(name);
-}
-
-// The cross-structure comparison set used by Figures 6-9 (the paper plots
-// BAT-EagerDel, its best variant, against the four baselines; Figures 5
-// and 10 additionally include the other BAT variants).  Computed fresh so
-// structures registered or replaced after startup are reflected.
-inline std::vector<std::string> all_structures() {
-  return api::StructureRegistry::instance().comparison_set();
 }
 
 }  // namespace cbat::bench

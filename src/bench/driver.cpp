@@ -219,6 +219,35 @@ RunResult run_on(SetAdapter& set, const RunConfig& cfg) {
   return r;
 }
 
+CountedRun run_counted(const std::string& structure, const RunConfig& cfg,
+                       int repeats) {
+  RunConfig timed = cfg;
+  timed.prefill = false;  // done below, outside the counted window
+  CountedRun best;
+  for (int rep = 0; rep < std::max(repeats, 1); ++rep) {
+    auto set = make_structure(structure);
+    if (!set) {
+      best.result.structure = "UNKNOWN:" + structure;
+      return best;
+    }
+    api::SetOptions opts;
+    opts.key_range_hint = cfg.workload.max_key;
+    set->configure(opts);
+    if (cfg.prefill) {
+      prefill(*set, cfg.workload, cfg.threads, cfg.seed ^ 0xabcd);
+    }
+    Counters::reset();
+    RunResult r = run_on(*set, timed);
+    const Counters::Snapshot c = Counters::snapshot();
+    r.config = cfg;
+    if (rep == 0 || r.throughput() > best.result.throughput()) {
+      best.result = std::move(r);
+      best.counters = c;
+    }
+  }
+  return best;
+}
+
 RunResult run_benchmark(const std::string& structure, const RunConfig& cfg) {
   auto set = make_structure(structure);
   if (!set) {

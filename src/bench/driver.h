@@ -13,6 +13,7 @@
 #include "bench/adapters.h"
 #include "bench/latency.h"
 #include "bench/workload.h"
+#include "util/counters.h"
 
 namespace cbat::bench {
 
@@ -59,5 +60,20 @@ RunResult run_benchmark(const std::string& structure, const RunConfig& cfg);
 
 // Runs on an existing adapter (no construction, optional prefill skip).
 RunResult run_on(SetAdapter& set, const RunConfig& cfg);
+
+// A cell whose process-wide counters matter: the kept run and the
+// counters of its timed window.
+struct CountedRun {
+  RunResult result;
+  Counters::Snapshot counters;
+};
+
+// Runs (structure, cfg) `repeats` times and keeps the fastest run.  Each
+// repetition creates the structure, hints and prefills it, and only then
+// resets the counters, so the snapshot taken after the timed window
+// counts that window alone.  Call it while nothing else updates a
+// structure.
+CountedRun run_counted(const std::string& structure, const RunConfig& cfg,
+                       int repeats);
 
 }  // namespace cbat::bench

@@ -452,7 +452,6 @@ void run_table3(ScenarioContext& ctx) {
                             std::to_string(rq) + ", 25-25-25-25)";
   for (const auto& d : dists) {
     for (const auto& s : structures) {
-      Counters::reset();
       RunConfig cfg;
       cfg.workload.insert_pct = 25;
       cfg.workload.delete_pct = 25;
@@ -465,8 +464,10 @@ void run_table3(ScenarioContext& ctx) {
       cfg.workload.zipf_theta = d.theta;
       cfg.threads = static_cast<int>(tt);
       cfg.duration_ms = ms;
-      RunResult r = run_benchmark(s, cfg);
-      const auto c = Counters::snapshot();
+      // One repetition; the counters cover the timed window only (the
+      // prefill's uniform inserts would otherwise pad every ratio).
+      CountedRun run = run_counted(s, cfg, 1);
+      const Counters::Snapshot& c = run.counters;
       const double props = std::max<double>(
           1, static_cast<double>(c[Counter::kPropagateCalls]));
       const double search = static_cast<double>(c[Counter::kSearchPathNodes]);
@@ -483,8 +484,8 @@ void run_table3(ScenarioContext& ctx) {
           static_cast<double>(c[Counter::kDelegations]) / props;
 
       const std::string series = std::string(s) + " / " + d.name;
-      RunRecord& rec =
-          add_run(*ctx.out, table, "dist", d.name, series, std::move(r));
+      RunRecord& rec = add_run(*ctx.out, table, "dist", d.name, series,
+                               std::move(run.result));
       rec.metrics = {{"nodes_per_prop", nodes_per_prop},
                      {"extra_pct", extra_pct},
                      {"nil_per_prop", nil_per_prop},
@@ -660,28 +661,11 @@ void run_read_burst(ScenarioContext& ctx) {
       // gate's comparison against the baseline.
       const int repeats =
           args.smoke() ? std::max(repeats_for(args), 5) : repeats_for(args);
-      // Best-of-N by hand so the cache counters match the kept
-      // repetition; prefill stays outside the counted window.
-      RunResult best;
-      Counters::Snapshot best_counters;
-      for (int rep = 0; rep < repeats; ++rep) {
-        auto set = make_structure(structure);
-        api::SetOptions opts;
-        opts.key_range_hint = cfg.workload.max_key;
-        set->configure(opts);
-        prefill(*set, cfg.workload, cfg.threads, cfg.seed ^ 0xabcd);
-        Counters::reset();
-        RunConfig timed = cfg;
-        timed.prefill = false;  // already done above
-        RunResult r = run_on(*set, timed);
-        const auto c = Counters::snapshot();
-        if (rep == 0 || r.throughput() > best.throughput()) {
-          best = std::move(r);
-          best_counters = c;
-        }
-      }
-      RunRecord& rec =
-          add_run(*ctx.out, table, "threads", x, structure, std::move(best));
+      // The cache counters are the kept repetition's.
+      CountedRun best = run_counted(structure, cfg, repeats);
+      const Counters::Snapshot& best_counters = best.counters;
+      RunRecord& rec = add_run(*ctx.out, table, "threads", x, structure,
+                               std::move(best.result));
       ctx.out->add_cell(table, "threads", x, structure,
                         fmt_throughput(rec.result.throughput()));
       const double hits =
@@ -762,38 +746,16 @@ void run_rebalance(ScenarioContext& ctx) {
       cfg.threads = static_cast<int>(threads);
       cfg.duration_ms = ms;
       for (const Series& s : series) {
-        // Best-of-N by hand so the migration counters match the kept
-        // repetition; prefill runs outside the counted window (it is
-        // uniform, so it neither triggers nor deserves migrations).  At
-        // least 3 repetitions even in smoke: a single oversubscribed rep
-        // is too noisy for the adaptive-vs-static CI gate.
-        const int repeats = std::max(repeats_for(args), 3);
-        RunResult best;
-        Counters::Snapshot best_counters;
-        for (int rep = 0; rep < repeats; ++rep) {
-          auto set = make_structure(s.structure);
-          api::SetOptions opts;
-          opts.key_range_hint = cfg.workload.max_key;
-          if (s.adaptive) {
-            // A short check period so the rebalancer converges within a
-            // smoke cell; the policy thresholds stay at their defaults.
-            opts.adaptive_rebalance = true;
-            opts.rebalance_check_period = 512;
-          }
-          set->configure(opts);
-          prefill(*set, cfg.workload, cfg.threads, cfg.seed ^ 0xabcd);
-          Counters::reset();
-          RunConfig timed = cfg;
-          timed.prefill = false;  // already done above
-          RunResult r = run_on(*set, timed);
-          const auto c = Counters::snapshot();
-          if (rep == 0 || r.throughput() > best.throughput()) {
-            best = std::move(r);
-            best_counters = c;
-          }
-        }
+        // The migration counters are the kept repetition's; the prefill
+        // stays outside the counted window (it is uniform, so it neither
+        // triggers nor deserves migrations).  At least 3 repetitions even
+        // in smoke: a single oversubscribed rep is too noisy for the
+        // adaptive-vs-static CI gate.
+        CountedRun best =
+            run_counted(s.structure, cfg, std::max(repeats_for(args), 3));
+        const Counters::Snapshot& best_counters = best.counters;
         RunRecord& rec = add_run(*ctx.out, table, "theta", xbuf,
-                                 s.structure, std::move(best));
+                                 s.structure, std::move(best.result));
         ctx.out->add_cell(table, "theta", xbuf, s.structure,
                           fmt_throughput(rec.result.throughput()));
         if (!s.adaptive) {

@@ -298,12 +298,12 @@ class BatTree {
   }
 
   // Spin budget a delegating Propagate waits before resuming on its own
-  // (making the scheme non-blocking, §5).  0 disables the timeout.
+  // (making the scheme non-blocking, §5).  0 disables the timeout.  For
+  // tests only (forced timeouts, blocking mode): the budget is one plain
+  // static per variant, so call this while no update of that variant
+  // runs.
   static void set_delegation_timeout(std::uint64_t spins) {
     delegation_timeout_spins_ = spins;
-  }
-  static std::uint64_t delegation_timeout() {
-    return delegation_timeout_spins_;
   }
 
   // Pre-faults the calling thread's pool free lists for the object types

@@ -50,13 +50,12 @@ inline void ebr_assert_held() CBAT_ASSERT_CAPABILITY(ebr_capability) {}
 // shared: written once at exit, read on reclamation slow paths only.
 inline std::atomic<bool> g_reclaim_shutdown{false};
 
-// Limbo-pressure guardrail knob: when a thread's summed limbo bags reach
-// this many items, the next retire attempts an inline epoch advance and
+// Limbo-pressure guardrail: when a thread's summed limbo bags reach this
+// many items, the next retire attempts an inline epoch advance and
 // reclaim (bumping Counter::kEbrPressureEvents) instead of waiting out the
 // periodic advance batch — bounding memory held hostage by a stalled or
-// fault-delayed epoch.  0 disables the guardrail.  Process-wide; exposed
-// through SetOptions::ebr_limbo_high_water, which rejects negatives.
-// shared: read-mostly knob, written only by configure() and tests.
+// fault-delayed epoch.  0 disables the guardrail.  Process-wide.
+// shared: read-mostly; written only by tests (set_ebr_limbo_high_water).
 inline std::atomic<std::int64_t> g_ebr_limbo_high_water{1 << 15};
 
 inline std::int64_t ebr_limbo_high_water() {
@@ -64,8 +63,8 @@ inline std::int64_t ebr_limbo_high_water() {
   return g_ebr_limbo_high_water.load(std::memory_order_relaxed);
 }
 
-// Ignores negative values (configure() additionally rejects the whole
-// options struct up front, matching the other knob validations).
+// For tests only (the guardrail test lowers the mark to trip it): call
+// while no update runs.  Ignores negative values.
 inline void set_ebr_limbo_high_water(std::int64_t n) {
   // relaxed: see ebr_limbo_high_water().
   if (n >= 0) g_ebr_limbo_high_water.store(n, std::memory_order_relaxed);

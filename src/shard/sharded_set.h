@@ -35,7 +35,7 @@
 // Shard map.  Routing goes through a ShardMap: an immutable table of owned
 // upper bounds behind one atomic pointer.  The first map splits the
 // keyspace evenly (width = ceil(keyspace / NumShards)); the keyspace
-// defaults to `default_keyspace()` and can be adapted to a workload with
+// defaults to `kDefaultKeyspace` and can be adapted to a workload with
 // `key_range_hint(max_key)` *while the set is empty* (the benchmark driver
 // calls this before prefilling).  Every map is monotone, so order
 // statistics compose across shards by construction; keys outside
@@ -99,14 +99,10 @@
 
 namespace cbat {
 
-namespace shard_detail {
-
-// One process-wide keyspace default shared by every ShardedSet template
-// instance, so registry-created structures of any shard count agree.
-Key default_keyspace();
-void set_default_keyspace(Key keyspace);
-
-}  // namespace shard_detail
+// 2^20 keys: large enough that the default map is not degenerate for the
+// paper's small-tree workloads, small enough that hinted workloads always
+// override it.  Every ShardedSet starts from it, whatever its shard count.
+inline constexpr Key kDefaultKeyspace = Key{1} << 20;
 
 // The inner structure must expose a *sized* int64 augmentation (the
 // cross-shard prefix sums are shard sizes, and an aggregate cache entry
@@ -190,7 +186,7 @@ class ShardedSet {
   static constexpr int kMigHookCleaned = 6;    // source copies erased
   using MigrationHook = void (*)(void* ctx, int stage);
 
-  ShardedSet() : ShardedSet(shard_detail::default_keyspace()) {}
+  ShardedSet() : ShardedSet(kDefaultKeyspace) {}
   explicit ShardedSet(Key keyspace) {
     repartition(keyspace);
     // Attach the epoch clock before any update can run, so every root
@@ -625,17 +621,6 @@ class ShardedSet {
     // relaxed: policy switch; no data is published with it.
     mig_.enabled.store(on, std::memory_order_relaxed);
   }
-  // A shard migrates when its update rate exceeds `f` times the mean
-  // (f > 1; default 2.0).
-  void set_rebalance_hot_factor(double f) {
-    // relaxed: knob; any racing policy check may use either value.
-    if (f > 1.0) mig_.hot_factor.store(f, std::memory_order_relaxed);
-  }
-  // Updates between two policy checks on one thread (default 2048).
-  void set_rebalance_check_period(std::uint32_t p) {
-    // relaxed: knob; any racing policy check may use either value.
-    if (p > 0) mig_.check_period.store(p, std::memory_order_relaxed);
-  }
 
   // Test seam, mirroring Snapshot::MidAcquireHook: called at every
   // protocol boundary of a migration (the kMigHook* stages) so
@@ -742,6 +727,11 @@ class ShardedSet {
     static constexpr std::uint32_t kLogCap = 1u << 13;
     // Don't split shards with fewer owned keys than this.
     static constexpr std::int64_t kMinSplitKeys = 16;
+    // Controller policy: a shard migrates when its update rate exceeds
+    // kHotFactor times the mean, checked every kCheckPeriod-th update a
+    // thread makes to this forest.
+    static constexpr double kHotFactor = 2.0;
+    static constexpr std::uint64_t kCheckPeriod = 512;
 
     // shared: phase word; seq_cst-stored by the single migrator, rare.
     std::atomic<int> phase{kIdle};
@@ -754,18 +744,18 @@ class ShardedSet {
     std::atomic<bool> log_overflow{false};
     // shared: the log; slots are claimed by fetch_add, written once.
     std::array<std::atomic<Key>, kLogCap> log{};
-    // Per-thread in-flight update announcements: (op_seq << 1) | active.
-    // The op counter makes every announcement distinct, so the migrator's
-    // quiesce wait is a simple "changed or idle" check with no ABA.
+    // Per-thread in-flight update announcements: (ops << 1) | active,
+    // where ops counts the thread's announcements to this forest.  The
+    // count makes every announcement distinct, so the migrator's quiesce
+    // wait is a simple "changed or idle" check with no ABA, and it paces
+    // the controller's sampling and policy checks per forest.
     std::array<Padded<std::atomic<std::uint64_t>>, kMaxThreads> inflight{};
     // Single-migrator gate; also what serializes map installs.
     MigrationGate gate;
     // Per-shard update-rate estimators (sampled 1-in-8 by note_update).
     std::array<Padded<std::atomic<std::uint64_t>>, NumShards> rate{};
-    // shared: policy knobs (see the public setters); read-mostly.
+    // shared: policy switch (set_adaptive_enabled); read-mostly.
     std::atomic<bool> enabled{false};
-    std::atomic<std::uint32_t> check_period{2048};
-    std::atomic<double> hot_factor{2.0};
     // shared: test seam (set_migration_hook); idle in production.
     std::atomic<MigrationHook> hook{nullptr};
     std::atomic<void*> hook_ctx{nullptr};
@@ -777,15 +767,15 @@ class ShardedSet {
     std::atomic<int> abort_at{-1};
   };
 
-  // Announce / retire one in-flight update in this thread's slot.  The
-  // announce is seq_cst and MUST precede the phase read (that ordering is
-  // the whole barrier: an updater that read the old phase is visibly
-  // active to a migrator that scans after its phase store).
-  std::atomic<std::uint64_t>& announce_inflight() {
-    thread_local std::uint64_t op_seq = 0;
-    auto& slot = mig_.inflight[ThreadRegistry::thread_id()].value;
-    slot.store((++op_seq << 1) | 1, std::memory_order_seq_cst);
-    return slot;
+  // Announce / retire one in-flight update in this thread's idle slot,
+  // counting it.  The announce is seq_cst and MUST precede the phase read
+  // (that ordering is the whole barrier: an updater that read the old
+  // phase is visibly active to a migrator that scans after its phase
+  // store).
+  static void announce_inflight(std::atomic<std::uint64_t>& slot) {
+    // relaxed: reads back this thread's own slot; coherence suffices.
+    const std::uint64_t ops = (slot.load(std::memory_order_relaxed) >> 1) + 1;
+    slot.store((ops << 1) | 1, std::memory_order_seq_cst);
   }
   static void retire_inflight(std::atomic<std::uint64_t>& slot) {
     // Release: the tree op's response and any dirty-log entry are
@@ -818,10 +808,11 @@ class ShardedSet {
   // retired (spinning announced would deadlock the migrator's own
   // quiesce).
   bool update(Key k, bool is_insert) {
+    auto& slot = mig_.inflight[ThreadRegistry::thread_id()].value;
     bool r;
     int routed;
     for (;;) {
-      auto& slot = announce_inflight();
+      announce_inflight(slot);
       const int ph = mig_.phase.load(std::memory_order_seq_cst);
       // relaxed: lo/hi are stored before the kCopy phase store, and
       // reading kCopy (or later) seq_cst synchronizes with it, so the
@@ -852,7 +843,7 @@ class ShardedSet {
         std::this_thread::yield();
       }
     }
-    note_update(routed);
+    note_update(routed, slot);
     return r;
   }
 
@@ -883,29 +874,27 @@ class ShardedSet {
   }
 
   // Rate tracking + piggybacked policy check; called after every update,
-  // outside any guard, and a no-op while the controller is off.  Sampling
-  // 1-in-8 keeps the hot shard's rate counter off the update fast path's
-  // critical line budget.
-  void note_update(int shard) {
+  // with the caller's in-flight slot retired, outside any guard, and a
+  // no-op while the controller is off.  The slot's announcement count
+  // paces sampling and checks, so both are per forest, not per thread.
+  // Sampling 1-in-8 keeps the hot shard's rate counter off the update
+  // fast path's critical line budget.
+  void note_update(int shard, const std::atomic<std::uint64_t>& slot) {
     // relaxed: policy switch; a stale read defers or adds one sample.
     if (!mig_.enabled.load(std::memory_order_relaxed)) return;
-    thread_local std::uint32_t ops = 0;
-    thread_local std::uint32_t until_check = 1;
-    if ((++ops & 7u) == 0) {
+    // relaxed: reads back this thread's own slot; coherence suffices.
+    const std::uint64_t ops = slot.load(std::memory_order_relaxed) >> 1;
+    if ((ops & 7u) == 0) {
       // `shard` is the index the op actually routed to — no second map
       // lookup (and no guard) needed here.
       // relaxed: statistical estimator; lost or reordered bumps are noise.
       mig_.rate[shard]->fetch_add(8, std::memory_order_relaxed);
     }
-    if (--until_check == 0) {
-      // relaxed: policy knob; any recent value works.
-      until_check = mig_.check_period.load(std::memory_order_relaxed);
-      maybe_rebalance();
-    }
+    if (ops % Migration::kCheckPeriod == 0) maybe_rebalance();
   }
 
   // The RebalanceController's local rule: if the hottest shard's rate
-  // exceeds hot_factor x mean and an adjacent neighbor runs at half the
+  // exceeds kHotFactor x mean and an adjacent neighbor runs at half the
   // hot rate or less, shed half of the hot shard's keys to that neighbor.
   // Piggybacked on updater threads — no coordinator thread; the election
   // gate makes losers skip, not wait.
@@ -927,11 +916,9 @@ class ShardedSet {
       Counters::bump(Counter::kShardImbalanceSumMilli,
                      r[hot] * 1000 / mean);
       Counters::bump(Counter::kShardImbalanceSamples);
-      // relaxed: knob read; staleness only shifts one policy decision.
-      if (NumShards > 1 && static_cast<double>(r[hot]) >
-                               mig_.hot_factor.load(
-                                   std::memory_order_relaxed) *
-                                   static_cast<double>(mean)) {
+      const double hot_rate = static_cast<double>(r[hot]);
+      if (NumShards > 1 &&
+          hot_rate > Migration::kHotFactor * static_cast<double>(mean)) {
         // Cooler adjacent neighbor, the cooler of the two if both
         // qualify; require it to run at <= half the hot rate so the move
         // cannot ping-pong.
@@ -1323,6 +1310,5 @@ extern template class ShardedSet<Bat<SizeAug>, 1>;
 extern template class ShardedSet<Bat<SizeAug>, 4>;
 extern template class ShardedSet<Bat<SizeAug>, 16>;
 extern template class ShardedSet<Bat<SizeAug>, 64>;
-extern template class ShardedSet<BatDel<SizeAug>, 16>;
 
 }  // namespace cbat

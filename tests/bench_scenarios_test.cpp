@@ -10,6 +10,7 @@
 #include "bench/args.h"
 #include "bench/scenarios.h"
 #include "mini_json.h"
+#include "util/counters.h"
 
 namespace cbat::bench {
 namespace {
@@ -149,6 +150,37 @@ TEST(ScenarioDispatch, JsonDocumentContainsScenarioRuns) {
     // runs single trees, which are linearizable.
     EXPECT_EQ(run->at("consistency").str, "linearizable");
   }
+}
+
+// A counted cell's counters cover its timed window only (Table 3 divides
+// by them).  Every BAT insert or erase runs exactly one Propagate, so the
+// counted calls equal the run's updates.  Resetting the counters and then
+// calling run_benchmark, which prefills inside the counted window, also
+// counts the prefill's max_key/2 successful inserts.
+TEST(CountedRun, CountsTheTimedWindowOnly) {
+  RunConfig cfg;
+  cfg.workload.insert_pct = 25;
+  cfg.workload.delete_pct = 25;
+  cfg.workload.find_pct = 25;
+  cfg.workload.query_pct = 25;
+  cfg.workload.query_kind = QueryKind::kRange;
+  cfg.workload.rq_size = 100;
+  cfg.workload.max_key = 2000;
+  cfg.threads = 2;
+  cfg.duration_ms = 20;
+
+  const CountedRun run = run_counted("BAT", cfg, 1);
+  ASSERT_GT(run.result.updates, 0);
+  EXPECT_EQ(run.counters[Counter::kPropagateCalls],
+            static_cast<std::uint64_t>(run.result.updates));
+  EXPECT_TRUE(run.result.config.prefill);
+
+  Counters::reset();
+  const RunResult r = run_benchmark("BAT", cfg);
+  const Counters::Snapshot c = Counters::snapshot();
+  EXPECT_GE(c[Counter::kPropagateCalls],
+            static_cast<std::uint64_t>(r.updates + cfg.workload.max_key / 2));
+  Counters::reset();
 }
 
 }  // namespace

@@ -68,13 +68,9 @@ TEST(ShardedSet, KeyRangeHintOnlyWhileEmpty) {
   EXPECT_TRUE(s.key_range_hint(8000)) << "empty again, hint applies";
 }
 
-TEST(ShardedSet, DefaultKeyspaceKnobIsShared) {
-  const Key saved = shard_detail::default_keyspace();
-  shard_detail::set_default_keyspace(12345);
-  EXPECT_EQ(Sharded4().keyspace(), 12345);
-  EXPECT_EQ(Sharded16().keyspace(), 12345);
-  shard_detail::set_default_keyspace(saved);
-  EXPECT_EQ(Sharded4().keyspace(), saved);
+TEST(ShardedSet, EveryShardCountStartsAtTheDefaultKeyspace) {
+  EXPECT_EQ(Sharded4().keyspace(), kDefaultKeyspace);
+  EXPECT_EQ(Sharded16().keyspace(), kDefaultKeyspace);
 }
 
 // Reference implementation of every order statistic on a std::set.
@@ -389,7 +385,6 @@ TEST(AdaptiveShardedSet, RebalanceOnceRefusesBadMoves) {
 TEST(AdaptiveShardedSet, PolicyMigratesUnderSkewedUpdates) {
   Sharded4 set(4096);
   set.set_adaptive_enabled(true);  // the controller is off by default
-  set.set_rebalance_check_period(128);
   Xoshiro256 rng(5);
   for (int step = 0; step < 20000 && set.map_generation() == 1; ++step) {
     const Key k = static_cast<Key>(rng.below(1024));  // shard 0 only
@@ -401,6 +396,41 @@ TEST(AdaptiveShardedSet, PolicyMigratesUnderSkewedUpdates) {
   }
   EXPECT_GT(set.map_generation(), 1u)
       << "a pure shard-0 workload must trigger the controller";
+}
+
+// The controller's sampling and policy checks are paced per forest: one
+// thread alternating the same shard-0 stream between two forests must
+// see both migrate, exactly as one forest fed that stream alone does.
+// (Paced per thread, every 8th-update sample could land on one forest
+// and every policy check on the other, and neither would ever move.)
+TEST(AdaptiveShardedSet, ControllerIsPerInstance) {
+  constexpr int kUpdates = 40000;
+  const auto feed = [](std::vector<Sharded4*> sets) {
+    Xoshiro256 rng(5);
+    for (int step = 0; step < kUpdates; ++step) {
+      const Key k = static_cast<Key>(rng.below(1024));  // shard 0 only
+      const bool insert = rng.below(2) == 0;
+      for (Sharded4* s : sets) {
+        if (insert) {
+          s->insert(k);
+        } else {
+          s->erase(k);
+        }
+      }
+    }
+  };
+  Sharded4 alone(4096);
+  alone.set_adaptive_enabled(true);
+  feed({&alone});
+  EXPECT_GT(alone.map_generation(), 1u);
+
+  Sharded4 a(4096);
+  Sharded4 b(4096);
+  a.set_adaptive_enabled(true);
+  b.set_adaptive_enabled(true);
+  feed({&a, &b});
+  EXPECT_GT(a.map_generation(), 1u);
+  EXPECT_GT(b.map_generation(), 1u);
 }
 
 // Migrations racing real update/reader traffic (TSan-gated in CI, with
@@ -417,7 +447,6 @@ TEST(AdaptiveShardedSet, MigrateUnderLoadStaysExact) {
   constexpr int kOpsPerThread = 12000;
   Sharded4 set(kKeyspace);
   set.set_adaptive_enabled(true);  // the policy adds its own moves
-  set.set_rebalance_check_period(256);
   std::atomic<bool> stop{false};
 
   std::vector<std::thread> threads;
