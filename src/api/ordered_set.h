@@ -1,12 +1,13 @@
 // Unified ordered-set API layer.
 //
-// Every structure in the repository — the three BAT variants, the FR-BST,
-// and the three baselines — implements the same abstract set-with-order-
-// statistics interface.  This header pins that contract down twice:
+// Every registered structure — the three BAT variants, the FR-BST, the
+// three baselines and the shard forests — implements the same abstract
+// set-with-order-statistics interface.  This header pins that contract
+// down twice:
 //
-//   * statically, as the C++20 concepts `OrderedSet` and `RankedSet`, which
-//     the registry enforces at registration time (a structure that drifts
-//     from the contract stops compiling, not stops agreeing at runtime);
+//   * statically, as the C++20 concept `RankedSet`, which the registry
+//     enforces at registration time (a structure that drifts from the
+//     contract stops compiling, not stops agreeing at runtime);
 //   * dynamically, as `AbstractOrderedSet`, the type-erased interface the
 //     benchmark driver and the integration tests program against (the role
 //     SetBench's abstract set plays for the paper).
@@ -61,40 +62,6 @@ concept KeyRangeHintable = requires(S s, Key k) {
   { s.key_range_hint(k) } -> std::same_as<bool>;
 };
 
-// Consistency guarantee of a structure's composite queries — the
-// operations that read more than one key's state at once (size, rank,
-// select, range_count, range_aggregate, range collection).  Point
-// operations (insert/erase/contains) are linearizable for every
-// registered structure; composite queries are where guarantees diverge:
-//
-//   * kLinearizable: the query takes effect at one instant between its
-//     invocation and response; any update completed before the query
-//     began is included, none begun after it ends is.  Every single-tree
-//     structure gives this (queries run on one atomic root snapshot), as
-//     does every ShardedSet (queries run on one epoch cut of the forest).
-//   * kQuiescentlyConsistent: the API's weaker-than-linearizable bucket.
-//     The one registered structure in it is ChromaticSet, whose size()
-//     traverses the live tree; the per-structure table in
-//     docs/ARCHITECTURE.md states its exact guarantee — consistency()
-//     only promises "not linearizable" here.
-//
-// The full per-structure, per-operation-class table lives in
-// docs/ARCHITECTURE.md ("Consistency guarantees").
-enum class Consistency { kLinearizable, kQuiescentlyConsistent };
-
-inline const char* consistency_name(Consistency c) {
-  return c == Consistency::kLinearizable ? "linearizable"
-                                         : "quiescently_consistent";
-}
-
-// Optional introspection: structures whose composite queries are weaker
-// than linearizable say so through a static hook; everything else defaults
-// to linearizable (the repository-wide contract for single trees).
-template <class S>
-concept ConsistencyIntrospectable = requires {
-  { S::composite_queries_linearizable() } -> std::convertible_to<bool>;
-};
-
 // The options bag configure() takes.  Each field is optional; a
 // disengaged field means "leave that setting alone".
 struct SetOptions {
@@ -108,8 +75,6 @@ struct SetOptions {
 // records these in every run's JSON config and `cbat_bench --list
 // --verbose` prints them.
 struct StructureInfo {
-  bool ranked = false;    // order statistics (RankedSet)
-  Consistency consistency = Consistency::kLinearizable;  // composite queries
   bool adaptive = false;  // hot-shard controller on at creation
   int shards = 1;         // forest width (1 = single tree)
   // Range aggregates go through an epoch-stamped aggregate cache (every
@@ -120,9 +85,10 @@ struct StructureInfo {
 // Type-erased view of a registered structure.
 //
 // Thread-safety contract: every operation is safe to call from any number
-// of threads concurrently with any other, with no external locking.  Point
-// operations and single-structure queries are linearizable; composite
-// queries give the guarantee reported by consistency().  All operations
+// of threads concurrently with any other, with no external locking.  Every
+// operation of a builtin structure is linearizable, composite queries
+// included (one root snapshot per single tree, one epoch cut per forest;
+// docs/ARCHITECTURE.md "Consistency guarantees").  All operations
 // are non-blocking toward *other* threads' progress except where a
 // concrete structure documents bounded waiting (delegation's
 // WaitForDelegatee, bounded by the delegation timeout and falling back to
@@ -136,10 +102,7 @@ class AbstractOrderedSet {
   virtual bool contains(Key k) = 0;
   virtual std::int64_t size() = 0;
 
-  // Order statistics.  Meaningful only when supports_order_statistics();
-  // structures registered without them (the plain chromatic set) answer
-  // range_count/rank with 0 and select_query with kInf2.
-  virtual bool supports_order_statistics() const = 0;
+  // Order statistics.  select_query answers 0 for an out-of-range index.
   virtual std::int64_t range_count(Key lo, Key hi) = 0;
   virtual std::int64_t rank(Key k) = 0;
   virtual Key select_query(std::int64_t i) = 0;
@@ -161,15 +124,6 @@ class AbstractOrderedSet {
   // succeeds.  See SetOptions.
   virtual bool configure(const SetOptions& o) = 0;
 
-  // The guarantee this structure's composite queries (size/rank/select/
-  // range_*) give under concurrent updates; see the Consistency enum.  The
-  // benchmark driver reports it per run (stderr note + the JSON config's
-  // "consistency" field) so quiescently-consistent numbers are never
-  // mistaken for linearizable ones.
-  virtual Consistency consistency() const {
-    return Consistency::kLinearizable;
-  }
-
   // Advisory: the calling thread expects to run about this many updates.
   // Structures backed by per-thread object pools pre-fault their free
   // lists so a fresh thread's first operations do not pay cold allocation
@@ -185,10 +139,8 @@ class AbstractOrderedSet {
   std::string name_;
 };
 
-// Bridges a concrete structure type into AbstractOrderedSet.  The concept
-// split is resolved here, at compile time: RankedSet types get real order
-// statistics, plain OrderedSet types get the documented fallbacks.
-template <OrderedSet T>
+// Bridges a concrete RankedSet type into AbstractOrderedSet.
+template <RankedSet T>
 class SetModel final : public AbstractOrderedSet {
  public:
   bool insert(Key k) override { return t_.insert(k); }
@@ -196,19 +148,11 @@ class SetModel final : public AbstractOrderedSet {
   bool contains(Key k) override { return t_.contains(k); }
   std::int64_t size() override { return t_.size(); }
 
-  bool supports_order_statistics() const override { return RankedSet<T>; }
   std::int64_t range_count(Key lo, Key hi) override {
-    if constexpr (RankedSet<T>) return t_.range_count(lo, hi);
-    return 0;
+    return t_.range_count(lo, hi);
   }
-  std::int64_t rank(Key k) override {
-    if constexpr (RankedSet<T>) return t_.rank(k);
-    return 0;
-  }
-  Key select_query(std::int64_t i) override {
-    if constexpr (RankedSet<T>) return t_.select(i).value_or(0);
-    return kInf2;
-  }
+  std::int64_t rank(Key k) override { return t_.rank(k); }
+  Key select_query(std::int64_t i) override { return t_.select(i).value_or(0); }
   std::int64_t range_aggregate(Key lo, Key hi) override {
     if constexpr (requires(const T ct) {
                     {
@@ -216,10 +160,8 @@ class SetModel final : public AbstractOrderedSet {
                     } -> std::convertible_to<std::int64_t>;
                   }) {
       return t_.range_aggregate(lo, hi);
-    } else if constexpr (RankedSet<T>) {
-      return t_.range_count(lo, hi);
     } else {
-      return 0;
+      return t_.range_count(lo, hi);
     }
   }
 
@@ -229,15 +171,6 @@ class SetModel final : public AbstractOrderedSet {
       return t_.key_range_hint(*o.key_range_hint);
     }
     return false;
-  }
-
-  Consistency consistency() const override {
-    if constexpr (ConsistencyIntrospectable<T>) {
-      return T::composite_queries_linearizable()
-                 ? Consistency::kLinearizable
-                 : Consistency::kQuiescentlyConsistent;
-    }
-    return Consistency::kLinearizable;
   }
 
   void warm_up(std::size_t expected_updates) override {
@@ -252,9 +185,10 @@ class SetModel final : public AbstractOrderedSet {
   T t_;
 };
 
-// Name -> factory map for every structure in the repository.  The builtin
-// structures (the eight names the paper's figures use) are registered the
-// first time instance() runs; user structures can be added at any point.
+// Name -> factory map for every registered structure.  The builtin
+// structures (the seven names the paper's figures use, plus the shard
+// forests) are registered the first time instance() runs; user structures
+// can be added at any point.
 class StructureRegistry {
  public:
   using Factory = std::function<std::unique_ptr<AbstractOrderedSet>()>;
@@ -271,9 +205,9 @@ class StructureRegistry {
   void register_structure(std::string name, Entry entry);
 
   // Registers a concrete type under `name`.  The concept check happens
-  // here: T must at least be an OrderedSet, and its capabilities are
-  // derived from the type rather than trusted from the caller.
-  template <OrderedSet T>
+  // here: T must be a RankedSet, and its capabilities are derived from the
+  // type rather than trusted from the caller.
+  template <RankedSet T>
   void register_type(const std::string& name) {
     register_structure(name, type_entry<T>(name));
   }
@@ -297,7 +231,7 @@ class StructureRegistry {
   // and the capabilities derived from the type.  A builtin entry that
   // builds its instance differently (Sharded16-BAT-Adapt) starts from it,
   // swaps the factory and states what it changed.
-  template <OrderedSet T>
+  template <RankedSet T>
   static Entry type_entry(const std::string& name) {
     Entry e;
     e.factory = [name] {
@@ -308,12 +242,6 @@ class StructureRegistry {
     // Capabilities come from the TYPE, through the same static hooks the
     // layers already expose — never parsed back out of the name (the old
     // scheme; it broke the moment a name stopped encoding a property).
-    e.info.ranked = RankedSet<T>;
-    if constexpr (ConsistencyIntrospectable<T>) {
-      e.info.consistency = T::composite_queries_linearizable()
-                               ? Consistency::kLinearizable
-                               : Consistency::kQuiescentlyConsistent;
-    }
     if constexpr (requires {
                     { T::num_shards() } -> std::convertible_to<int>;
                   }) {

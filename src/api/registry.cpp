@@ -4,7 +4,6 @@
 
 #include "btree/verbtree.h"
 #include "bundled/bundled_tree.h"
-#include "chromatic/chromatic_set.h"
 #include "core/bat_tree.h"
 #include "frbst/frbst.h"
 #include "shard/sharded_set.h"
@@ -21,18 +20,11 @@ static_assert(RankedSet<FrBst<SizeAug>>);
 static_assert(RankedSet<VcasBst>);
 static_assert(RankedSet<VerBTree>);
 static_assert(RankedSet<BundledTree>);
-static_assert(OrderedSet<ChromaticSet> && !RankedSet<ChromaticSet>);
 // The shard layer composes BATs and must satisfy the same contract as one,
 // plus the key-range hint the driver uses to align the shard map.
 static_assert(RankedSet<ShardedSet<Bat<SizeAug>, 16>>);
 static_assert(KeyRangeHintable<ShardedSet<Bat<SizeAug>, 16>>);
 static_assert(!KeyRangeHintable<Bat<SizeAug>>);
-// Every forest answers composite queries on an epoch cut, so none carries
-// the weaker-consistency hook: they report the linearizable default.
-static_assert(!ConsistencyIntrospectable<ShardedSet<Bat<SizeAug>, 16>>);
-// Single trees keep the default too: no hook, composite queries
-// linearizable.
-static_assert(!ConsistencyIntrospectable<Bat<SizeAug>>);
 
 namespace {
 std::mutex& registry_mutex() {
@@ -47,7 +39,7 @@ StructureRegistry& StructureRegistry::instance() {
 }
 
 StructureRegistry::StructureRegistry() {
-  // The eight names used throughout the paper's figures and tables.
+  // The seven names used throughout the paper's figures and tables.
   register_type<Bat<SizeAug>>("BAT");
   register_type<BatDel<SizeAug>>("BAT-Del");
   register_type<BatEagerDel<SizeAug>>("BAT-EagerDel");
@@ -55,7 +47,6 @@ StructureRegistry::StructureRegistry() {
   register_type<VcasBst>("VcasBST");
   register_type<VerBTree>("VerlibBTree");
   register_type<BundledTree>("BundledCitrusTree");
-  register_type<ChromaticSet>("ChromaticSet");
   // The sharded BAT forests (shard layer), with scenarios of their own
   // (shard_sweep, shard_hotspot, read_burst, rebalance).
   register_type<ShardedSet<Bat<SizeAug>, 1>>("Sharded1-BAT");

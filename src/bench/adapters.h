@@ -21,9 +21,9 @@ using SetAdapter = api::AbstractOrderedSet;
 
 // Instantiates one of the structure names used throughout the paper's
 // figures ("BAT", "BAT-Del", "BAT-EagerDel", "FR-BST", "VcasBST",
-// "VerlibBTree", "BundledCitrusTree", "ChromaticSet"), or any structure
-// registered later through StructureRegistry.  Returns nullptr for
-// unknown names.
+// "VerlibBTree", "BundledCitrusTree"), a shard forest ("Sharded16-BAT",
+// ...), or any structure registered later through StructureRegistry.
+// Returns nullptr for unknown names.
 inline std::unique_ptr<SetAdapter> make_structure(const std::string& name) {
   return api::StructureRegistry::instance().create(name);
 }

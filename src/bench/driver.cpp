@@ -150,23 +150,6 @@ void prefill(SetAdapter& set, const Workload& w, int threads,
 }
 
 RunResult run_on(SetAdapter& set, const RunConfig& cfg) {
-  if (cfg.workload.query_pct > 0 && !set.supports_order_statistics()) {
-    std::fprintf(stderr,
-                 "warning: %s does not support order statistics; its query "
-                 "results in this run are the documented fallbacks\n",
-                 set.name().c_str());
-  }
-  // Per-structure consistency report (api::AbstractOrderedSet::
-  // consistency): composite-query cells on a quiescently consistent
-  // structure measure a weaker guarantee than the same cells on a
-  // linearizable one, so say so next to the numbers.
-  if (cfg.workload.query_pct > 0 &&
-      set.consistency() == api::Consistency::kQuiescentlyConsistent) {
-    std::fprintf(stderr,
-                 "note: %s composite queries are quiescently consistent, "
-                 "not linearizable (see docs/ARCHITECTURE.md)\n",
-                 set.name().c_str());
-  }
   // Let keyspace-aware structures (the shard layer) align their key map to
   // the workload before any key goes in, through the unified configure()
   // front door (structures without a use for the hint ignore it).
@@ -200,7 +183,6 @@ RunResult run_on(SetAdapter& set, const RunConfig& cfg) {
 
   RunResult r;
   r.structure = set.name();
-  r.consistency = api::consistency_name(set.consistency());
   r.config = cfg;
   r.seconds = secs;
   LatencyHistogram update_hist, find_hist, query_hist;

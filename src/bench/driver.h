@@ -27,11 +27,6 @@ struct RunConfig {
 
 struct RunResult {
   std::string structure;
-  // Composite-query guarantee the structure reported for this run
-  // (api::consistency_name): "linearizable" or "quiescently_consistent".
-  // Carried into the JSON config so quiescent numbers are never mistaken
-  // for linearizable ones when series are compared.
-  std::string consistency;
   RunConfig config;
   double seconds = 0;
   std::int64_t total_ops = 0;

@@ -695,14 +695,14 @@ void run_read_burst(ScenarioContext& ctx) {
 // theta >= 1.2 absorbs nearly all updates; with the controller on, the
 // forest detects the hot shard from its update-rate counters and migrates
 // key ranges (epoch-cut key migration, src/shard/) to the cool neighbors
-// until no further median split helps.  Each
-// adaptive cell records `migrations` / `migrated_keys` / `double_routes` /
-// `shard_imbalance` (hot-shard rate over the mean, averaged over policy
-// checks) into the schema-1 JSON; scripts/compare_bench.py requires the
-// migration metrics on every adaptive run (missing = schema error) and
-// gates on the adaptive series not collapsing to the controller-off one at
-// theta >= 1.2.  Smoke oversubscribes: the hot-shard penalty is runnable
-// threads convoying on one shard's root refresh.
+// until no further median split helps.  Each adaptive cell records
+// `migrations` / `migrated_keys` / `shard_imbalance` (hot-shard rate over
+// the mean, averaged over policy checks) / `migration_aborts` into the
+// schema-1 JSON; scripts/compare_bench.py requires `migrations` on every
+// adaptive run (missing = schema error) and gates on the adaptive series
+// not collapsing to the controller-off one at theta >= 1.2.  Smoke
+// oversubscribes: the hot-shard penalty is runnable threads convoying on
+// one shard's root refresh.
 void run_rebalance(ScenarioContext& ctx) {
   const Args& args = *ctx.args;
   // 256K keys: wide enough that 1/16 of the keyspace is a meaningful Zipf
@@ -767,8 +767,6 @@ void run_rebalance(ScenarioContext& ctx) {
             best_counters[Counter::kShardMigrations]);
         const double moved = static_cast<double>(
             best_counters[Counter::kShardMigratedKeys]);
-        const double routes = static_cast<double>(
-            best_counters[Counter::kShardDoubleRoutes]);
         const double imb_sum = static_cast<double>(
             best_counters[Counter::kShardImbalanceSumMilli]);
         const double imb_n = static_cast<double>(
@@ -778,7 +776,6 @@ void run_rebalance(ScenarioContext& ctx) {
             best_counters[Counter::kShardMigrationAborts]);
         rec.metrics = {{"migrations", migrations},
                        {"migrated_keys", moved},
-                       {"double_routes", routes},
                        {"shard_imbalance", imbalance},
                        {"migration_aborts", aborts}};
         std::fprintf(stderr,
@@ -1187,15 +1184,17 @@ void append_run_json(JsonWriter& w, const RunRecord& rec) {
     const RunResult& r = rec.result;
     const Workload& wl = r.config.workload;
     w.kv("structure", r.structure);
-    // Micro kernels have no structure-level guarantee to report.
-    if (!r.consistency.empty()) w.kv("consistency", r.consistency);
     if (info) {
+      // Schema 1 is append-only, so the consistency and rankedness keys
+      // stay in every structure's record: every registered structure is
+      // ranked and linearizable.  Micro kernels carry neither.
+      w.kv("consistency", "linearizable");
       w.key("capabilities");
       w.begin_object();
-      w.kv("ranked", info->ranked);
-      w.kv("consistency", api::consistency_name(info->consistency));
-      // Schema 1 is append-only, so these two keys stay in every record;
-      // no registered structure combines updates or reads.
+      w.kv("ranked", true);
+      w.kv("consistency", "linearizable");
+      // The same holds for these two: no registered structure combines
+      // updates or reads.
       w.kv("combining", false);
       w.kv("read_combining", false);
       w.kv("adaptive", info->adaptive);
@@ -1352,9 +1351,7 @@ int scenario_main(int argc, char** argv) {
       for (const auto& name : sr.names()) {
         const auto info = sr.info(name);
         if (!info) continue;
-        std::printf("  %-32s %s, %s, shards=%d%s%s\n", name.c_str(),
-                    info->ranked ? "ranked" : "unranked",
-                    api::consistency_name(info->consistency), info->shards,
+        std::printf("  %-32s shards=%d%s%s\n", name.c_str(), info->shards,
                     info->adaptive ? ", adaptive" : "",
                     info->cached_reads ? ", cached reads" : "");
       }

@@ -18,18 +18,11 @@ class ChromaticSet {
   bool erase(Key k);
   bool contains(Key k) const;
 
-  // Theta(n) traversal under an EBR guard; satisfies api::OrderedSet.
+  // Theta(n) traversal of the live tree under an EBR guard, not a
+  // snapshot: under concurrent rebalancing a rotation can move even a
+  // long-completed key across the traversal frontier, so the count is
+  // best-effort while updates run and exact whenever none is concurrent.
   std::int64_t size() const;
-
-  // Consistency introspection (api::ConsistencyIntrospectable): size()
-  // traverses the live tree, not a snapshot.  Under concurrent
-  // *rebalancing* a rotation can move even a long-completed key across
-  // the traversal frontier, so the count is best-effort while updates
-  // run — strictly weaker than a snapshot that pins an immutable cut
-  // (docs/ARCHITECTURE.md spells out the difference).  Exact whenever no
-  // update is concurrent.  Reported as kQuiescentlyConsistent, the API's
-  // weaker-than-linearizable bucket.
-  static constexpr bool composite_queries_linearizable() { return false; }
 
   std::size_t size_slow() const;
   ChromaticTree<NoVersionPolicy>::InvariantReport check_invariants() const;

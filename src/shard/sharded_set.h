@@ -51,11 +51,11 @@
 // in the spirit of Bampas et al.'s self-stabilizing containment-tree
 // balancing: no global coordinator, convergence while traffic continues).
 // A boundary move runs the epoch-cut migration protocol
-// (docs/ARCHITECTURE.md "How a key migration works"): freeze the move
-// behind a phase word, copy the keys on a linearizable epoch cut with
-// per-key inserts, double-route in-flight updates through a dirty-key log,
-// seal the range for one grace period to replay the log, then publish the
-// new map and erase the moved keys' source-shard copies.
+// (docs/ARCHITECTURE.md "How a key migration works"): pre-copy the keys on
+// a linearizable epoch cut with per-key inserts while updates keep
+// applying to the source, seal the range for one grace period, patch the
+// copy by diffing it against the sealed source range, then publish the new
+// map and erase the moved keys' source-shard copies.
 //
 // Clean and dirty shards.  A migration's copies and leftovers are keys a
 // shard holds outside its owned range.  Each map carries a mask of the
@@ -177,12 +177,12 @@ class ShardedSet {
   // Migration phase-hook stages (test seam, like Snapshot's
   // MidAcquireHook): the migrator calls the hook at every protocol
   // boundary so tests can interleave queries and updates at each phase.
-  static constexpr int kMigHookCopyBegin = 0;  // descriptor live, pre-copy
+  static constexpr int kMigHookCopyBegin = 0;  // cut chosen, pre-copy
   static constexpr int kMigHookCopied = 1;     // bulk copy applied to dst
-  static constexpr int kMigHookSealed = 2;     // range sealed, pre-replay
-  static constexpr int kMigHookReplayed = 3;   // dirty log applied to dst
+  static constexpr int kMigHookSealed = 2;     // range sealed, pre-diff
+  static constexpr int kMigHookReplayed = 3;   // diff applied to dst
   static constexpr int kMigHookFlipped = 4;    // new map installed+stamped
-  static constexpr int kMigHookOpened = 5;     // phase kDone, range live
+  static constexpr int kMigHookOpened = 5;     // seal cleared, range live
   static constexpr int kMigHookCleaned = 6;    // source copies erased
   using MigrationHook = void (*)(void* ctx, int stage);
 
@@ -236,9 +236,9 @@ class ShardedSet {
     // Route by the current map, under a guard so the map stays live.
     // Correct in every migration phase: before the flip the old map
     // routes a migrating key to its source shard, which stays
-    // authoritative until the range is sealed and replayed; after the
-    // flip the new map routes to the destination, which the replay made
-    // identical to the source at the moment updates were still blocked —
+    // authoritative until the range is sealed and diffed; after the flip
+    // the new map routes to the destination, which the diff made
+    // identical to the source while updates to the range were parked —
     // at the flip instant both routes give the same answer.
     EbrGuard g;
     return shards_[route(map_.load(std::memory_order_acquire), k)]->contains(
@@ -633,9 +633,9 @@ class ShardedSet {
   }
 
   // Test seam for the rollback path: the NEXT migration aborts at pre-flip
-  // boundary `b` (0 = copy phase opened, 1 = bulk copy done, 2 = range
-  // sealed, 3 = log replayed, 4 = immediately before the map flip) and
-  // rolls back; one-shot.  Out-of-range values (e.g. -1) clear the seam.
+  // boundary `b` (0 = bulk copy in dst, 1 = range sealed, 2 = diff applied,
+  // immediately before the map flip) and rolls back; one-shot.
+  // Out-of-range values (e.g. -1) clear the seam.
   // The CBAT_FAULT_FORCE mig.* sites drive the same path when fault
   // injection is compiled in.
   void set_migration_abort_point(int b) {
@@ -677,29 +677,27 @@ class ShardedSet {
   // --- the epoch-cut migration protocol ------------------------------------
   //
   // One migration descriptor per forest (moves are serialized by the
-  // migration gate).  The phase word is the updater-facing contract:
+  // migration gate).  The seal flag is the updater-facing contract:
   //
-  //   kIdle  — no move in flight; updates route by the current map.
-  //   kCopy  — keys in [lo, hi] are being bulk-copied from src to dst on
-  //            an epoch cut E0; updates in the range still apply to src
-  //            (the map has not flipped) but ALSO log their key, so the
-  //            migrator can replay what the copy missed.
-  //   kSeal  — updates in the range park OUTSIDE their guard until the
-  //            phase moves on; one grace period after sealing, the range
-  //            is quiescent and the log replay makes dst exact.
-  //   kDone  — the new map is published; updates route by it (to dst).
+  //   clear  — updates route by the current map.  A pre-copy may be
+  //            running: updates in its range still apply to src (the map
+  //            has not flipped), and the post-seal diff carries them to
+  //            dst.
+  //   sealed — updates in [lo, hi] park OUTSIDE their guard until the
+  //            flag clears; one grace period after sealing, the range is
+  //            quiescent and the diff makes dst exact.
   //
-  // Every phase store is seq_cst and followed by mig_quiesce() where the
-  // protocol needs "all updates that saw the previous phase have
-  // finished".  The barrier is a dedicated per-thread in-flight array,
-  // not an EBR grace period: it waits only for updates to this forest,
-  // where a grace period would also wait out every other guard in the
-  // process (long snapshot reads of unrelated structures included).  An
-  // updater announces its slot (seq_cst) BEFORE reading the phase, so an
-  // updater observed idle either finished its operation or started a new
-  // one that already sees the new phase.
+  // The flag's stores are seq_cst, and the seal store is followed by
+  // mig_quiesce(): "all updates that saw the flag clear have finished".
+  // The barrier is a dedicated per-thread in-flight array, not an EBR
+  // grace period: it waits only for updates to this forest, where a
+  // grace period would also wait out every other guard in the process
+  // (long snapshot reads of unrelated structures included).  An updater
+  // announces its slot (seq_cst) BEFORE reading the flag, so an updater
+  // observed idle either finished its operation or started a new one
+  // that already sees the seal.
   // Single-migrator election gate, modeled as a TSA capability: the
-  // protocol bodies (migrate, replay_log) are CBAT_REQUIRES(mig_.gate),
+  // protocol bodies (migrate, diff_range) are CBAT_REQUIRES(mig_.gate),
   // so reaching them without winning the election is a compile error
   // under -DCBAT_THREAD_SAFETY=ON.  Losers skip, not wait — try_acquire
   // is the whole election.
@@ -720,11 +718,6 @@ class ShardedSet {
   };
 
   struct Migration {
-    enum Phase : int { kIdle = 0, kCopy = 1, kSeal = 2, kDone = 3 };
-    // Dirty-key log capacity.  An overflow is not an error: the replay
-    // falls back to a full diff of the migrated range (src truth vs. the
-    // bulk copy), it just stops being proportional to the update rate.
-    static constexpr std::uint32_t kLogCap = 1u << 13;
     // Don't split shards with fewer owned keys than this.
     static constexpr std::int64_t kMinSplitKeys = 16;
     // Controller policy: a shard migrates when its update rate exceeds
@@ -733,17 +726,11 @@ class ShardedSet {
     static constexpr double kHotFactor = 2.0;
     static constexpr std::uint64_t kCheckPeriod = 512;
 
-    // shared: phase word; seq_cst-stored by the single migrator, rare.
-    std::atomic<int> phase{kIdle};
-    // shared: move bounds; written once per migration, before kCopy.
+    // shared: seal flag; seq_cst-stored by the single migrator, rare.
+    std::atomic<bool> sealed{false};
+    // shared: sealed bounds; written once per migration, before the seal.
     std::atomic<Key> lo{0};
     std::atomic<Key> hi{0};
-    // shared: dirty-log cursor + overflow flag; bumped by in-range
-    // updaters during kCopy only, never on the common path.
-    std::atomic<std::uint32_t> log_n{0};
-    std::atomic<bool> log_overflow{false};
-    // shared: the log; slots are claimed by fetch_add, written once.
-    std::array<std::atomic<Key>, kLogCap> log{};
     // Per-thread in-flight update announcements: (ops << 1) | active,
     // where ops counts the thread's announcements to this forest.  The
     // count makes every announcement distinct, so the migrator's quiesce
@@ -768,9 +755,9 @@ class ShardedSet {
   };
 
   // Announce / retire one in-flight update in this thread's idle slot,
-  // counting it.  The announce is seq_cst and MUST precede the phase read
-  // (that ordering is the whole barrier: an updater that read the old
-  // phase is visibly active to a migrator that scans after its phase
+  // counting it.  The announce is seq_cst and MUST precede the seal read
+  // (that ordering is the whole barrier: an updater that read the flag
+  // clear is visibly active to a migrator that scans after its seal
   // store).
   static void announce_inflight(std::atomic<std::uint64_t>& slot) {
     // relaxed: reads back this thread's own slot; coherence suffices.
@@ -778,8 +765,8 @@ class ShardedSet {
     slot.store((ops << 1) | 1, std::memory_order_seq_cst);
   }
   static void retire_inflight(std::atomic<std::uint64_t>& slot) {
-    // Release: the tree op's response and any dirty-log entry are
-    // published before the slot reads idle.
+    // Release: the tree op's response is published before the slot
+    // reads idle.
     // relaxed: reads back this thread's own slot; coherence suffices.
     slot.store(slot.load(std::memory_order_relaxed) & ~1ULL,
                std::memory_order_release);
@@ -789,7 +776,7 @@ class ShardedSet {
   // Caller must have its own slot idle (the piggybacked migrator calls
   // this from note_update, after its update retired).  A slot that
   // changes at all has moved on: either to idle, or to a NEW operation —
-  // which read the phase after our caller's phase store.
+  // which read the seal flag after our caller's store to it.
   void mig_quiesce() {
     const int n = ThreadRegistry::instance().max_id();
     for (int t = 0; t < n && t < kMaxThreads; ++t) {
@@ -813,33 +800,23 @@ class ShardedSet {
     int routed;
     for (;;) {
       announce_inflight(slot);
-      const int ph = mig_.phase.load(std::memory_order_seq_cst);
-      // relaxed: lo/hi are stored before the kCopy phase store, and
-      // reading kCopy (or later) seq_cst synchronizes with it, so the
-      // in-range checks under an active phase never see stale bounds.
-      if (ph == Migration::kCopy &&
-          k >= mig_.lo.load(std::memory_order_relaxed) &&
-          k <= mig_.hi.load(std::memory_order_relaxed)) {
-        // Double-route: the map still sends k to the source shard, and
-        // the dirty log tells the migrator to re-examine k at replay.
-        r = route_update(k, is_insert, &routed);
-        mig_log(k);
-        retire_inflight(slot);
-        break;
-      }
-      // relaxed: same ordering argument as the kCopy bounds check above.
-      if (ph != Migration::kSeal ||
-          k < mig_.lo.load(std::memory_order_relaxed) ||
-          k > mig_.hi.load(std::memory_order_relaxed)) {
+      // Acquire on the bounds: a seal read set synchronizes with the
+      // bounds stored before it, and a bound from the next move (newer
+      // than the seal read) synchronizes with its release store, which
+      // follows this move's flip — so the route below never uses a
+      // pre-flip map.
+      if (!mig_.sealed.load(std::memory_order_seq_cst) ||
+          k < mig_.lo.load(std::memory_order_acquire) ||
+          k > mig_.hi.load(std::memory_order_acquire)) {
         r = route_update(k, is_insert, &routed);
         retire_inflight(slot);
         break;
       }
-      // Sealed and in range: wait for the flip, then re-run the protocol
-      // (the retry will see kDone/kIdle and route by the NEW map — the
-      // map store precedes the phase store, both seq_cst).
+      // Sealed and in range: wait for the seal to clear, then re-run the
+      // protocol (the retry routes by the NEW map — the map store
+      // precedes the clearing store, both seq_cst).
       retire_inflight(slot);
-      while (mig_.phase.load(std::memory_order_seq_cst) == Migration::kSeal) {
+      while (mig_.sealed.load(std::memory_order_seq_cst)) {
         std::this_thread::yield();
       }
     }
@@ -857,20 +834,6 @@ class ShardedSet {
     *routed = s;
     Inner& t = *shards_[s];
     return is_insert ? t.insert(k) : t.erase(k);
-  }
-
-  // Caller's in-flight slot is announced: the sealing quiesce is what
-  // makes the log entry visible to the replay (the release stores below
-  // happen before the slot retires, which the migrator waits for).
-  void mig_log(Key k) {
-    const std::uint32_t i =
-        mig_.log_n.fetch_add(1, std::memory_order_acq_rel);
-    if (i < Migration::kLogCap) {
-      mig_.log[i].store(k, std::memory_order_release);
-    } else {
-      mig_.log_overflow.store(true, std::memory_order_release);
-    }
-    Counters::bump(Counter::kShardDoubleRoutes);
   }
 
   // Rate tracking + piggybacked policy check; called after every update,
@@ -1033,14 +996,13 @@ class ShardedSet {
   // Rollback from any pre-flip boundary: recover to the legal state "this
   // migration never happened".  Ordering matters —
   //
-  //   (a) phase -> kIdle (seq_cst) disarms double-routing (kCopy loggers)
-  //       and releases parked kSeal updaters; both re-route by the OLD
+  //   (a) clear the seal (seq_cst): parked updaters re-route by the OLD
   //       bounds, which were never replaced, so src keeps serving the
-  //       range.
-  //   (b) one quiesce lets every update that saw kCopy/kSeal finish — all
-  //       of them applied to src (pre-flip updates never write dst), so
-  //       after it dst's keys in [cut_lo, cut_hi] are exactly the
-  //       migrator's own copies.
+  //       range.  A no-op at boundary 0, before the seal.
+  //   (b) one quiesce lets every update that read the seal, or raced its
+  //       clearing, finish — all of them on src (pre-flip maps never route
+  //       the range to dst), so after it dst's keys in [cut_lo, cut_hi]
+  //       are exactly the migrator's own copies and diff patches.
   //   (c) discard the copy: erase that range from dst.  The erases are
   //       invisible to queries (the window map keeps dst dirty, and every
   //       map excludes the range from dst's owned slice) — ASan and the
@@ -1050,7 +1012,7 @@ class ShardedSet {
   // Always returns false so migrate() can `return abort_migration(...)`.
   bool abort_migration(int dst, Key cut_lo, Key cut_hi)
       CBAT_REQUIRES(mig_.gate) {
-    mig_.phase.store(Migration::kIdle, std::memory_order_seq_cst);
+    mig_.sealed.store(false, std::memory_order_seq_cst);
     mig_quiesce();
     std::vector<Key> copied;
     {
@@ -1075,7 +1037,7 @@ class ShardedSet {
     const Key shi = m->hi_of(src);
     if (slo > shi) return false;  // empty owned range, nothing to split
 
-    // (0) Median-key split: shed the half of src's OWNED KEYS adjacent
+    // (1) Median-key split: shed the half of src's OWNED KEYS adjacent
     // to dst.  Splitting by keys rather than by keyspace midpoint is
     // what makes convergence geometric under any skew — each move halves
     // the hot shard's population no matter how the keys are distributed.
@@ -1100,30 +1062,16 @@ class ShardedSet {
       }
       new_upper = *med;
     }
-
-    // (1) Arm the descriptor and open the copy phase.  After the grace
-    // period, every update that saw kIdle has finished (its effect is
-    // stamped before the E0 cut below); every later in-range update logs.
-    // relaxed: all four descriptor stores are ordered before updaters
-    // can act on them by the seq_cst kCopy phase store below.
-    mig_.log_n.store(0, std::memory_order_relaxed);
-    mig_.log_overflow.store(false, std::memory_order_relaxed);
-    mig_.lo.store(cut_lo, std::memory_order_relaxed);
-    mig_.hi.store(cut_hi, std::memory_order_relaxed);
-    mig_.phase.store(Migration::kCopy, std::memory_order_seq_cst);
     run_hook(kMigHookCopyBegin);
-    mig_quiesce();
-    // Abortable boundary 0 of 4: copy phase open, nothing copied yet.
-    if (mig_take_abort(0) || CBAT_FAULT_FORCE("mig.copy_begin")) {
-      return abort_migration(dst, cut_lo, cut_hi);
-    }
 
-    // (2) Open the window, then bulk-copy on a linearizable cut: collect
-    // src's range at E0 and insert it into dst key by key.  The window
-    // map (old bounds, src and dst dirty) is stamped before the first
-    // copy, so every root holding a copy is stamped after it: a cut that
-    // pins an older map sees no copy.  dst's copies stay invisible until
-    // the flip (the old bounds exclude the range from dst's owned slice).
+    // (2) Open the window, then pre-copy on a linearizable cut: collect
+    // src's range at E0 and insert it into dst key by key, while updates
+    // to the range keep applying to src (the diff in step 4 carries
+    // them over).  The window map (old bounds, src and dst dirty) is
+    // stamped before the first copy, so every root holding a copy is
+    // stamped after it: a cut that pins an older map sees no copy.  dst's
+    // copies stay invisible until the flip (the old bounds exclude the
+    // range from dst's owned slice).
     const std::uint64_t window = (std::uint64_t{1} << src) |
                                  (std::uint64_t{1} << dst);
     m = install_map(m, m->upper, m->gen, window);
@@ -1136,38 +1084,36 @@ class ShardedSet {
     }
     apply_bulk(dst, moved, /*is_insert=*/true);
     run_hook(kMigHookCopied);
-    // Abortable boundary 1 of 4: bulk copy sits in dst, invisible (the
+    // Abortable boundary 0 of 2: bulk copy sits in dst, invisible (the
     // pre-flip map keeps the range out of dst's owned slice).
-    if (mig_take_abort(1) || CBAT_FAULT_FORCE("mig.copied")) {
+    if (mig_take_abort(0) || CBAT_FAULT_FORCE("mig.copied")) {
       return abort_migration(dst, cut_lo, cut_hi);
     }
 
-    // (3) Seal the range.  After the grace period no update is inside
-    // the protocol with an un-replayed effect: kIdle-observers finished
-    // before E0, kCopy-observers finished now with their keys logged,
-    // and new in-range updates park until kDone.
-    mig_.phase.store(Migration::kSeal, std::memory_order_seq_cst);
+    // (3) Seal the range.  After the grace period every update that read
+    // the flag clear has finished, so src's range is frozen; new in-range
+    // updates park until the flag clears.  The bounds' release stores
+    // pair with the updaters' acquire loads (see update()).
+    mig_.lo.store(cut_lo, std::memory_order_release);
+    mig_.hi.store(cut_hi, std::memory_order_release);
+    mig_.sealed.store(true, std::memory_order_seq_cst);
     mig_quiesce();
     run_hook(kMigHookSealed);
-    // Abortable boundary 2 of 4: range sealed; the rollback's phase store
+    // Abortable boundary 1 of 2: range sealed; the rollback's store
     // releases any parked in-range updaters back to the old map.
-    if (mig_take_abort(2) || CBAT_FAULT_FORCE("mig.sealed")) {
+    if (mig_take_abort(1) || CBAT_FAULT_FORCE("mig.sealed")) {
       return abort_migration(dst, cut_lo, cut_hi);
     }
 
-    // (4) Replay the dirty log against src's sealed truth, making dst's
+    // (4) Diff the sealed source range against the copy, making dst's
     // copy of the range exact.
-    replay_log(src, dst, cut_lo, cut_hi);
+    diff_range(src, dst, cut_lo, cut_hi);
     run_hook(kMigHookReplayed);
-    // Abortable boundary 3 of 4: dst's copy is exact, but src still owns
-    // the range; discarding the copy costs only the work done so far.
-    if (mig_take_abort(3) || CBAT_FAULT_FORCE("mig.replayed")) {
-      return abort_migration(dst, cut_lo, cut_hi);
-    }
-    // Abortable boundary 4 of 4: the last instant an abort is possible —
-    // the flip below is the commit point, after which the only legal
-    // direction is forward (steps 6 and 7 are then mandatory cleanup).
-    if (mig_take_abort(4) || CBAT_FAULT_FORCE("mig.flip")) {
+    // Abortable boundary 2 of 2: the last instant an abort is possible —
+    // dst's copy is exact, but src still owns the range, and the flip
+    // below is the commit point, after which the only legal direction is
+    // forward (steps 6 and 7 are then mandatory cleanup).
+    if (mig_take_abort(2) || CBAT_FAULT_FORCE("mig.flip")) {
       return abort_migration(dst, cut_lo, cut_hi);
     }
 
@@ -1187,18 +1133,19 @@ class ShardedSet {
     // slow migrator, but the protocol may no longer abort.
     CBAT_FAULT_POINT("mig.flipped");
 
-    // (6) Open the range: parked updates resume and route by the new map
-    // (they read the phase seq_cst, which orders the map store before
-    // their map load).
-    mig_.phase.store(Migration::kDone, std::memory_order_seq_cst);
+    // (6) Open the range: clear the seal.  Parked updates resume and route
+    // by the new map (they read the flag seq_cst, which orders the map
+    // store before their map load).
+    mig_.sealed.store(false, std::memory_order_seq_cst);
     run_hook(kMigHookOpened);
     CBAT_FAULT_POINT("mig.opened");
 
     // (7) Erase the moved keys' source copies, then close the window.  No
-    // updater can apply a range key to src after the flip (kSeal blocked
-    // it, kDone routes it to dst), so one collection is complete; the
-    // erases are invisible to every cut because the window keeps src
-    // dirty and post-flip maps exclude the range from src.
+    // updater can apply a range key to src after the flip (the seal
+    // blocked it, and the cleared flag routes it by the new map, to dst),
+    // so one collection is complete; the erases are invisible to every
+    // cut because the window keeps src dirty and post-flip maps exclude
+    // the range from src.
     std::vector<Key> stale;
     {
       EbrGuard g;
@@ -1207,7 +1154,6 @@ class ShardedSet {
     }
     apply_bulk(src, stale, /*is_insert=*/false);
     close_window();
-    mig_.phase.store(Migration::kIdle, std::memory_order_seq_cst);
     run_hook(kMigHookCleaned);
     CBAT_FAULT_POINT("mig.cleaned");
 
@@ -1216,40 +1162,25 @@ class ShardedSet {
     return true;
   }
 
-  // The sealed-range reconciliation: on a fresh cut E1 (>= the sealed
-  // truth), re-examine every logged key against src and mirror its state
-  // into dst.  On log overflow, diff the whole range instead.
-  void replay_log(int src, int dst, Key lo, Key hi)
+  // The sealed-range diff: on a fresh cut E1, taken after the seal's
+  // quiesce and so at or after every update to the range, collect src's
+  // [lo, hi] and dst's, then patch dst by set difference — insert the
+  // keys only src holds, erase the keys only dst holds.  Pre-flip maps
+  // never route the range to dst, so dst's side is the pre-copy.
+  void diff_range(int src, int dst, Key lo, Key hi)
       CBAT_REQUIRES(mig_.gate) {
-    std::vector<Key> ins, del;
+    std::vector<Key> truth, copied, ins, del;
     {
       EbrGuard g;
       const std::uint64_t e1 = epoch_.cut();
-      const V* sr = resolve_root(src, e1);
-      if (mig_.log_overflow.load(std::memory_order_acquire)) {
-        std::vector<Key> truth, copied;
-        version_collect_range<Aug>(sr, lo, hi, &truth, 0);
-        version_collect_range<Aug>(shards_[dst]->root_version_unsafe(), lo,
-                                   hi, &copied, 0);
-        std::set_difference(truth.begin(), truth.end(), copied.begin(),
-                            copied.end(), std::back_inserter(ins));
-        std::set_difference(copied.begin(), copied.end(), truth.begin(),
-                            truth.end(), std::back_inserter(del));
-      } else {
-        const std::uint32_t n =
-            std::min(mig_.log_n.load(std::memory_order_acquire),
-                     Migration::kLogCap);
-        std::vector<Key> keys(n);
-        for (std::uint32_t i = 0; i < n; ++i) {
-          keys[i] = mig_.log[i].load(std::memory_order_acquire);
-        }
-        std::sort(keys.begin(), keys.end());
-        keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-        for (Key k : keys) {
-          (version_contains<Aug>(sr, k) ? ins : del).push_back(k);
-        }
-      }
+      version_collect_range<Aug>(resolve_root(src, e1), lo, hi, &truth, 0);
+      version_collect_range<Aug>(shards_[dst]->root_version_unsafe(), lo, hi,
+                                 &copied, 0);
     }
+    std::set_difference(truth.begin(), truth.end(), copied.begin(),
+                        copied.end(), std::back_inserter(ins));
+    std::set_difference(copied.begin(), copied.end(), truth.begin(),
+                        truth.end(), std::back_inserter(del));
     apply_bulk(dst, ins, /*is_insert=*/true);
     apply_bulk(dst, del, /*is_insert=*/false);
   }
@@ -1296,8 +1227,8 @@ class ShardedSet {
   // epoch_: const composite queries help-stamp flip_epoch through it.
   // Read-mostly; an installation rewrites the line anyway.
   mutable std::atomic<const ShardMap*> map_{nullptr};
-  // Migration descriptor + controller state (~82 KiB, dominated by the
-  // dirty-key log and the in-flight slots).
+  // Migration descriptor + controller state (~20 KiB, dominated by the
+  // in-flight slots).
   Migration mig_;
   // Padded: shards are updated by different threads; their tree roots must
   // not share cache lines.

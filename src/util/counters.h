@@ -34,13 +34,12 @@ enum class Counter : int {
   kAggCacheHits,
   kAggCacheMisses,
   // Hot-shard rebalancing (src/shard/): completed boundary migrations, keys
-  // moved by them, updates that were double-routed into the dirty
-  // log while a copy was in flight, and the controller's imbalance
-  // samples (hottest shard's rate over the mean, in milli-units, summed —
-  // divide by the sample count for the average the bench reports).
+  // moved by them (counted at the pre-copy), and the controller's
+  // imbalance samples (hottest shard's rate over the mean, in milli-units,
+  // summed — divide by the sample count for the average the bench
+  // reports).
   kShardMigrations,
   kShardMigratedKeys,
-  kShardDoubleRoutes,
   kShardImbalanceSumMilli,
   kShardImbalanceSamples,
   // Robustness layer: EBR limbo bags crossing the high-water mark and

@@ -273,8 +273,7 @@ TEST(FaultInjection, PerSiteFailuresBat) {
 
 TEST(FaultInjection, PerSiteFailuresShardedSet) {
   const char* sites[] = {
-      "cache.fill_range", "mig.copy_begin", "mig.copied",
-      "mig.sealed",       "mig.replayed",   "mig.flip",
+      "cache.fill_range", "mig.copied", "mig.sealed", "mig.flip",
   };
   const auto before = Counters::snapshot();
   for (std::uint64_t seed : kSeeds) {
@@ -297,7 +296,7 @@ TEST(FaultInjection, SweepCoversThePlanMatrixAndTheInstrumentedSites) {
   const char* must_see[] = {
       "pool.alloc_fail",   "ebr.retire",       "ebr.advance",
       "bat.refresh_build", "bat.refresh_cas",  "cache.fill_range",
-      "mig.copy_begin",    "mig.flipped",      "mig.cleaned",
+      "mig.copied",        "mig.flipped",      "mig.cleaned",
   };
   for (const char* site : must_see) {
     EXPECT_TRUE(g_sites_union.count(site) != 0) << "never visited: " << site;

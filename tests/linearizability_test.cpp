@@ -662,16 +662,16 @@ TEST(StaleAggregateCache, ConcurrentCachedReadsLinearize) {
 // run.  These tests drive the real migrate() through its
 // phase hook (set_migration_hook) and check that the cut stays
 // linearizable at EVERY protocol boundary.  They are written to fail if
-// double-routing is disabled: the hook lands updates inside the moving
-// range during the copy phase, and only the dirty log's replay makes the
-// destination's copy exact — remove mig_log()/replay_log() and the
-// post-flip membership diverges from the oracle.
+// the sealed diff is disabled: the hook lands updates inside the moving
+// range after the pre-copy, and only the diff against the sealed source
+// makes the destination's copy exact — drop either half of diff_range()
+// and the post-flip membership diverges from the oracle.
 
 // Shared state for the deterministic hook: the set, a same-thread oracle,
 // and the per-stage updates to apply.  The hook runs on the migrator's
 // own thread, so in-range updates are legal only while the range is not
-// sealed (kCopyBegin/kCopied before the seal, kOpened/kCleaned after the
-// flip); sealed stages apply out-of-range updates, which never park.
+// sealed (kCopyBegin/kCopied before the seal, kOpened/kCleaned after it
+// clears); sealed stages apply out-of-range updates, which never park.
 struct MigHookState {
   Sharded4* set = nullptr;
   std::set<Key>* oracle = nullptr;
@@ -728,17 +728,17 @@ void mig_stage_hook(void* ctx, int stage) {
   };
   switch (stage) {
     case Sharded4::kMigHookCopyBegin:
-      // Copy phase, pre-bulk-copy: an in-range update double-routes (it
-      // lands in the source shard and is logged for replay).
+      // Before the pre-copy: in-range updates land in the source shard,
+      // and the pre-copy's cut already includes them.
       toggle(996);
       toggle(515);
       break;
     case Sharded4::kMigHookCopied:
-      // Copy phase, AFTER the bulk copy seeded the destination: these
-      // land in the source and reach the destination only through the
-      // dirty-log replay — the stage that catches a disabled
-      // double-route (705 erases a key the bulk copy already moved; 506
-      // inserts one it never saw).
+      // AFTER the pre-copy seeded the destination: these land in the
+      // source and reach the destination only through the sealed diff.
+      // 705 erases a key the pre-copy already moved and 506 inserts one
+      // it never saw, so they are exactly the keys the diff must erase
+      // and insert.
       toggle(705);
       toggle(506);
       break;
@@ -750,7 +750,7 @@ void mig_stage_hook(void* ctx, int stage) {
       toggle(2105 + static_cast<Key>(stage));
       break;
     case Sharded4::kMigHookOpened:
-      // Phase kDone: in-range updates resume and must route by the NEW
+      // Seal cleared: in-range updates resume and must route by the NEW
       // map (the key now lives in the destination shard).
       toggle(996);
       toggle(650);
@@ -802,7 +802,7 @@ TEST(MigrationLinearizability, EveryCutStageMatchesOracle) {
 
   // A rollback closes the window at every abort boundary: the stages it
   // reached saw the window open, the cut after it sees no dirty shard.
-  for (int b = 0; b <= 4; ++b) {
+  for (int b = 0; b <= 2; ++b) {
     SCOPED_TRACE(testing::Message() << "abort boundary " << b);
     set.set_migration_abort_point(b);
     ASSERT_FALSE(set.rebalance_once(0, 1));
@@ -823,8 +823,8 @@ TEST(MigrationLinearizability, EveryCutStageMatchesOracle) {
 // boundary between shards 0 and 1, readers snapshot and record
 // real-time-bounded observations.  Every observation must be explained
 // by an in-bounds writer prefix — cuts before, during, and after a move
-// all accept; a lost double-route shows up as an inexplicable mixed
-// state.
+// all accept; an update the diff failed to carry over shows up as an
+// inexplicable mixed state.
 TEST(MigrationLinearizability, ConcurrentHistoryLinearizesAcrossMoves) {
   constexpr int kTracked = 8;
   constexpr int kOps = 4000;

@@ -1,6 +1,6 @@
 // Tests for the unified ordered-set API layer (src/api/ordered_set.h):
 // concept classification, the structure registry, and the type-erased
-// adapter including its fallbacks for non-ranked structures.
+// adapter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +20,7 @@ using api::StructureRegistry;
 
 const char* kBuiltins[] = {"BAT",     "BAT-Del",     "BAT-EagerDel",
                            "FR-BST",  "VcasBST",     "VerlibBTree",
-                           "BundledCitrusTree",      "ChromaticSet"};
+                           "BundledCitrusTree"};
 
 api::SetOptions hint(Key max_key) {
   api::SetOptions o;
@@ -44,14 +44,6 @@ TEST(Registry, UnknownNameReturnsNull) {
   EXPECT_EQ(bench::make_structure("nope"), nullptr);
 }
 
-TEST(Registry, RankednessIsDerivedFromTheType) {
-  auto& reg = StructureRegistry::instance();
-  for (const char* name : kBuiltins) {
-    EXPECT_EQ(reg.info(name)->ranked, std::string(name) != "ChromaticSet")
-        << name;
-  }
-}
-
 TEST(Registry, NamesListsEveryBuiltin) {
   const auto names = StructureRegistry::instance().names();
   for (const char* name : kBuiltins) {
@@ -71,19 +63,6 @@ TEST(Registry, MakeStructureGoesThroughRegistry) {
   EXPECT_EQ(set->rank(9), 2);
   EXPECT_EQ(set->select_query(1), 5);
   EXPECT_EQ(set->range_count(0, 100), 2);
-  EXPECT_TRUE(set->supports_order_statistics());
-}
-
-TEST(Registry, NonRankedStructureUsesDocumentedFallbacks) {
-  auto set = bench::make_structure("ChromaticSet");
-  ASSERT_NE(set, nullptr);
-  EXPECT_FALSE(set->supports_order_statistics());
-  EXPECT_TRUE(set->insert(1));
-  EXPECT_TRUE(set->insert(2));
-  EXPECT_EQ(set->size(), 2);
-  EXPECT_EQ(set->rank(2), 0);
-  EXPECT_EQ(set->range_count(0, 10), 0);
-  EXPECT_EQ(set->select_query(1), kInf2);
 }
 
 // The keyspace a registry-created Sharded16-BAT currently uses.
@@ -98,11 +77,9 @@ TEST(Registry, ShardedStructureNamesResolve) {
        {"Sharded1-BAT", "Sharded4-BAT", "Sharded16-BAT", "Sharded64-BAT",
         "Sharded16-BAT-Lin", "Sharded16-BAT-Adapt"}) {
     EXPECT_TRUE(reg.contains(name)) << name;
-    EXPECT_TRUE(reg.info(name)->ranked) << name;
     auto set = reg.create(name);
     ASSERT_NE(set, nullptr) << name;
     EXPECT_EQ(set->name(), name);
-    EXPECT_TRUE(set->supports_order_statistics()) << name;
     // The shard layer accepts the driver's key-range hint; single trees
     // refuse it.
     EXPECT_TRUE(set->configure(hint(10000))) << name;
@@ -123,39 +100,6 @@ TEST(Registry, ShardedStructureNamesResolve) {
   // "Sharded16-BAT-Lin" is a second name for the Sharded16-BAT type:
   // perfbench's traced run casts the instance it resolves to that type.
   EXPECT_NE(forest_keyspace(*reg.create("Sharded16-BAT-Lin")), -1);
-}
-
-TEST(Registry, ConsistencyIntrospectionPerStructure) {
-  // Single trees answer composite queries from one atomic root snapshot,
-  // and every shard forest from one epoch cut: linearizable, via the
-  // default.  Only ChromaticSet, whose size() traverses the live tree,
-  // reports the weaker guarantee.
-  const struct {
-    const char* name;
-    api::Consistency want;
-  } cases[] = {
-      {"BAT", api::Consistency::kLinearizable},
-      {"ChromaticSet", api::Consistency::kQuiescentlyConsistent},
-  };
-  for (const auto& c : cases) {
-    auto set = bench::make_structure(c.name);
-    ASSERT_NE(set, nullptr) << c.name;
-    EXPECT_EQ(set->consistency(), c.want) << c.name;
-  }
-  int forests = 0;
-  for (const std::string& name : StructureRegistry::instance().names()) {
-    if (name.rfind("Sharded", 0) != 0) continue;
-    ++forests;
-    auto set = bench::make_structure(name);
-    ASSERT_NE(set, nullptr) << name;
-    EXPECT_EQ(set->consistency(), api::Consistency::kLinearizable) << name;
-  }
-  EXPECT_EQ(forests, 6);
-  EXPECT_STREQ(api::consistency_name(api::Consistency::kLinearizable),
-               "linearizable");
-  EXPECT_STREQ(
-      api::consistency_name(api::Consistency::kQuiescentlyConsistent),
-      "quiescently_consistent");
 }
 
 TEST(Registry, SingleTreesIgnoreKeyRangeHint) {
@@ -194,7 +138,6 @@ TEST(Registry, UserStructuresCanBeRegistered) {
   reg.register_type<RefSet>("test-only-RefSet");
   auto set = bench::make_structure("test-only-RefSet");
   ASSERT_NE(set, nullptr);
-  EXPECT_TRUE(set->supports_order_statistics());
   for (Key k = 0; k < 100; ++k) set->insert(k);
   EXPECT_EQ(set->size(), 100);
   EXPECT_EQ(set->rank(49), 50);
@@ -209,34 +152,21 @@ TEST(Registry, StructureInfoIsDerivedFromTheType) {
 
   const struct {
     const char* name;
-    bool ranked, adaptive;
+    bool adaptive;
     int shards;
-    api::Consistency consistency;
     bool cached_reads;
   } cases[] = {
-      {"BAT", true, false, 1, api::Consistency::kLinearizable, false},
-      {"ChromaticSet", false, false, 1,
-       api::Consistency::kQuiescentlyConsistent, false},
-      {"Sharded1-BAT", true, false, 1, api::Consistency::kLinearizable,
-       true},
-      {"Sharded16-BAT", true, false, 16, api::Consistency::kLinearizable,
-       true},
-      {"Sharded16-BAT-Adapt", true, true, 16,
-       api::Consistency::kLinearizable, true},
+      {"BAT", false, 1, false},
+      {"Sharded1-BAT", false, 1, true},
+      {"Sharded16-BAT", false, 16, true},
+      {"Sharded16-BAT-Adapt", true, 16, true},
   };
   for (const auto& c : cases) {
     const auto info = reg.info(c.name);
     ASSERT_TRUE(info.has_value()) << c.name;
-    EXPECT_EQ(info->ranked, c.ranked) << c.name;
     EXPECT_EQ(info->adaptive, c.adaptive) << c.name;
     EXPECT_EQ(info->shards, c.shards) << c.name;
-    EXPECT_EQ(info->consistency, c.consistency) << c.name;
     EXPECT_EQ(info->cached_reads, c.cached_reads) << c.name;
-    // info() must agree with the instance the registry hands out.
-    auto set = reg.create(c.name);
-    ASSERT_NE(set, nullptr) << c.name;
-    EXPECT_EQ(set->supports_order_statistics(), c.ranked) << c.name;
-    EXPECT_EQ(set->consistency(), c.consistency) << c.name;
   }
   // Every forest is one type per shard count; only the "-Adapt" entry
   // builds it with the hot-shard controller on.
@@ -250,7 +180,7 @@ TEST(Registry, ConfigureReportsExactlyWhatItApplied) {
   auto& reg = StructureRegistry::instance();
   // An empty options bag trivially succeeds everywhere.
   EXPECT_TRUE(reg.create("BAT")->configure({}));
-  EXPECT_TRUE(reg.create("ChromaticSet")->configure({}));
+  EXPECT_TRUE(reg.create("VcasBST")->configure({}));
 
   // key_range_hint: honored by shard forests while empty, refused by
   // single trees and by populated forests — and configure() must say so.
@@ -266,7 +196,8 @@ TEST(Registry, ConfigureReportsExactlyWhatItApplied) {
   EXPECT_TRUE(forest->configure({}));
 }
 
-// The concept layer must agree with the adapter layer about each tree.
+// Concept classification: only a RankedSet can be registered, and the
+// plain chromatic set (an OrderedSet without order statistics) is not one.
 static_assert(api::OrderedSet<Bat<SizeAug>>);
 static_assert(api::RankedSet<Bat<SizeAug>>);
 static_assert(api::OrderedSet<ChromaticSet>);
