@@ -43,18 +43,6 @@ class Args {
     return def;
   }
 
-  double get_double(const std::string& flag, double def) const {
-    for (std::size_t i = 0; i < args_.size(); ++i) {
-      if (args_[i] == flag && i + 1 < args_.size()) {
-        return std::strtod(args_[i + 1].c_str(), nullptr);
-      }
-      if (args_[i].rfind(flag + "=", 0) == 0) {
-        return std::strtod(args_[i].c_str() + flag.size() + 1, nullptr);
-      }
-    }
-    return def;
-  }
-
   std::vector<long> get_list(const std::string& flag,
                              std::vector<long> def) const {
     std::string raw;

@@ -157,6 +157,9 @@ RunResult run_on(SetAdapter& set, const RunConfig& cfg) {
   opts.key_range_hint = cfg.workload.max_key;
   set.configure(opts);
   if (cfg.prefill) prefill(set, cfg.workload, cfg.threads, cfg.seed ^ 0xabcd);
+  // The prefill's threads have joined and no worker has started, so the
+  // counters read after the join below count the timed window alone.
+  Counters::reset();
 
   std::atomic<int> ready{0};
   std::atomic<bool> go{false};
@@ -185,6 +188,7 @@ RunResult run_on(SetAdapter& set, const RunConfig& cfg) {
   r.structure = set.name();
   r.config = cfg;
   r.seconds = secs;
+  r.counters = Counters::snapshot();
   LatencyHistogram update_hist, find_hist, query_hist;
   for (const auto& tt : totals) {
     r.total_ops += tt.ops;
@@ -201,43 +205,19 @@ RunResult run_on(SetAdapter& set, const RunConfig& cfg) {
   return r;
 }
 
-CountedRun run_counted(const std::string& structure, const RunConfig& cfg,
-                       int repeats) {
-  RunConfig timed = cfg;
-  timed.prefill = false;  // done below, outside the counted window
-  CountedRun best;
+RunResult run_benchmark(const std::string& structure, const RunConfig& cfg,
+                        int repeats) {
+  RunResult best;
   for (int rep = 0; rep < std::max(repeats, 1); ++rep) {
     auto set = make_structure(structure);
     if (!set) {
-      best.result.structure = "UNKNOWN:" + structure;
+      best.structure = "UNKNOWN:" + structure;
       return best;
     }
-    api::SetOptions opts;
-    opts.key_range_hint = cfg.workload.max_key;
-    set->configure(opts);
-    if (cfg.prefill) {
-      prefill(*set, cfg.workload, cfg.threads, cfg.seed ^ 0xabcd);
-    }
-    Counters::reset();
-    RunResult r = run_on(*set, timed);
-    const Counters::Snapshot c = Counters::snapshot();
-    r.config = cfg;
-    if (rep == 0 || r.throughput() > best.result.throughput()) {
-      best.result = std::move(r);
-      best.counters = c;
-    }
+    RunResult r = run_on(*set, cfg);
+    if (rep == 0 || r.throughput() > best.throughput()) best = std::move(r);
   }
   return best;
-}
-
-RunResult run_benchmark(const std::string& structure, const RunConfig& cfg) {
-  auto set = make_structure(structure);
-  if (!set) {
-    RunResult r;
-    r.structure = "UNKNOWN:" + structure;
-    return r;
-  }
-  return run_on(*set, cfg);
 }
 
 }  // namespace cbat::bench

@@ -38,6 +38,9 @@ struct RunResult {
   LatencyStats update_latency;
   LatencyStats find_latency;
   LatencyStats query_latency;
+  // The process-wide counters over the timed window alone (Table 3
+  // divides by them; the prefill's uniform inserts would pad every ratio).
+  Counters::Snapshot counters;
 
   double mops() const { return total_ops / seconds / 1e6; }
   double throughput() const { return total_ops / seconds; }
@@ -50,25 +53,15 @@ struct RunResult {
 void prefill(SetAdapter& set, const Workload& w, int threads,
              std::uint64_t seed);
 
-// Runs one (structure, config) cell.  Creates the structure fresh.
-RunResult run_benchmark(const std::string& structure, const RunConfig& cfg);
+// Runs one (structure, config) cell `repeats` times, each on a freshly
+// created structure, and keeps the fastest run with its counters.
+RunResult run_benchmark(const std::string& structure, const RunConfig& cfg,
+                        int repeats = 1);
 
-// Runs on an existing adapter (no construction, optional prefill skip).
+// Runs on an existing adapter: hints the key range, prefills unless
+// cfg.prefill is false, then times the mix.  Resets the process-wide
+// counters between the prefill and the timed window, so call it while
+// nothing else updates a structure.
 RunResult run_on(SetAdapter& set, const RunConfig& cfg);
-
-// A cell whose process-wide counters matter: the kept run and the
-// counters of its timed window.
-struct CountedRun {
-  RunResult result;
-  Counters::Snapshot counters;
-};
-
-// Runs (structure, cfg) `repeats` times and keeps the fastest run.  Each
-// repetition creates the structure, hints and prefills it, and only then
-// resets the counters, so the snapshot taken after the timed window
-// counts that window alone.  Call it while nothing else updates a
-// structure.
-CountedRun run_counted(const std::string& structure, const RunConfig& cfg,
-                       int repeats);
 
 }  // namespace cbat::bench

@@ -53,16 +53,6 @@ int repeats_for(const Args& args) {
       args.get_long("--repeat", args.smoke() ? 2 : 1));
 }
 
-RunResult run_benchmark_repeated(const std::string& structure,
-                                 const RunConfig& cfg, int repeats) {
-  RunResult best = run_benchmark(structure, cfg);
-  for (int i = 1; i < repeats; ++i) {
-    RunResult r = run_benchmark(structure, cfg);
-    if (r.throughput() > best.throughput()) best = std::move(r);
-  }
-  return best;
-}
-
 RunRecord& add_run(ScenarioOutput& out, std::string table, std::string x_label,
                    std::string x, std::string series, RunResult r) {
   RunRecord rec;
@@ -112,18 +102,20 @@ long ScenarioContext::fixed_threads() const {
   return pick(*args, "--tt", 120, 2, 4);
 }
 
-void ScenarioContext::record(const std::string& table,
-                             const std::string& x_label, const std::string& x,
-                             const std::string& series,
-                             const std::string& structure,
-                             const RunConfig& cfg) {
+RunRecord& ScenarioContext::record(const std::string& table,
+                                   const std::string& x_label,
+                                   const std::string& x,
+                                   const std::string& series,
+                                   const std::string& structure,
+                                   const RunConfig& cfg, int repeats) {
   RunRecord& rec = add_run(
       *out, table, x_label, x, series,
-      run_benchmark_repeated(structure, cfg, repeats_for(*args)));
+      run_benchmark(structure, cfg, std::max(repeats_for(*args), repeats)));
   out->add_cell(table, x_label, x, series,
                 fmt_throughput(rec.result.throughput()));
   std::fprintf(stderr, "  [%s %s=%s] %.3f Mop/s\n", series.c_str(),
                x_label.c_str(), x.c_str(), rec.result.mops());
+  return rec;
 }
 
 // ---------------------------------------------------------------------------
@@ -380,7 +372,7 @@ void run_fig9(ScenarioContext& ctx) {
       const std::string x = std::to_string(rq);
       const RunRecord& rec =
           add_run(*ctx.out, t9a, "rq_size", x, s,
-                  run_benchmark_repeated(s, cfg, repeats_for(*ctx.args)));
+                  run_benchmark(s, cfg, repeats_for(*ctx.args)));
       const RunResult& r = rec.result;
       ctx.out->add_cell(t9a, "rq_size", x, s, cell_text(r.update_latency));
       ctx.out->add_cell(t9b, "rq_size", x, s, cell_text(r.query_latency));
@@ -464,9 +456,8 @@ void run_table3(ScenarioContext& ctx) {
       cfg.workload.zipf_theta = d.theta;
       cfg.threads = static_cast<int>(tt);
       cfg.duration_ms = ms;
-      // One repetition; the counters cover the timed window only (the
-      // prefill's uniform inserts would otherwise pad every ratio).
-      CountedRun run = run_counted(s, cfg, 1);
+      // One repetition; its counters cover the timed window alone.
+      RunResult run = run_benchmark(s, cfg);
       const Counters::Snapshot& c = run.counters;
       const double props = std::max<double>(
           1, static_cast<double>(c[Counter::kPropagateCalls]));
@@ -484,8 +475,8 @@ void run_table3(ScenarioContext& ctx) {
           static_cast<double>(c[Counter::kDelegations]) / props;
 
       const std::string series = std::string(s) + " / " + d.name;
-      RunRecord& rec = add_run(*ctx.out, table, "dist", d.name, series,
-                               std::move(run.result));
+      RunRecord& rec =
+          add_run(*ctx.out, table, "dist", d.name, series, std::move(run));
       rec.metrics = {{"nodes_per_prop", nodes_per_prop},
                      {"extra_pct", extra_pct},
                      {"nil_per_prop", nil_per_prop},
@@ -505,7 +496,6 @@ void run_table3(ScenarioContext& ctx) {
                    series.c_str(), nodes_per_prop, cas_per_prop);
     }
   }
-  Counters::reset();
 }
 
 // ---------------------------------------------------------------------------
@@ -654,39 +644,25 @@ void run_read_burst(ScenarioContext& ctx) {
       return cfg;
     };
     for (long threads : thread_counts) {
-      const std::string x = std::to_string(threads);
-      const RunConfig cfg = config_for(threads);
       // Five rounds minimum in smoke: the CI host's run-to-run noise
       // (±10-15% between identical rounds) would otherwise dominate the
       // gate's comparison against the baseline.
-      const int repeats =
-          args.smoke() ? std::max(repeats_for(args), 5) : repeats_for(args);
-      // The cache counters are the kept repetition's.
-      CountedRun best = run_counted(structure, cfg, repeats);
-      const Counters::Snapshot& best_counters = best.counters;
-      RunRecord& rec = add_run(*ctx.out, table, "threads", x, structure,
-                               std::move(best.result));
-      ctx.out->add_cell(table, "threads", x, structure,
-                        fmt_throughput(rec.result.throughput()));
-      const double hits =
-          static_cast<double>(best_counters[Counter::kAggCacheHits]);
-      const double misses =
-          static_cast<double>(best_counters[Counter::kAggCacheMisses]);
+      RunRecord& rec =
+          ctx.record(table, "threads", std::to_string(threads), structure,
+                     structure, config_for(threads), args.smoke() ? 5 : 1);
+      // The kept run's cache counters.
+      const Counters::Snapshot& c = rec.result.counters;
+      const double hits = static_cast<double>(c[Counter::kAggCacheHits]);
+      const double misses = static_cast<double>(c[Counter::kAggCacheMisses]);
       // Emitted only when the cell's queries consulted the cache at all:
       // reporting a synthetic 0.0 for the rank cells would trip the
       // hit-rate gate on a path that has no cache to hit.
-      if (hits + misses == 0) {
-        std::fprintf(stderr, "  [%s threads=%s] %.3f Mop/s\n", structure,
-                     x.c_str(), rec.result.mops());
-        continue;
-      }
+      if (hits + misses == 0) continue;
       const double hit_rate = hits / (hits + misses);
       rec.metrics = {{"agg_cache_hit_rate", hit_rate}};
-      std::fprintf(stderr, "  [%s threads=%s] %.3f Mop/s, hit rate %.3f\n",
-                   structure, x.c_str(), rec.result.mops(), hit_rate);
+      std::fprintf(stderr, "    hit rate %.3f\n", hit_rate);
     }
   }
-  Counters::reset();
 }
 
 // rebalance: one forest type with its hot-shard controller on
@@ -746,47 +722,34 @@ void run_rebalance(ScenarioContext& ctx) {
       cfg.threads = static_cast<int>(threads);
       cfg.duration_ms = ms;
       for (const Series& s : series) {
-        // The migration counters are the kept repetition's; the prefill
-        // stays outside the counted window (it is uniform, so it neither
-        // triggers nor deserves migrations).  At least 3 repetitions even
-        // in smoke: a single oversubscribed rep is too noisy for the
-        // adaptive-vs-static CI gate.
-        CountedRun best =
-            run_counted(s.structure, cfg, std::max(repeats_for(args), 3));
-        const Counters::Snapshot& best_counters = best.counters;
-        RunRecord& rec = add_run(*ctx.out, table, "theta", xbuf,
-                                 s.structure, std::move(best.result));
-        ctx.out->add_cell(table, "theta", xbuf, s.structure,
-                          fmt_throughput(rec.result.throughput()));
-        if (!s.adaptive) {
-          std::fprintf(stderr, "  [%s theta=%s] %.3f Mop/s\n", s.structure,
-                       xbuf, rec.result.mops());
-          continue;
-        }
-        const double migrations = static_cast<double>(
-            best_counters[Counter::kShardMigrations]);
-        const double moved = static_cast<double>(
-            best_counters[Counter::kShardMigratedKeys]);
-        const double imb_sum = static_cast<double>(
-            best_counters[Counter::kShardImbalanceSumMilli]);
-        const double imb_n = static_cast<double>(
-            best_counters[Counter::kShardImbalanceSamples]);
+        // At least 3 repetitions even in smoke: a single oversubscribed
+        // rep is too noisy for the adaptive-vs-static CI gate.
+        RunRecord& rec =
+            ctx.record(table, "theta", xbuf, s.structure, s.structure, cfg, 3);
+        if (!s.adaptive) continue;
+        // The kept run's migration counters.
+        const Counters::Snapshot& c = rec.result.counters;
+        const double migrations =
+            static_cast<double>(c[Counter::kShardMigrations]);
+        const double moved =
+            static_cast<double>(c[Counter::kShardMigratedKeys]);
+        const double imb_sum =
+            static_cast<double>(c[Counter::kShardImbalanceSumMilli]);
+        const double imb_n =
+            static_cast<double>(c[Counter::kShardImbalanceSamples]);
         const double imbalance = imb_n > 0 ? imb_sum / 1000.0 / imb_n : 0.0;
-        const double aborts = static_cast<double>(
-            best_counters[Counter::kShardMigrationAborts]);
+        const double aborts =
+            static_cast<double>(c[Counter::kShardMigrationAborts]);
         rec.metrics = {{"migrations", migrations},
                        {"migrated_keys", moved},
                        {"shard_imbalance", imbalance},
                        {"migration_aborts", aborts}};
         std::fprintf(stderr,
-                     "  [%s theta=%s] %.3f Mop/s, %g migrations, "
-                     "%g keys moved, imbalance %.1fx\n",
-                     s.structure, xbuf, rec.result.mops(), migrations,
-                     moved, imbalance);
+                     "    %g migrations, %g keys moved, imbalance %.1fx\n",
+                     migrations, moved, imbalance);
       }
     }
   }
-  Counters::reset();
 }
 
 // ---------------------------------------------------------------------------
@@ -1028,79 +991,73 @@ void run_micro_llxscx(ScenarioContext& ctx) {
   }
 }
 
-void register_builtin_scenarios(ScenarioRegistry& reg) {
-  reg.add({"fig5a",
-           "Figure 5a: update-only throughput vs threads, uniform keys",
-           run_fig5a});
-  reg.add({"fig5b",
-           "Figure 5b: insert-only throughput vs threads, sorted keys, no "
-           "prefill",
-           run_fig5b});
-  reg.add({"fig5c",
-           "Figure 5c: rank/select/range query scalability on BAT-EagerDel",
-           run_fig5c});
-  reg.add({"fig6",
-           "Figure 6: throughput vs range-query size (small & large tree)",
-           run_fig6});
-  reg.add({"fig7",
-           "Figure 7: throughput vs rank-query percentage (small & large "
-           "tree)",
-           run_fig7});
-  reg.add({"fig8",
-           "Figure 8: throughput vs threads with large range queries "
-           "(low/high update)",
-           run_fig8});
-  reg.add({"fig9",
-           "Figure 9: p50/p99 update and range-query latency vs range size",
-           run_fig9});
-  reg.add({"fig10",
-           "Figure 10: throughput vs structure size under Zipfian skew",
-           run_fig10});
-  reg.add({"table3",
-           "Table 3: per-Propagate statistics (nodes, nil fills, CASes, "
-           "delegations)",
-           run_table3});
-  reg.add({"shard_sweep",
-           "Shard layer: throughput vs shard count, uniform and Zipfian "
-           "keys",
-           run_shard_sweep});
-  reg.add({"shard_hotspot",
-           "Shard layer: Zipf theta sweep showing where a hot shard erases "
-           "the win",
-           run_shard_hotspot});
-  reg.add({"read_burst",
-           "Read side: per-query epoch cuts and the epoch-stamped "
-           "aggregate cache on query-heavy mixes",
-           run_read_burst});
-  reg.add({"rebalance",
-           "Hot-shard rebalancing: one forest with its controller on vs "
-           "off under Zipf skew",
-           run_rebalance});
-  reg.add({"micro_components",
-           "Micro: component kernels (EBR guard, Zipf, flat set, propagate, "
-           "queries)",
-           run_micro_components});
-  reg.add({"micro_llxscx",
-           "Micro: LLX/SCX substrate and chromatic point operations",
-           run_micro_llxscx});
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // Registry
 // ---------------------------------------------------------------------------
 
+ScenarioRegistry::ScenarioRegistry()
+    : scenarios_{
+          {"fig5a",
+           "Figure 5a: update-only throughput vs threads, uniform keys",
+           run_fig5a},
+          {"fig5b",
+           "Figure 5b: insert-only throughput vs threads, sorted keys, no "
+           "prefill",
+           run_fig5b},
+          {"fig5c",
+           "Figure 5c: rank/select/range query scalability on BAT-EagerDel",
+           run_fig5c},
+          {"fig6",
+           "Figure 6: throughput vs range-query size (small & large tree)",
+           run_fig6},
+          {"fig7",
+           "Figure 7: throughput vs rank-query percentage (small & large "
+           "tree)",
+           run_fig7},
+          {"fig8",
+           "Figure 8: throughput vs threads with large range queries "
+           "(low/high update)",
+           run_fig8},
+          {"fig9",
+           "Figure 9: p50/p99 update and range-query latency vs range size",
+           run_fig9},
+          {"fig10",
+           "Figure 10: throughput vs structure size under Zipfian skew",
+           run_fig10},
+          {"table3",
+           "Table 3: per-Propagate statistics (nodes, nil fills, CASes, "
+           "delegations)",
+           run_table3},
+          {"shard_sweep",
+           "Shard layer: throughput vs shard count, uniform and Zipfian "
+           "keys",
+           run_shard_sweep},
+          {"shard_hotspot",
+           "Shard layer: Zipf theta sweep showing where a hot shard erases "
+           "the win",
+           run_shard_hotspot},
+          {"read_burst",
+           "Read side: per-query epoch cuts and the epoch-stamped "
+           "aggregate cache on query-heavy mixes",
+           run_read_burst},
+          {"rebalance",
+           "Hot-shard rebalancing: one forest with its controller on vs "
+           "off under Zipf skew",
+           run_rebalance},
+          {"micro_components",
+           "Micro: component kernels (EBR guard, Zipf, flat set, propagate, "
+           "queries)",
+           run_micro_components},
+          {"micro_llxscx",
+           "Micro: LLX/SCX substrate and chromatic point operations",
+           run_micro_llxscx}} {}
+
 ScenarioRegistry& ScenarioRegistry::instance() {
-  static ScenarioRegistry* reg = [] {
-    auto* r = new ScenarioRegistry();
-    register_builtin_scenarios(*r);
-    return r;
-  }();
+  static ScenarioRegistry* reg = new ScenarioRegistry();
   return *reg;
 }
-
-void ScenarioRegistry::add(Scenario s) { scenarios_.push_back(std::move(s)); }
 
 const Scenario* ScenarioRegistry::find(const std::string& name) const {
   for (const auto& s : scenarios_) {

@@ -59,13 +59,14 @@ struct ScenarioContext {
   int cell_ms(int ci_default = 120) const;
   long fixed_threads() const;
 
-  // Runs one benchmark cell, records it into out->runs, and adds a
-  // throughput display cell.  Progress goes to stderr exactly like the
-  // old binaries.  (Returns nothing on purpose: a reference into
-  // out->runs would dangle on the next record() call.)
-  void record(const std::string& table, const std::string& x_label,
-              const std::string& x, const std::string& series,
-              const std::string& structure, const RunConfig& cfg);
+  // Runs one benchmark cell best-of-max(--repeat, repeats), records it
+  // into out->runs, and adds a throughput display cell.  Progress goes to
+  // stderr.  The returned record, whose result carries the kept run's
+  // counters, stays valid until the next run is added to out->runs.
+  RunRecord& record(const std::string& table, const std::string& x_label,
+                    const std::string& x, const std::string& series,
+                    const std::string& structure, const RunConfig& cfg,
+                    int repeats = 1);
 };
 
 struct Scenario {
@@ -76,17 +77,18 @@ struct Scenario {
 
 class ScenarioRegistry {
  public:
-  // Builtin scenarios are registered on first use, so the registry works
-  // from static-library contexts without relying on global-initializer
-  // order or link-time inclusion tricks.
+  // The builtin scenarios, a fixed list built on first use, so the
+  // registry works from static-library contexts without relying on
+  // global-initializer order or link-time inclusion tricks.
   static ScenarioRegistry& instance();
 
-  void add(Scenario s);
   const Scenario* find(const std::string& name) const;
   std::vector<std::string> names() const;
   const std::vector<Scenario>& all() const { return scenarios_; }
 
  private:
+  ScenarioRegistry();
+
   std::vector<Scenario> scenarios_;
 };
 

@@ -489,7 +489,6 @@ class BatTree {
     if constexpr (Del != Delegation::kNone) ps = pool_new<PropStatus>();
 
     bool first_descent = true;
-    bool delegated = false;
     while (true) {
       // Walk down from the top of the stack until the child on k's search
       // path has already been refreshed or is a leaf (Fig. 3 lines 37-41).
@@ -506,7 +505,7 @@ class BatTree {
       s.stack.pop_back();
       Counters::bump(Counter::kPropagateNodes);
 
-      if (!refresh_one(top, ps, s, &delegated)) {
+      if (!refresh_one(top, ps, s)) {
         // Delegated: our remaining work completes with the delegatee.
         break;
       }
@@ -534,7 +533,6 @@ class BatTree {
     // delegatee), every version it replaced is unreachable from the current
     // version tree; older snapshots are protected by their epochs.
     for (V* v : s.to_retire) pool_retire(v);
-    (void)delegated;
   }
 
   // The plain double refresh (Fig. 3 lines 43-45): if our refresh CAS
@@ -552,7 +550,7 @@ class BatTree {
 
   // Refreshes `top` according to the variant.  Returns false iff the
   // propagate delegated its remaining work (and has already waited).
-  bool refresh_one(Node* top, PropStatus* ps, Scratch& s, bool* delegated)
+  bool refresh_one(Node* top, PropStatus* ps, Scratch& s)
       CBAT_REQUIRES(ebr_capability) {
     if constexpr (Del == Delegation::kNone) {
       (void)ps;
@@ -571,13 +569,10 @@ class BatTree {
       }
       if (!top->is_finalized() && r.blocker != nullptr) {
         ps->delegatee.store(r.blocker, std::memory_order_release);
-        if (wait_for_delegatee(r.blocker)) {
-          *delegated = true;
-          return false;
-        }
+        if (wait_for_delegatee(r.blocker)) return false;
         // Timed out: resume propagating ourselves (non-blocking mode).
         ps->delegatee.store(nullptr, std::memory_order_release);
-        return refresh_one(top, ps, s, delegated);
+        return refresh_one(top, ps, s);
       }
       return true;
     } else {  // kEagerDel (Fig. 14)
@@ -586,10 +581,7 @@ class BatTree {
         if (!r.success) {
           if (!top->is_finalized() && r.blocker != nullptr) {
             ps->delegatee.store(r.blocker, std::memory_order_release);
-            if (wait_for_delegatee(r.blocker)) {
-              *delegated = true;
-              return false;
-            }
+            if (wait_for_delegatee(r.blocker)) return false;
             ps->delegatee.store(nullptr, std::memory_order_release);
           }
           continue;  // retry the refresh

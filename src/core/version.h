@@ -75,15 +75,6 @@ std::uint64_t version_epoch(const Version<Aug>* v, EpochClock& clock)
   return clock.finalize(v->epoch);
 }
 
-// Introspection: the stamp as currently assigned, without helping to
-// finalize it (kEpochTbd while unassigned).  Tests and diagnostics only —
-// a reader that needs a *final* stamp must use version_epoch.
-template <Augmentation Aug>
-std::uint64_t version_epoch_peek(const Version<Aug>* v)
-    CBAT_REQUIRES(ebr_capability) {
-  return v->epoch.load(std::memory_order_acquire);
-}
-
 // Resolves a root version against cut epoch `e` (EpochClock::cut): walks
 // the root history backward to the newest root stamped at or before `e`,
 // helping to finalize unassigned stamps on the way.  Safe under an EBR

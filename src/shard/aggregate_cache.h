@@ -11,7 +11,9 @@
 // the pinned root's stamp is still `e`.  The cache therefore stores
 // (stamp, bounds, value) entries and validates by comparison —
 // invalidation is free, performed by the very counter the roots already
-// carry.
+// carry.  A migration's map flip needs no sweep either: one root answers
+// one (lo, hi) one way, so an entry that outlives the flip is still right,
+// and the new map's ranges overwrite the direct-mapped ways they hash to.
 //
 // Soundness requires stamps to be *unique* per root: if two roots shared a
 // stamp, the cache could serve one root's aggregate for the other.  The
@@ -92,21 +94,6 @@ class AggregateCache {
     e.seq.end_write();
   }
 
-  // Drops every entry (stamp -> kEpochTbd, which load_range always
-  // rejects).  Called by the shard layer when a migration flips its
-  // shard map's bounds.  Not needed for correctness — lookups key entries
-  // by the exact (lo, hi) they aggregate, and a given (root version,
-  // range) pair always has one answer, so survivors from the old map
-  // either mismatch the new owned bounds or are still right — but after a
-  // flip most surviving ranges never recur, so the sweep reclaims the ways
-  // for the new map's working set.  Best effort per entry (an entry mid-fill
-  // keeps its writer's value).
-  void invalidate_all() const {
-    for (int s = 0; s < NumShards; ++s) {
-      for (RangeEntry& e : ranges_[s]->e) kill_entry(e);
-    }
-  }
-
  private:
   // Seqlock field order mirrors the read/write protocol above: the
   // acquire fence in a reader pairs with the writer's release fence, so a
@@ -124,14 +111,6 @@ class AggregateCache {
   struct RangeRow {
     RangeEntry e[kRangeWays];
   };
-
-  static void kill_entry(RangeEntry& e) {
-    if (!e.seq.try_write()) return;  // mid-fill entry keeps its writer's value
-    // relaxed: bracketed by try_write's release fence and end_write's
-    // release store, which order it for validating readers.
-    e.stamp.store(kEpochTbd, std::memory_order_relaxed);
-    e.seq.end_write();
-  }
 
   // Payload fill, REQUIRES the entry's writer token: the seqlock protocol
   // (claim fence before, release publish after) is what orders these

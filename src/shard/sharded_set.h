@@ -452,10 +452,6 @@ class ShardedSet {
       return out;
     }
 
-    const V* root(int s) const CBAT_REQUIRES(ebr_capability) {
-      return roots_[s];
-    }
-
    private:
     friend ShardedSet;
 
@@ -1117,15 +1113,13 @@ class ShardedSet {
       return abort_migration(dst, cut_lo, cut_hi);
     }
 
-    // (5) Flip: publish the new bounds, still with the window's mask.
+    // (5) Flip: publish the new bounds, still with the window's mask.  The
+    // aggregate cache keeps its entries: each is keyed by a root stamp and
+    // explicit bounds, which answer one way whatever the map says.
     {
       std::array<Key, NumShards> upper = m->upper;
       upper[dst == src + 1 ? src : dst] = new_upper;
       install_map(m, upper, m->gen + 1, window);
-      // Range-cache entries are keyed by (range, root stamp), and one root
-      // answers one range one way, so survivors cannot validate wrongly —
-      // the sweep just reclaims ways early.
-      cache_.invalidate_all();
     }
     run_hook(kMigHookFlipped);
     // Post-commit perturbation only (no CBAT_FAULT_FORCE): past the flip,
