@@ -35,9 +35,9 @@ fi
 
 if [[ "${1:-}" == "--chaos" ]]; then
   # Chaos leg: the fault hooks compiled in (-DCBAT_FAULT_INJECTION=ON)
-  # and the suites the injected faults exercise, sanitized.  The rollback
-  # and allocation-failure paths only exist when faults can fire, so this
-  # is the only build in which ASan/TSan ever see them.
+  # and the suites the injected faults exercise, sanitized.  Forced
+  # allocation failures and perturbed migrations happen only when faults
+  # can fire, so this is the only build in which ASan/TSan see them.
   BUILD_DIR="${BUILD_DIR:-build-chaos}"
   CBAT_SANITIZE="${CBAT_SANITIZE:-address,undefined}"
   CMAKE_ARGS=(-DCBAT_FAULT_INJECTION=ON -DCBAT_SANITIZE="$CBAT_SANITIZE")

@@ -9,11 +9,15 @@
 //   --json PATH      structured results (schema shared with BENCH_*.json)
 //   --smoke          minimal parameters for the CI smoke bench
 //   --full           paper-scale parameters (or CBAT_BENCH_FULL=1)
+// A number that does not parse is an error, not a zero (see
+// malformed_number).
 #pragma once
 
+#include <cerrno>
 #include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace cbat::bench {
@@ -31,45 +35,34 @@ class Args {
     return false;
   }
 
+  // A numeric value is one base-10 integer or a comma-separated list of
+  // them ("2,4"; a trailing comma is ignored), and get_long reads a list's
+  // first number.  Both getters return `def` when the flag is absent or
+  // its value does not parse.
   long get_long(const std::string& flag, long def) const {
-    for (std::size_t i = 0; i < args_.size(); ++i) {
-      if (args_[i] == flag && i + 1 < args_.size()) {
-        return std::strtol(args_[i + 1].c_str(), nullptr, 10);
-      }
-      if (args_[i].rfind(flag + "=", 0) == 0) {
-        return std::strtol(args_[i].c_str() + flag.size() + 1, nullptr, 10);
-      }
-    }
-    return def;
+    const auto v = numbers(flag);
+    return v ? v->front() : def;
   }
 
   std::vector<long> get_list(const std::string& flag,
                              std::vector<long> def) const {
-    std::string raw;
-    for (std::size_t i = 0; i < args_.size(); ++i) {
-      if (args_[i] == flag && i + 1 < args_.size()) raw = args_[i + 1];
-      if (args_[i].rfind(flag + "=", 0) == 0) {
-        raw = args_[i].substr(flag.size() + 1);
-      }
-    }
-    if (raw.empty()) return def;
-    std::vector<long> out;
-    const char* p = raw.c_str();
-    while (*p) {
-      out.push_back(std::strtol(p, const_cast<char**>(&p), 10));
-      if (*p == ',') ++p;
-    }
-    return out;
+    auto v = numbers(flag);
+    return v ? std::move(*v) : def;
   }
 
   std::string get_str(const std::string& flag, std::string def) const {
-    for (std::size_t i = 0; i < args_.size(); ++i) {
-      if (args_[i] == flag && i + 1 < args_.size()) return args_[i + 1];
-      if (args_[i].rfind(flag + "=", 0) == 0) {
-        return args_[i].substr(flag.size() + 1);
-      }
+    return value(flag).value_or(std::move(def));
+  }
+
+  // The first of kNumericFlags given a value that does not parse (no
+  // digits, or anything but a comma after them), or nullptr.
+  // scenario_main rejects such a run before any cell starts.
+  const char* malformed_number() const {
+    for (const char* f : kNumericFlags) {
+      const auto v = value(f);
+      if (v && !parse_numbers(*v)) return f;
     }
-    return def;
+    return nullptr;
   }
 
   // Collects every occurrence of `flag`, splitting each value on commas:
@@ -115,6 +108,47 @@ class Args {
   bool csv() const { return has("--csv"); }
 
  private:
+  // Every flag a scenario reads with get_long or get_list.
+  static constexpr const char* kNumericFlags[] = {
+      "--ms", "--threads", "--maxkey", "--maxkey-small",
+      "--rq", "--tt",      "--repeat", "--shards"};
+
+  // The value of the first "--flag V" or "--flag=V"; empty when the flag
+  // ends the command line, nullopt when it is absent.
+  std::optional<std::string> value(const std::string& flag) const {
+    for (std::size_t i = 0; i < args_.size(); ++i) {
+      if (args_[i] == flag) {
+        return i + 1 < args_.size() ? args_[i + 1] : std::string();
+      }
+      if (args_[i].rfind(flag + "=", 0) == 0) {
+        return args_[i].substr(flag.size() + 1);
+      }
+    }
+    return std::nullopt;
+  }
+
+  // Every comma-separated piece must be a whole base-10 integer in range.
+  static std::optional<std::vector<long>> parse_numbers(const std::string& s) {
+    std::vector<long> out;
+    const char* p = s.c_str();
+    do {
+      char* end = nullptr;
+      errno = 0;
+      const long v = std::strtol(p, &end, 10);
+      if (end == p || errno == ERANGE || (*end != ',' && *end != '\0')) {
+        return std::nullopt;
+      }
+      out.push_back(v);
+      p = *end == ',' ? end + 1 : end;
+    } while (*p != '\0');
+    return out;
+  }
+
+  std::optional<std::vector<long>> numbers(const std::string& flag) const {
+    const auto v = value(flag);
+    return v ? parse_numbers(*v) : std::nullopt;
+  }
+
   std::vector<std::string> args_;
 };
 

@@ -23,7 +23,7 @@ struct ThreadTotals {
   LatencyHistogram query_hist;
 };
 
-void worker(SetAdapter& set, const RunConfig& cfg, int tid,
+void worker(api::AbstractOrderedSet& set, const RunConfig& cfg, int tid,
             std::atomic<int>& ready, std::atomic<bool>& go,
             std::atomic<bool>& stop, std::atomic<std::int64_t>& sorted_ctr,
             ThreadTotals& out) {
@@ -47,9 +47,9 @@ void worker(SetAdapter& set, const RunConfig& cfg, int tid,
   while (!go.load(std::memory_order_acquire)) {
     std::this_thread::yield();
   }
-  // relaxed: stop polling; one late iteration is harmless and the join
-  // below synchronizes the final counts.
-  while (!stop.load(std::memory_order_relaxed)) {
+  // Stop is polled after each operation, so a worker the scheduler keeps
+  // off the CPU for a whole short window still records one.
+  do {
     const auto op = stream.next_op();
     const bool sample = --sample_countdown == 0;
     Clock::time_point t0;
@@ -109,13 +109,15 @@ void worker(SetAdapter& set, const RunConfig& cfg, int tid,
       sample_countdown = 32;
     }
     ++tt.ops;
-  }
+    // relaxed: stop polling; one late iteration is harmless and the join
+    // below synchronizes the final counts.
+  } while (!stop.load(std::memory_order_relaxed));
   out = tt;
 }
 
 }  // namespace
 
-void prefill(SetAdapter& set, const Workload& w, int threads,
+void prefill(api::AbstractOrderedSet& set, const Workload& w, int threads,
              std::uint64_t seed) {
   const std::int64_t target = w.max_key / 2;
   // Threads claim batches of successful inserts up front, with the last
@@ -149,7 +151,7 @@ void prefill(SetAdapter& set, const Workload& w, int threads,
   for (auto& t : ts) t.join();
 }
 
-RunResult run_on(SetAdapter& set, const RunConfig& cfg) {
+RunResult run_on(api::AbstractOrderedSet& set, const RunConfig& cfg) {
   // Let keyspace-aware structures (the shard layer) align their key map to
   // the workload before any key goes in, through the unified configure()
   // front door (structures without a use for the hint ignore it).
@@ -209,7 +211,7 @@ RunResult run_benchmark(const std::string& structure, const RunConfig& cfg,
                         int repeats) {
   RunResult best;
   for (int rep = 0; rep < std::max(repeats, 1); ++rep) {
-    auto set = make_structure(structure);
+    auto set = api::StructureRegistry::instance().create(structure);
     if (!set) {
       best.structure = "UNKNOWN:" + structure;
       return best;

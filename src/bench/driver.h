@@ -10,7 +10,7 @@
 #include <cstdint>
 #include <string>
 
-#include "bench/adapters.h"
+#include "api/ordered_set.h"
 #include "bench/latency.h"
 #include "bench/workload.h"
 #include "util/counters.h"
@@ -50,7 +50,7 @@ struct RunResult {
 // it holds exactly max_key/2 of them (paper §7 Setup).  Threads claim
 // bounded batches of successful inserts, so the final size is exact, not
 // overshot by in-flight per-thread counts.
-void prefill(SetAdapter& set, const Workload& w, int threads,
+void prefill(api::AbstractOrderedSet& set, const Workload& w, int threads,
              std::uint64_t seed);
 
 // Runs one (structure, config) cell `repeats` times, each on a freshly
@@ -58,10 +58,10 @@ void prefill(SetAdapter& set, const Workload& w, int threads,
 RunResult run_benchmark(const std::string& structure, const RunConfig& cfg,
                         int repeats = 1);
 
-// Runs on an existing adapter: hints the key range, prefills unless
+// Runs on an existing structure: hints the key range, prefills unless
 // cfg.prefill is false, then times the mix.  Resets the process-wide
 // counters between the prefill and the timed window, so call it while
 // nothing else updates a structure.
-RunResult run_on(SetAdapter& set, const RunConfig& cfg);
+RunResult run_on(api::AbstractOrderedSet& set, const RunConfig& cfg);
 
 }  // namespace cbat::bench

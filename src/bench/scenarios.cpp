@@ -673,10 +673,10 @@ void run_read_burst(ScenarioContext& ctx) {
 // key ranges (epoch-cut key migration, src/shard/) to the cool neighbors
 // until no further median split helps.  Each adaptive cell records
 // `migrations` / `migrated_keys` / `shard_imbalance` (hot-shard rate over
-// the mean, averaged over policy checks) / `migration_aborts` into the
-// schema-1 JSON; scripts/compare_bench.py requires `migrations` on every
-// adaptive run (missing = schema error) and gates on the adaptive series
-// not collapsing to the controller-off one at theta >= 1.2.  Smoke
+// the mean, averaged over policy checks) into the schema-1 JSON.
+// scripts/compare_bench.py requires `migrations` on every adaptive run
+// (missing = schema error) and gates on the adaptive series not
+// collapsing to the controller-off one at theta >= 1.2.  Smoke
 // oversubscribes: the hot-shard penalty is runnable threads convoying on
 // one shard's root refresh.
 void run_rebalance(ScenarioContext& ctx) {
@@ -738,12 +738,9 @@ void run_rebalance(ScenarioContext& ctx) {
         const double imb_n =
             static_cast<double>(c[Counter::kShardImbalanceSamples]);
         const double imbalance = imb_n > 0 ? imb_sum / 1000.0 / imb_n : 0.0;
-        const double aborts =
-            static_cast<double>(c[Counter::kShardMigrationAborts]);
         rec.metrics = {{"migrations", migrations},
                        {"migrated_keys", moved},
-                       {"shard_imbalance", imbalance},
-                       {"migration_aborts", aborts}};
+                       {"shard_imbalance", imbalance}};
         std::fprintf(stderr,
                      "    %g migrations, %g keys moved, imbalance %.1fx\n",
                      migrations, moved, imbalance);
@@ -1339,6 +1336,15 @@ int scenario_main(int argc, char** argv) {
   const std::string json_path = args.get_str("--json", "");
   if (args.has("--json") && json_path.empty()) {
     std::fprintf(stderr, "error: --json requires a file path\n");
+    return 2;
+  }
+  // Likewise a number that does not parse: the run must not fall back to
+  // a default the caller did not ask for.
+  if (const char* flag = args.malformed_number()) {
+    std::fprintf(stderr,
+                 "error: %s takes a number or a comma-separated list of "
+                 "numbers, got '%s'\n",
+                 flag, args.get_str(flag, "").c_str());
     return 2;
   }
 

@@ -404,63 +404,53 @@ class BatTree {
   };
 
   // Top-level refresh: changes the version pointer non-nil -> non-nil.
+  // One read-build-CAS attempt; a lost CAS reports the winner's status,
+  // and the caller decides whether to refresh again or delegate.
   RefreshResult refresh(Node* x, PropStatus* ps)
       CBAT_REQUIRES(ebr_capability) {
-    for (;;) {
-      RefreshResult r;
-      V* old = read_version(x);
-      const bool stamped_root = x == tree_.root() && epoch_source_ != nullptr;
-      // Epoch discipline: a root version must carry its final stamp before a
-      // successor replaces it (keeps prev_root chains stamp-monotone and
-      // lets snapshot walks stop at the first stamp <= their epoch).
-      if (stamped_root) stamp_epoch(old);
-      Node* xl;
-      do {
-        xl = x->child[0].load(std::memory_order_acquire);
-        r.vl = read_version(xl);
-      } while (x->child[0].load(std::memory_order_acquire) != xl);
-      Node* xr;
-      do {
-        xr = x->child[1].load(std::memory_order_acquire);
-        r.vr = read_version(xr);
-      } while (x->child[1].load(std::memory_order_acquire) != xr);
-      // Stretching the read-to-CAS window here raises the *organic* CAS
-      // failure rate under concurrency — the honest way to exercise the
-      // blocker/help protocol.
-      CBAT_FAULT_POINT("bat.refresh_build");
-      auto* nv = pool_new<V>(r.vl, r.vr, x->key,
-                             Aug::combine(r.vl->aug, r.vr->aug), ps);
-      if (stamped_root) nv->prev_root = old;
-      Counters::bump(Counter::kRefreshCas);
-      // Forced CAS-retry drill: discard the built version as if a racing
-      // refresh had won, and redo the whole read-build-CAS cycle.  It must
-      // be a retry, not a skip: callers (refresh_double) rely on SOME
-      // refresh installing the children's state, and with no real winner
-      // there is no blocker to inherit the obligation.
-      if (CBAT_FAULT_FORCE("bat.refresh_cas")) {
-        pool_delete(nv);  // never published
-        Counters::bump(Counter::kRefreshCasFail);
-        continue;
-      }
-      void* expected = old;
-      if (x->version.compare_exchange_strong(expected, nv,
-                                             std::memory_order_acq_rel,
-                                             std::memory_order_acquire)) {
-        if (stamped_root) {
-          if (root_install_hook_ != nullptr) {
-            root_install_hook_(root_install_ctx_);
-          }
-          stamp_epoch(nv);
+    RefreshResult r;
+    V* old = read_version(x);
+    const bool stamped_root = x == tree_.root() && epoch_source_ != nullptr;
+    // Epoch discipline: a root version must carry its final stamp before a
+    // successor replaces it (keeps prev_root chains stamp-monotone and
+    // lets snapshot walks stop at the first stamp <= their epoch).
+    if (stamped_root) stamp_epoch(old);
+    Node* xl;
+    do {
+      xl = x->child[0].load(std::memory_order_acquire);
+      r.vl = read_version(xl);
+    } while (x->child[0].load(std::memory_order_acquire) != xl);
+    Node* xr;
+    do {
+      xr = x->child[1].load(std::memory_order_acquire);
+      r.vr = read_version(xr);
+    } while (x->child[1].load(std::memory_order_acquire) != xr);
+    // Stretching the read-to-CAS window here raises the *organic* CAS
+    // failure rate under concurrency — the honest way to exercise the
+    // blocker/help protocol.
+    CBAT_FAULT_POINT("bat.refresh_build");
+    auto* nv = pool_new<V>(r.vl, r.vr, x->key,
+                           Aug::combine(r.vl->aug, r.vr->aug), ps);
+    if (stamped_root) nv->prev_root = old;
+    Counters::bump(Counter::kRefreshCas);
+    void* expected = old;
+    if (x->version.compare_exchange_strong(expected, nv,
+                                           std::memory_order_acq_rel,
+                                           std::memory_order_acquire)) {
+      if (stamped_root) {
+        if (root_install_hook_ != nullptr) {
+          root_install_hook_(root_install_ctx_);
         }
-        r.success = true;
-        r.old = old;
-        return r;
+        stamp_epoch(nv);
       }
-      pool_delete(nv);  // never published
-      Counters::bump(Counter::kRefreshCasFail);
-      r.blocker = static_cast<V*>(expected)->status;
+      r.success = true;
+      r.old = old;
       return r;
     }
+    pool_delete(nv);  // never published
+    Counters::bump(Counter::kRefreshCasFail);
+    r.blocker = static_cast<V*>(expected)->status;
+    return r;
   }
 
   // --- Propagate (Fig. 3 / Fig. 13 / Fig. 14) ----------------------------

@@ -628,16 +628,6 @@ class ShardedSet {
     mig_.hook.store(h, std::memory_order_release);
   }
 
-  // Test seam for the rollback path: the NEXT migration aborts at pre-flip
-  // boundary `b` (0 = bulk copy in dst, 1 = range sealed, 2 = diff applied,
-  // immediately before the map flip) and rolls back; one-shot.
-  // Out-of-range values (e.g. -1) clear the seam.
-  // The CBAT_FAULT_FORCE mig.* sites drive the same path when fault
-  // injection is compiled in.
-  void set_migration_abort_point(int b) {
-    mig_.abort_at.store(b, std::memory_order_seq_cst);
-  }
-
   // Force one boundary move from shard `src` to an ADJACENT `dst` now
   // (tests and benchmarks; the policy path takes the same route).  False
   // when another migration is in flight, the pair is not adjacent, or src
@@ -742,12 +732,6 @@ class ShardedSet {
     // shared: test seam (set_migration_hook); idle in production.
     std::atomic<MigrationHook> hook{nullptr};
     std::atomic<void*> hook_ctx{nullptr};
-    // shared: test seam (set_migration_abort_point) — one-shot boundary
-    // index at which the next migration aborts; -1 idle.  The fault layer
-    // (CBAT_FAULT_FORCE on the mig.* sites) drives the same abort path
-    // without this seam, but the seam keeps the rollback testable in the
-    // default build.
-    std::atomic<int> abort_at{-1};
   };
 
   // Announce / retire one in-flight update in this thread's idle slot,
@@ -949,15 +933,6 @@ class ShardedSet {
     return nm;
   }
 
-  // Closes a migration's window, if one is open: the current bounds with
-  // an empty dirty mask.  Called only after every stray key's erase has
-  // returned, so each erase's stamp precedes this map's and every cut
-  // that pins the clean map also sees the erases.
-  void close_window() CBAT_REQUIRES(mig_.gate) {
-    const ShardMap* m = map_.load(std::memory_order_acquire);
-    if (m->dirty != 0) install_map(m, m->upper, m->gen, 0);
-  }
-
   void run_hook(int stage) {
     const MigrationHook h = mig_.hook.load(std::memory_order_acquire);
     if (h != nullptr) h(mig_.hook_ctx.load(std::memory_order_acquire), stage);
@@ -978,53 +953,10 @@ class ShardedSet {
     }
   }
 
-  // Consumes a one-shot abort request armed for boundary `b` (see
-  // set_migration_abort_point).
-  bool mig_take_abort(int b) {
-    int want = b;
-    // relaxed: failure order — a non-matching value is left in place and
-    // nothing is published either way; the success edge only hands the
-    // test's token back to the migrator.
-    return mig_.abort_at.compare_exchange_strong(
-        want, -1, std::memory_order_acq_rel, std::memory_order_relaxed);
-  }
-
-  // Rollback from any pre-flip boundary: recover to the legal state "this
-  // migration never happened".  Ordering matters —
-  //
-  //   (a) clear the seal (seq_cst): parked updaters re-route by the OLD
-  //       bounds, which were never replaced, so src keeps serving the
-  //       range.  A no-op at boundary 0, before the seal.
-  //   (b) one quiesce lets every update that read the seal, or raced its
-  //       clearing, finish — all of them on src (pre-flip maps never route
-  //       the range to dst), so after it dst's keys in [cut_lo, cut_hi]
-  //       are exactly the migrator's own copies and diff patches.
-  //   (c) discard the copy: erase that range from dst.  The erases are
-  //       invisible to queries (the window map keeps dst dirty, and every
-  //       map excludes the range from dst's owned slice) — ASan and the
-  //       leak checks in sharded_set_test verify nothing is stranded.
-  //   (d) close the window, once the erases have returned.
-  //
-  // Always returns false so migrate() can `return abort_migration(...)`.
-  bool abort_migration(int dst, Key cut_lo, Key cut_hi)
-      CBAT_REQUIRES(mig_.gate) {
-    mig_.sealed.store(false, std::memory_order_seq_cst);
-    mig_quiesce();
-    std::vector<Key> copied;
-    {
-      EbrGuard g;
-      version_collect_range<Aug>(shards_[dst]->root_version_unsafe(), cut_lo,
-                                 cut_hi, &copied, 0);
-    }
-    apply_bulk(dst, copied, /*is_insert=*/false);
-    close_window();
-    Counters::bump(Counter::kShardMigrationAborts);
-    return false;
-  }
-
   // One boundary move, start to finish.  Caller holds the migration gate
   // (statically enforced) and no EBR guard.  Numbered comments match
-  // docs/ARCHITECTURE.md.
+  // docs/ARCHITECTURE.md.  Every refusal (false) comes before
+  // kMigHookCopyBegin; a move that opens its window always completes.
   bool migrate(int src, int dst) CBAT_REQUIRES(mig_.gate) {
     // Only the migrator swaps the map and we ARE the migrator (we hold
     // the gate), so the current map cannot be retired under us.
@@ -1080,11 +1012,7 @@ class ShardedSet {
     }
     apply_bulk(dst, moved, /*is_insert=*/true);
     run_hook(kMigHookCopied);
-    // Abortable boundary 0 of 2: bulk copy sits in dst, invisible (the
-    // pre-flip map keeps the range out of dst's owned slice).
-    if (mig_take_abort(0) || CBAT_FAULT_FORCE("mig.copied")) {
-      return abort_migration(dst, cut_lo, cut_hi);
-    }
+    CBAT_FAULT_POINT("mig.copied");
 
     // (3) Seal the range.  After the grace period every update that read
     // the flag clear has finished, so src's range is frozen; new in-range
@@ -1095,23 +1023,13 @@ class ShardedSet {
     mig_.sealed.store(true, std::memory_order_seq_cst);
     mig_quiesce();
     run_hook(kMigHookSealed);
-    // Abortable boundary 1 of 2: range sealed; the rollback's store
-    // releases any parked in-range updaters back to the old map.
-    if (mig_take_abort(1) || CBAT_FAULT_FORCE("mig.sealed")) {
-      return abort_migration(dst, cut_lo, cut_hi);
-    }
+    CBAT_FAULT_POINT("mig.sealed");
 
     // (4) Diff the sealed source range against the copy, making dst's
     // copy of the range exact.
     diff_range(src, dst, cut_lo, cut_hi);
     run_hook(kMigHookReplayed);
-    // Abortable boundary 2 of 2: the last instant an abort is possible —
-    // dst's copy is exact, but src still owns the range, and the flip
-    // below is the commit point, after which the only legal direction is
-    // forward (steps 6 and 7 are then mandatory cleanup).
-    if (mig_take_abort(2) || CBAT_FAULT_FORCE("mig.flip")) {
-      return abort_migration(dst, cut_lo, cut_hi);
-    }
+    CBAT_FAULT_POINT("mig.flip");
 
     // (5) Flip: publish the new bounds, still with the window's mask.  The
     // aggregate cache keeps its entries: each is keyed by a root stamp and
@@ -1119,12 +1037,9 @@ class ShardedSet {
     {
       std::array<Key, NumShards> upper = m->upper;
       upper[dst == src + 1 ? src : dst] = new_upper;
-      install_map(m, upper, m->gen + 1, window);
+      m = install_map(m, upper, m->gen + 1, window);
     }
     run_hook(kMigHookFlipped);
-    // Post-commit perturbation only (no CBAT_FAULT_FORCE): past the flip,
-    // a yield or delay checks that readers and parked updaters tolerate a
-    // slow migrator, but the protocol may no longer abort.
     CBAT_FAULT_POINT("mig.flipped");
 
     // (6) Open the range: clear the seal.  Parked updates resume and route
@@ -1139,7 +1054,9 @@ class ShardedSet {
     // blocked it, and the cleared flag routes it by the new map, to dst),
     // so one collection is complete; the erases are invisible to every
     // cut because the window keeps src dirty and post-flip maps exclude
-    // the range from src.
+    // the range from src.  The clean map is installed only after every
+    // erase has returned, so each erase's stamp precedes its stamp and
+    // every cut that pins it also sees the erases.
     std::vector<Key> stale;
     {
       EbrGuard g;
@@ -1147,7 +1064,7 @@ class ShardedSet {
                                  cut_hi, &stale, 0);
     }
     apply_bulk(src, stale, /*is_insert=*/false);
-    close_window();
+    install_map(m, m->upper, m->gen, 0);
     run_hook(kMigHookCleaned);
     CBAT_FAULT_POINT("mig.cleaned");
 

@@ -43,10 +43,8 @@ enum class Counter : int {
   kShardImbalanceSumMilli,
   kShardImbalanceSamples,
   // Robustness layer: EBR limbo bags crossing the high-water mark and
-  // triggering an inline reclaim attempt, and migrations that faulted
-  // before the map flip and rolled back to the old map.
+  // triggering an inline reclaim attempt.
   kEbrPressureEvents,
-  kShardMigrationAborts,
   kNumCounters
 };
 

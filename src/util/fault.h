@@ -16,12 +16,14 @@
 //                            matters (phase boundaries, seqlock windows).
 //
 //   CBAT_FAULT_FORCE(site)   failure hook: evaluates to true when the armed
-//                            plan forces the failure path at this site
-//                            (allocation failure, CAS retry, publisher
-//                            timeout, ...).  The caller owns the recovery;
-//                            the plan's per-site budget guarantees the
-//                            forced path is bounded, so retry loops always
-//                            terminate.
+//                            plan forces the failure path at this site.
+//                            Use it only where the default build can take
+//                            the same path (an allocation failure, a
+//                            skipped epoch advance), so the forced run
+//                            tests recovery code that production runs.
+//                            The caller owns the recovery; the plan's
+//                            per-site budget guarantees the forced path is
+//                            bounded, so retry loops always terminate.
 //
 // Determinism: decisions are pure functions of (plan seed, caller thread id,
 // site name hash, visit number) — a single-threaded run with a fixed plan

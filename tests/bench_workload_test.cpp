@@ -16,7 +16,7 @@
 #include <set>
 #include <vector>
 
-#include "bench/adapters.h"
+#include "api/ordered_set.h"
 #include "bench/driver.h"
 #include "bench/workload.h"
 
@@ -137,7 +137,7 @@ TEST(OpStreamRange, KeyspaceWideRangeGetsRandomLo) {
 
 TEST(Prefill, FillsToExactlyHalfTheKeyRange) {
   for (const int threads : {1, 4}) {
-    auto set = make_structure("BAT");
+    auto set = api::StructureRegistry::instance().create("BAT");
     ASSERT_NE(set, nullptr);
     Workload w;
     w.max_key = 20000;
@@ -149,13 +149,14 @@ TEST(Prefill, FillsToExactlyHalfTheKeyRange) {
 }
 
 TEST(Prefill, TinyKeyRange) {
-  auto set = make_structure("BAT");
+  auto& reg = api::StructureRegistry::instance();
+  auto set = reg.create("BAT");
   Workload w;
   w.max_key = 3;
   prefill(*set, w, 4, 5);
   EXPECT_EQ(set->size(), 1);
   w.max_key = 1;  // target 0: must terminate without inserting
-  auto empty = make_structure("BAT");
+  auto empty = reg.create("BAT");
   prefill(*empty, w, 2, 5);
   EXPECT_EQ(empty->size(), 0);
 }

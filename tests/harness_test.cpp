@@ -175,7 +175,7 @@ TEST(Driver, PrefillReachesTarget) {
   cfg.workload.max_key = 10000;
   cfg.threads = 2;
   cfg.duration_ms = 20;
-  auto set = make_structure("BAT");
+  auto set = api::StructureRegistry::instance().create("BAT");
   ASSERT_NE(set, nullptr);
   const RunResult r = run_on(*set, cfg);
   // Prefill target is max_key/2; the run adds/removes a balanced mix, so
@@ -187,7 +187,7 @@ TEST(Driver, AllStructureNamesConstructible) {
   for (const char* name :
        {"BAT", "BAT-Del", "BAT-EagerDel", "FR-BST", "VcasBST", "VerlibBTree",
         "BundledCitrusTree"}) {
-    auto set = make_structure(name);
+    auto set = api::StructureRegistry::instance().create(name);
     ASSERT_NE(set, nullptr) << name;
     EXPECT_TRUE(set->insert(1));
     EXPECT_TRUE(set->contains(1));
@@ -195,7 +195,7 @@ TEST(Driver, AllStructureNamesConstructible) {
     EXPECT_EQ(set->rank(5), 1);
     EXPECT_EQ(set->select_query(1), 1);
   }
-  EXPECT_EQ(make_structure("nope"), nullptr);
+  EXPECT_EQ(api::StructureRegistry::instance().create("nope"), nullptr);
 }
 
 }  // namespace

@@ -10,16 +10,13 @@
 #include <thread>
 #include <vector>
 
-#include "bench/adapters.h"
+#include "api/ordered_set.h"
 #include "core/bat_tree.h"
 #include "frbst/frbst.h"
 #include "util/random.h"
 
 namespace cbat {
 namespace {
-
-using bench::SetAdapter;
-using bench::make_structure;
 
 const std::vector<std::string>& names() {
   static const std::vector<std::string> v = {
@@ -29,8 +26,10 @@ const std::vector<std::string>& names() {
 }
 
 TEST(Integration, AllStructuresAgreeOnRandomSequence) {
-  std::vector<std::unique_ptr<SetAdapter>> sets;
-  for (const auto& n : names()) sets.push_back(make_structure(n));
+  std::vector<std::unique_ptr<api::AbstractOrderedSet>> sets;
+  for (const auto& n : names()) {
+    sets.push_back(api::StructureRegistry::instance().create(n));
+  }
   std::set<Key> oracle;
   Xoshiro256 rng(2024);
   for (int i = 0; i < 4000; ++i) {
@@ -86,7 +85,7 @@ TEST(Integration, AllStructuresAgreeOnRandomSequence) {
 // blocks keep results deterministic per structure.
 TEST(Integration, AllStructuresSurviveConcurrencySideBySide) {
   for (const auto& n : names()) {
-    auto set = make_structure(n);
+    auto set = api::StructureRegistry::instance().create(n);
     constexpr int kThreads = 4;
     constexpr Key kPer = 800;
     std::atomic<bool> failed{false};

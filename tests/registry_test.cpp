@@ -7,7 +7,6 @@
 #include <set>
 
 #include "api/ordered_set.h"
-#include "bench/adapters.h"
 #include "chromatic/chromatic_set.h"
 #include "core/bat_tree.h"
 #include "shard/sharded_set.h"
@@ -41,7 +40,6 @@ TEST(Registry, AllPaperStructureNamesResolve) {
 TEST(Registry, UnknownNameReturnsNull) {
   EXPECT_EQ(StructureRegistry::instance().create("nope"), nullptr);
   EXPECT_FALSE(StructureRegistry::instance().contains("nope"));
-  EXPECT_EQ(bench::make_structure("nope"), nullptr);
 }
 
 TEST(Registry, NamesListsEveryBuiltin) {
@@ -53,7 +51,7 @@ TEST(Registry, NamesListsEveryBuiltin) {
 }
 
 TEST(Registry, MakeStructureGoesThroughRegistry) {
-  auto set = bench::make_structure("BAT");
+  auto set = StructureRegistry::instance().create("BAT");
   ASSERT_NE(set, nullptr);
   EXPECT_TRUE(set->insert(5));
   EXPECT_TRUE(set->insert(9));
@@ -103,7 +101,7 @@ TEST(Registry, ShardedStructureNamesResolve) {
 }
 
 TEST(Registry, SingleTreesIgnoreKeyRangeHint) {
-  auto set = bench::make_structure("BAT");
+  auto set = StructureRegistry::instance().create("BAT");
   ASSERT_NE(set, nullptr);
   EXPECT_FALSE(set->configure(hint(10000)));
 }
@@ -136,7 +134,7 @@ TEST(Registry, UserStructuresCanBeRegistered) {
 
   auto& reg = StructureRegistry::instance();
   reg.register_type<RefSet>("test-only-RefSet");
-  auto set = bench::make_structure("test-only-RefSet");
+  auto set = reg.create("test-only-RefSet");
   ASSERT_NE(set, nullptr);
   for (Key k = 0; k < 100; ++k) set->insert(k);
   EXPECT_EQ(set->size(), 100);

@@ -519,96 +519,5 @@ TEST(AdaptiveShardedSet, MigrateUnderLoadStaysExact) {
   }
 }
 
-// --- migration abort & rollback (graceful degradation) ---------------------
-
-// Every pre-flip boundary must roll back to a state indistinguishable
-// from "the migration never happened": map generation unchanged, the
-// range unsealed and routed to the source, no keys leaked into the
-// destination shard, and the very next migration attempt healthy.
-TEST(AdaptiveShardedSet, AbortRollsBackAtEveryBoundary) {
-  for (int b = 0; b <= 2; ++b) {
-    SCOPED_TRACE(testing::Message() << "boundary " << b);
-    Sharded4 set(4096);
-    std::set<Key> oracle;
-    for (Key k = 0; k < 64; ++k) {
-      ASSERT_TRUE(set.insert(k));
-      oracle.insert(k);
-    }
-    const auto before = Counters::snapshot();
-    set.set_migration_abort_point(b);
-    EXPECT_FALSE(set.rebalance_once(0, 1));
-    const auto after = Counters::snapshot();
-    EXPECT_EQ(after[Counter::kShardMigrationAborts],
-              before[Counter::kShardMigrationAborts] + 1);
-    EXPECT_EQ(after[Counter::kShardMigrations],
-              before[Counter::kShardMigrations]);
-    EXPECT_EQ(set.map_generation(), 1u);
-    // Oracle equality through the public interface...
-    EXPECT_EQ(set.size(), static_cast<std::int64_t>(oracle.size()));
-    for (Key k = 0; k < 64; ++k) EXPECT_TRUE(set.contains(k)) << k;
-    // ...and through the raw shards: the rollback must have erased the
-    // half-copied range from the destination, or the sum double-counts.
-    std::int64_t raw = 0;
-    for (int s = 0; s < 4; ++s) raw += set.shard_at(s).size();
-    EXPECT_EQ(raw, static_cast<std::int64_t>(oracle.size()))
-        << "keys leaked into the destination shard";
-    // The seal is lifted and the old bounds route: an update inside the
-    // half that would have moved returns (a sealed range would park it
-    // forever on this thread) and lands in the source shard.
-    ASSERT_TRUE(set.insert(500));
-    EXPECT_TRUE(set.shard_at(0).contains(500));
-    EXPECT_EQ(set.shard_at(1).size(), 0);
-    ASSERT_TRUE(set.erase(500));
-    // The abort seam is one-shot: the next attempt goes through.
-    EXPECT_TRUE(set.rebalance_once(0, 1));
-    EXPECT_EQ(set.map_generation(), 2u);
-    EXPECT_EQ(set.size(), static_cast<std::int64_t>(oracle.size()));
-    for (Key k = 0; k < 64; ++k) EXPECT_TRUE(set.contains(k)) << k;
-  }
-}
-
-// Updates that route during the pre-copy must survive an abort: the
-// rollback erases only what the migrator copied into the destination,
-// never live updates (those land in the source, which the preserved old
-// map keeps authoritative).
-TEST(AdaptiveShardedSet, AbortPreservesUpdatesRoutedDuringCopy) {
-  Sharded4 set(4096);
-  std::set<Key> oracle;
-  for (Key k = 0; k < 64; ++k) {
-    ASSERT_TRUE(set.insert(k));
-    oracle.insert(k);
-  }
-  struct Ctx {
-    Sharded4* set;
-    std::set<Key>* oracle;
-  } ctx{&set, &oracle};
-  set.set_migration_hook(
-      [](void* p, int stage) {
-        if (stage != Sharded4::kMigHookCopied) return;
-        auto* c = static_cast<Ctx*>(p);
-        // After the pre-copy: keys in the migrating range apply to the
-        // source, beside the destination copy the abort will discard.
-        for (Key k = 64; k < 72; ++k) {
-          ASSERT_TRUE(c->set->insert(k));
-          c->oracle->insert(k);
-        }
-        ASSERT_TRUE(c->set->erase(0));
-        c->oracle->erase(0);
-      },
-      &ctx);
-  set.set_migration_abort_point(0);
-  EXPECT_FALSE(set.rebalance_once(0, 1));
-  set.set_migration_hook(nullptr, nullptr);
-  EXPECT_EQ(set.map_generation(), 1u);
-  EXPECT_EQ(set.size(), static_cast<std::int64_t>(oracle.size()));
-  for (Key k = 0; k < 72; ++k) {
-    EXPECT_EQ(set.contains(k), oracle.count(k) > 0) << k;
-  }
-  std::int64_t raw = 0;
-  for (int s = 0; s < 4; ++s) raw += set.shard_at(s).size();
-  EXPECT_EQ(raw, static_cast<std::int64_t>(oracle.size()))
-      << "copy-window updates leaked into the destination shard";
-}
-
 }  // namespace
 }  // namespace cbat
