@@ -805,7 +805,8 @@ void record_micro(ScenarioContext& ctx, const std::string& table,
 
 // Micro-benchmarks for the building blocks whose costs drive the
 // end-to-end numbers: the EBR guard, the Zipf sampler, the flat pointer
-// set, Propagate-carrying updates, and the order-statistic queries.
+// set, Propagate-carrying updates beside the same updates on the bare
+// chromatic tree, and the order-statistic queries.
 void run_micro_components(ScenarioContext& ctx) {
   const Args& args = *ctx.args;
   const int ms = static_cast<int>(pick(args, "--ms", 500, 60, 100));
@@ -844,6 +845,21 @@ void run_micro_components(ScenarioContext& ctx) {
     prefill_tree(t);
     Xoshiro256 rng(9);
     record_micro(ctx, table, "BatUpdateWithPropagate", ms, [&] {
+      const Key k =
+          static_cast<Key>(rng.below(static_cast<std::uint64_t>(range)));
+      t.insert(k);
+      t.erase(k);
+    });
+  }
+  {
+    // BatUpdateWithPropagate's tree size and key stream on the chromatic
+    // tree alone: the difference between the two kernels is what
+    // augmentation (Propagate and version initialisation) adds to an
+    // update.
+    ChromaticSet t;
+    prefill_tree(t);
+    Xoshiro256 rng(9);
+    record_micro(ctx, table, "ChromaticInsertErase", ms, [&] {
       const Key k =
           static_cast<Key>(rng.below(static_cast<std::uint64_t>(range)));
       t.insert(k);

@@ -31,6 +31,7 @@
 #include "util/counters.h"
 #include "util/fault.h"
 #include "util/flat_set.h"
+#include "util/prefetch.h"
 
 namespace cbat {
 
@@ -484,12 +485,20 @@ class BatTree {
       // path has already been refreshed or is a leaf (Fig. 3 lines 37-41).
       Node* next = s.stack.back();
       while (true) {
-        next = next->child[dir_of(k, next)].load(std::memory_order_acquire);
+        const int d = dir_of(k, next);
+        if (first_descent) {
+          // The off-path child's version word, which our refresh of
+          // `next` will read (see prefetch_refresh_inputs).
+          prefetch_read(
+              &next->child[d ^ 1].load(std::memory_order_acquire)->version);
+        }
+        next = next->child[d].load(std::memory_order_acquire);
         if (s.refreshed.contains(next) || next->is_leaf()) break;
         s.stack.push_back(next);
         Counters::bump(first_descent ? Counter::kSearchPathNodes
                                      : Counter::kPropagateExtraNodes);
       }
+      if (first_descent) prefetch_refresh_inputs(k, s);
       first_descent = false;
       Node* top = s.stack.back();
       s.stack.pop_back();
@@ -523,6 +532,32 @@ class BatTree {
     // delegatee), every version it replaced is unreachable from the current
     // version tree; older snapshots are protected by their epochs.
     for (V* v : s.to_retire) pool_retire(v);
+  }
+
+  // --- Memory-level parallelism for Propagate ---------------------------
+  //
+  // Each bottom-up refresh reads its off-path child's version pointer and
+  // that version's aug, and writes one new Version: three lines that are
+  // usually cold, and that the refresh loop alone would wait for one level
+  // at a time.  The first descent prefetches every path node's off-path
+  // child; before the first refresh, one pass prefetches those children's
+  // versions and the pool slots the refreshes will pop.  These are hints
+  // only.  Every pointer they follow was read under the update's EbrGuard,
+  // so the memory is live, and no value they load decides anything:
+  // refresh() reloads each pointer it uses.
+
+  // Prefetches each path node's off-path child's version (the refresh
+  // combines its aug) and the stack-depth pool slots the refreshes will
+  // write their new versions into.
+  static void prefetch_refresh_inputs(Key k, const Scratch& s)
+      CBAT_REQUIRES(ebr_capability) {
+    for (const Node* x : s.stack) {
+      const Node* sibling =
+          x->child[dir_of(k, x) ^ 1].load(std::memory_order_acquire);
+      const V* v = version_of(sibling);
+      if (v != nullptr) prefetch_read(&v->aug);
+    }
+    Pool<V>::prefetch(s.stack.size());
   }
 
   // The plain double refresh (Fig. 3 lines 43-45): if our refresh CAS

@@ -30,6 +30,7 @@
 #include "util/backoff.h"
 #include "util/counters.h"
 #include "util/keys.h"
+#include "util/prefetch.h"
 
 namespace cbat {
 
@@ -247,8 +248,15 @@ class FrBst {
       r.gpupdate = r.pupdate;
       r.p = r.l;
       r.pupdate = r.p->update.load(std::memory_order_acquire);
-      if (record_path) scratch().path.push_back(r.p);
-      r.l = r.l->child[k < r.l->key ? 0 : 1].load(std::memory_order_acquire);
+      const int d = k < r.l->key ? 0 : 1;
+      if (record_path) {
+        scratch().path.push_back(r.p);
+        // Propagate's refresh of p reads its off-path child's version
+        // word: a hint, as in BatTree::propagate's first descent.
+        prefetch_read(
+            &r.l->child[d ^ 1].load(std::memory_order_acquire)->version);
+      }
+      r.l = r.l->child[d].load(std::memory_order_acquire);
     }
     return r;
   }
@@ -461,10 +469,17 @@ class FrBst {
   }
 
   void propagate(Key k) {
-    (void)k;
     Counters::bump(Counter::kPropagateCalls);
     Scratch& s = scratch();
     s.to_retire.clear();
+    // Hints only, as in BatTree::prefetch_refresh_inputs: the off-path
+    // children's versions and the pool slots the refreshes will write.
+    for (const FrNode* x : s.path) {
+      const V* v = version_of(
+          x->child[k < x->key ? 1 : 0].load(std::memory_order_acquire));
+      if (v != nullptr) prefetch_read(&v->aug);
+    }
+    Pool<V>::prefetch(s.path.size());
     // Pop the recorded root-to-leaf path: deepest internal node first.
     for (auto it = s.path.rbegin(); it != s.path.rend(); ++it) {
       FrNode* x = *it;

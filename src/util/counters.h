@@ -53,7 +53,7 @@ class Counters {
   static constexpr int kN = static_cast<int>(Counter::kNumCounters);
 
   static void bump(Counter c, std::uint64_t n = 1) {
-    slot()[static_cast<int>(c)] += n;
+    (*slots_[ThreadRegistry::thread_id()])[static_cast<int>(c)] += n;
   }
 
   struct Snapshot {
@@ -68,7 +68,7 @@ class Counters {
   static void reset();
 
  private:
-  static std::uint64_t* slot();
+  static Padded<std::array<std::uint64_t, kN>> slots_[kMaxThreads];
 };
 
 }  // namespace cbat

@@ -18,10 +18,6 @@ thread_local SlotOwner tl_slot;
 }  // namespace
 
 struct ThreadSlot {
-  static int ensure() {
-    if (tl_slot.id < 0) tl_slot.id = ThreadRegistry::instance().acquire();
-    return tl_slot.id;
-  }
   static void release(int id) { ThreadRegistry::instance().release(id); }
 };
 
@@ -36,7 +32,11 @@ ThreadRegistry& ThreadRegistry::instance() {
   return reg;
 }
 
-int ThreadRegistry::thread_id() { return ThreadSlot::ensure(); }
+int ThreadRegistry::register_thread() {
+  tl_slot.id = instance().acquire();
+  tl_id_ = tl_slot.id;
+  return tl_id_;
+}
 
 int ThreadRegistry::acquire() {
   for (int i = 0; i < kMaxThreads; ++i) {

@@ -17,8 +17,13 @@ class ThreadRegistry {
  public:
   static ThreadRegistry& instance();
 
-  // Dense id of the calling thread, registering it if needed.
-  static int thread_id();
+  // Dense id of the calling thread, registering it if needed.  Inline on
+  // the hot path (every counter bump and epoch guard reads it); the first
+  // call on a thread registers it out of line.
+  static int thread_id() {
+    const int id = tl_id_;
+    return id >= 0 ? id : register_thread();
+  }
 
   // Upper bound (exclusive) over ids ever handed out; scan limit for EBR.
   int max_id() const { return high_water_.load(std::memory_order_seq_cst); }
@@ -29,6 +34,13 @@ class ThreadRegistry {
 
   int acquire();
   void release(int id);
+  static int register_thread();
+
+  // The calling thread's id, -1 until it registers.  Constant-initialised
+  // and trivially destructible, so reading it is one TLS load with no
+  // initialisation guard.  It keeps its value after the slot is released
+  // at thread exit, as the owning SlotOwner's id does.
+  static inline constinit thread_local int tl_id_ = -1;
 
   // shared: touched once per thread lifetime (acquire/release of a
   // slot); false sharing on this cold path is irrelevant.

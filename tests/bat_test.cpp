@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/bat_tree.h"
+#include "util/counters.h"
 #include "util/random.h"
 
 namespace cbat {
@@ -181,6 +182,48 @@ TEST(Bat, GenericAugmentationMinMax) {
                                      kMaxUserKey);
   EXPECT_EQ(all.min, 10);
   EXPECT_EQ(all.max, 90);
+}
+
+// --- Propagate's per-call work ---------------------------------------------
+//
+// Single-threaded, no refresh can lose, so each update's Propagate
+// refreshes exactly the internal nodes on k's search path (root
+// included), once each, with one successful CAS apiece.  Changes to how
+// Propagate reaches memory must change its cost, never this work.
+template <class T>
+void ExpectPropagateRefreshesSearchPathOnce() {
+  T t;
+  Xoshiro256 rng(17);
+  constexpr std::uint64_t kRange = 10000;
+  while (t.size() < 5000) t.insert(static_cast<Key>(rng.below(kRange)));
+  for (int i = 0; i < 2000; ++i) {
+    const Key k = static_cast<Key>(rng.below(kRange));
+    const auto before = Counters::snapshot();
+    if (rng.below(2) == 0) {
+      t.insert(k);
+    } else {
+      t.erase(k);
+    }
+    const auto after = Counters::snapshot();
+    const auto delta = [&](Counter c) { return after[c] - before[c]; };
+    EbrGuard g;
+    const auto depth =
+        static_cast<std::uint64_t>(t.node_tree().search(k).depth);
+    ASSERT_EQ(delta(Counter::kPropagateNodes), depth)
+        << "op " << i << " key " << k;
+    ASSERT_EQ(delta(Counter::kRefreshCas), delta(Counter::kPropagateNodes))
+        << "op " << i << " key " << k;
+    ASSERT_EQ(delta(Counter::kRefreshCasFail), 0u) << "op " << i;
+    ASSERT_EQ(delta(Counter::kPropagateExtraNodes), 0u) << "op " << i;
+  }
+}
+
+TEST(BatPropagateWork, PlainRefreshesSearchPathOnce) {
+  ExpectPropagateRefreshesSearchPathOnce<Bat<SizeAug>>();
+}
+
+TEST(BatPropagateWork, EagerDelRefreshesSearchPathOnce) {
+  ExpectPropagateRefreshesSearchPathOnce<BatEagerDel<SizeAug>>();
 }
 
 // --- concurrency -----------------------------------------------------------

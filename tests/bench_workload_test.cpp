@@ -63,12 +63,19 @@ TEST(OpStreamMix, ZeroPercentClassesAreUnreachable) {
     OpStream stream = make_stream(w);
     for (const std::uint64_t r : rs) {
       const Op op = stream.op_for(r);
-      if (m.i <= 0) ASSERT_NE(op, Op::kInsert) << m.i << " r=" << r;
-      if (m.d <= 0) ASSERT_NE(op, Op::kDelete) << m.d << " r=" << r;
-      if (m.f <= 0) ASSERT_NE(op, Op::kFind) << m.f << " r=" << r;
-      if (m.q <= 0) ASSERT_NE(op, Op::kQuery)
-          << "0%-query mix " << w.mix_string() << " emitted a query at r="
-          << r;
+      if (m.i <= 0) {
+        ASSERT_NE(op, Op::kInsert) << m.i << " r=" << r;
+      }
+      if (m.d <= 0) {
+        ASSERT_NE(op, Op::kDelete) << m.d << " r=" << r;
+      }
+      if (m.f <= 0) {
+        ASSERT_NE(op, Op::kFind) << m.f << " r=" << r;
+      }
+      if (m.q <= 0) {
+        ASSERT_NE(op, Op::kQuery) << "0%-query mix " << w.mix_string()
+                                  << " emitted a query at r=" << r;
+      }
     }
   }
 }

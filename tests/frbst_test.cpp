@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "frbst/frbst.h"
+#include "util/counters.h"
 #include "util/random.h"
 
 namespace cbat {
@@ -102,6 +103,29 @@ TEST(FrBst, GenericAugmentationSum) {
   const auto agg = t.range_aggregate(10, 20);
   EXPECT_EQ(agg.first, 11);
   EXPECT_EQ(agg.second, (10 + 20) * 11 / 2);
+}
+
+// Single-threaded, every refresh CAS succeeds first time: Propagate does
+// one CAS per path node (see bat_test's BatPropagateWork).
+TEST(FrBst, PropagateCasesOncePerPathNode) {
+  Tree t;
+  Xoshiro256 rng(23);
+  constexpr std::uint64_t kRange = 10000;
+  while (t.size() < 5000) t.insert(static_cast<Key>(rng.below(kRange)));
+  for (int i = 0; i < 2000; ++i) {
+    const Key k = static_cast<Key>(rng.below(kRange));
+    const auto before = Counters::snapshot();
+    if (rng.below(2) == 0) {
+      t.insert(k);
+    } else {
+      t.erase(k);
+    }
+    const auto after = Counters::snapshot();
+    const auto delta = [&](Counter c) { return after[c] - before[c]; };
+    ASSERT_GT(delta(Counter::kPropagateNodes), 0u) << "op " << i;
+    ASSERT_EQ(delta(Counter::kRefreshCas), delta(Counter::kPropagateNodes))
+        << "op " << i << " key " << k;
+  }
 }
 
 TEST(FrBstConcurrent, DisjointRangesDeterministic) {
