@@ -8,7 +8,10 @@ Stdlib-only (CI and verify.sh both run it; no pip installs).  Checks:
     and [text](PATH#anchor) / [text](#anchor) must name a heading that
     GitHub-slugifies to that anchor in the target file;
   * lint: no hard tabs, no trailing whitespace, file ends with exactly
-    one trailing newline.
+    one trailing newline;
+  * code citations resolve: every *.md name in a *.h, *.cpp or
+    CMakeLists.txt under src/, tests/, bench/ and examples/ must name an
+    existing file relative to the repository root (default run only).
 
 External links (scheme://) are reported as a count but never fetched —
 the job must not depend on the network.  Exit 0 iff everything passes.
@@ -23,12 +26,15 @@ import sys
 
 DEFAULT_FILES = ["README.md", "ROADMAP.md"]
 DEFAULT_DIRS = ["docs"]
+CODE_DIRS = ["src", "tests", "bench", "examples"]
 
 # Inline links: [text](target).  Images share the syntax ("![alt](...)");
 # the optional leading "!" is consumed so nested "[" in alt text cannot
 # desync the scan.  Reference-style links are rare here and unchecked.
 LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 HEADING_RE = re.compile(r"^(#{1,6})\s+(.*?)\s*#*\s*$")
+# A markdown file named in source code: "docs/ARCHITECTURE.md", "README.md".
+MD_NAME_RE = re.compile(r"(?<![\w./-])([\w./-]+\.md)\b")
 
 
 def github_slug(heading):
@@ -109,15 +115,33 @@ def check_links(path, errors, external):
                                       f"'#{anchor}' in {dest})")
 
 
+def walk_files(dirs, keep):
+    for d in dirs:
+        for root, subdirs, names in os.walk(d):
+            subdirs.sort()
+            yield from (os.path.join(root, n) for n in sorted(names)
+                        if keep(n))
+
+
+def check_code_citations(path, errors):
+    with open(path, "r", encoding="utf-8") as f:
+        for i, line in enumerate(f, 1):
+            for m in MD_NAME_RE.finditer(line):
+                if not os.path.exists(m.group(1)):
+                    errors.append(f"{path}:{i}: cites '{m.group(1)}', "
+                                  f"which does not exist")
+
+
 def main(argv):
     os.chdir(os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
     files = argv[1:]
+    sources = []
     if not files:
         files = [f for f in DEFAULT_FILES if os.path.exists(f)]
-        for d in DEFAULT_DIRS:
-            for root, _dirs, names in os.walk(d):
-                files.extend(os.path.join(root, n) for n in sorted(names)
-                             if n.endswith(".md"))
+        files.extend(walk_files(DEFAULT_DIRS, lambda n: n.endswith(".md")))
+        sources = list(walk_files(
+            CODE_DIRS, lambda n: n.endswith((".h", ".cpp")) or
+            n == "CMakeLists.txt"))
     errors, external = [], []
     for f in files:
         if not os.path.exists(f):
@@ -125,9 +149,12 @@ def main(argv):
             continue
         lint(f, errors)
         check_links(f, errors, external)
+    for f in sources:
+        check_code_citations(f, errors)
     for e in errors:
         print(f"check_markdown: {e}", file=sys.stderr)
     print(f"check_markdown: {len(files)} file(s), "
+          f"{len(sources)} source file(s), "
           f"{len(external)} external link(s) skipped, "
           f"{len(errors)} problem(s)")
     return 1 if errors else 0

@@ -83,9 +83,10 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure --no-tests=error \
 # Docs hygiene (the clang-format analogue for markdown): lint plus an
 # internal-link/anchor check over README.md, ROADMAP.md, and docs/ —
 # docs/ARCHITECTURE.md's consistency table is part of the verified
-# surface.  The concurrency lint rides along (it also runs as a ctest
-# entry, but a --filter run can skip that).  Skipped only where python3
-# is unavailable; CI always has it.
+# surface — and a check that every *.md a source file cites exists.
+# The concurrency lint rides along (it also runs as a ctest entry, but a
+# --filter run can skip that).  Skipped only where python3 is
+# unavailable; CI always has it.
 if command -v python3 >/dev/null 2>&1; then
   python3 scripts/check_markdown.py
   python3 scripts/check_concurrency.py

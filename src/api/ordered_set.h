@@ -97,6 +97,8 @@ class AbstractOrderedSet {
  public:
   virtual ~AbstractOrderedSet() = default;
 
+  // Point operations.  A key above kMaxUserKey is never a member: insert,
+  // erase and contains return false for it and change nothing.
   virtual bool insert(Key k) = 0;
   virtual bool erase(Key k) = 0;
   virtual bool contains(Key k) = 0;
@@ -143,9 +145,11 @@ class AbstractOrderedSet {
 template <RankedSet T>
 class SetModel final : public AbstractOrderedSet {
  public:
-  bool insert(Key k) override { return t_.insert(k); }
-  bool erase(Key k) override { return t_.erase(k); }
-  bool contains(Key k) override { return t_.contains(k); }
+  // The trees only assert k <= kMaxUserKey (larger keys are their
+  // sentinels), so the check is made here, where outside input enters.
+  bool insert(Key k) override { return k <= kMaxUserKey && t_.insert(k); }
+  bool erase(Key k) override { return k <= kMaxUserKey && t_.erase(k); }
+  bool contains(Key k) override { return k <= kMaxUserKey && t_.contains(k); }
   std::int64_t size() override { return t_.size(); }
 
   std::int64_t range_count(Key lo, Key hi) override {

@@ -10,10 +10,10 @@
 // range scans; leaves and inner nodes are never deallocated (no merges —
 // deletes only empty leaves), so no reclamation is needed.
 //
-// Substitution note (see DESIGN.md §3): Verlib achieves snapshot range
-// queries with versioned pointers; we substitute per-leaf-atomic seqlock
-// scans.  The cost profile the paper compares against — cache-friendly
-// high-fanout point operations and Θ(range) range queries — is preserved.
+// Substitution note: Verlib achieves snapshot range queries with
+// versioned pointers; we substitute per-leaf-atomic seqlock scans.  The
+// cost profile the paper compares against — cache-friendly high-fanout
+// point operations and Θ(range) range queries — is preserved.
 #pragma once
 
 #include <atomic>

@@ -10,11 +10,10 @@
 // tree "as of" that time, so they are linearizable and cost Θ(range +
 // height) like the original.
 //
-// Substitution notes (DESIGN.md §3): deletions are logical (presence flag)
-// and the physical structure is append-only, where Citrus unlinks nodes
-// under RCU.  Structure nodes are freed by the destructor; superseded
-// bundle entries are truncated past the oldest active snapshot exactly as
-// in VcasBST.
+// Substitution notes: deletions are logical (presence flag) and the
+// physical structure is append-only, where Citrus unlinks nodes under RCU.
+// Structure nodes are freed by the destructor; superseded bundle entries
+// are truncated past the oldest active snapshot exactly as in VcasBST.
 #pragma once
 
 #include <atomic>

@@ -315,7 +315,9 @@ class ChromaticTree {
   // For patch nodes that were never published (failed SCX).
   void dispose_unpublished(Node* n) { node_deleter(n); }
 
-  // --- rebalancing (see DESIGN.md §2 for the case derivations) -----------
+  // --- rebalancing -------------------------------------------------------
+  // The transformations and their weight rules follow Brown–Ellen–Ruppert
+  // (PPoPP 2014) and Nurmi & Soisalon-Soininen (1996).
 
   // Weight for a node being installed as a child of `parent`: the node at
   // root.left is pinned to weight 1 (a uniform shift of all real paths).

@@ -239,9 +239,9 @@ class FrBst {
   };
 
   // Records the internal nodes visited in scratch().path for Propagate.
-  SearchResult search(Key k, bool record_path) {
+  SearchResult search(Key k) {
     SearchResult r;
-    if (record_path) scratch().path.clear();
+    scratch().path.clear();
     r.l = root_;
     while (!r.l->is_leaf()) {
       r.gp = r.p;
@@ -249,13 +249,11 @@ class FrBst {
       r.p = r.l;
       r.pupdate = r.p->update.load(std::memory_order_acquire);
       const int d = k < r.l->key ? 0 : 1;
-      if (record_path) {
-        scratch().path.push_back(r.p);
-        // Propagate's refresh of p reads its off-path child's version
-        // word: a hint, as in BatTree::propagate's first descent.
-        prefetch_read(
-            &r.l->child[d ^ 1].load(std::memory_order_acquire)->version);
-      }
+      scratch().path.push_back(r.p);
+      // Propagate's refresh of p reads its off-path child's version
+      // word: a hint, as in BatTree::propagate's first descent.
+      prefetch_read(
+          &r.l->child[d ^ 1].load(std::memory_order_acquire)->version);
       r.l = r.l->child[d].load(std::memory_order_acquire);
     }
     return r;
@@ -264,7 +262,7 @@ class FrBst {
   bool do_insert(Key k) {
     Backoff bo;
     while (true) {
-      SearchResult s = search(k, /*record_path=*/true);
+      SearchResult s = search(k);
       if (s.l->key == k) return false;
       if (state_of(s.pupdate) != kClean) {
         help(s.pupdate);
@@ -310,7 +308,7 @@ class FrBst {
   bool do_erase(Key k) {
     Backoff bo;
     while (true) {
-      SearchResult s = search(k, /*record_path=*/true);
+      SearchResult s = search(k);
       if (s.l->key != k) return false;
       if (state_of(s.gpupdate) != kClean) {
         help(s.gpupdate);

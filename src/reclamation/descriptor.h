@@ -7,7 +7,7 @@
 // Retiring the descriptor when the operation completes (as one would for
 // data nodes) would therefore leave dangling pointers.
 //
-// Scheme (see DESIGN.md §2):
+// Scheme:
 //   * a descriptor is created with refs = 1 (the creator's credit);
 //   * every successful CAS that installs descriptor N into a node field
 //     calls descriptor_ref(N) *after* the CAS and schedules a deferred

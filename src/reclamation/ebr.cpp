@@ -1,6 +1,5 @@
 #include "reclamation/ebr.h"
 
-#include "util/counters.h"
 #include "util/fault.h"
 
 namespace cbat {
@@ -53,34 +52,18 @@ void Ebr::retire_impl(void* p, Deleter d) {
     bag.epoch = e;
   }
   bag.items.emplace_back(p, d);
-  bool reclaimed = false;
   if (++c.retire_count % kAdvanceThreshold == 0) {
     try_advance();
     reclaim_safe_bags(c, epoch_.load(std::memory_order_acquire));
-    reclaimed = true;
-  }
-  // Limbo-pressure guardrail: a pinned or fault-delayed epoch lets bags
-  // grow without bound between periodic advances; above the high-water
-  // mark every retire attempts an inline advance+reclaim.  The attempt is
-  // best-effort (an old announcement still blocks it) but bounds the lag
-  // once the pinning operation finishes.
-  const std::int64_t hw = ebr_limbo_high_water();
-  if (!reclaimed && hw > 0) {
-    const std::size_t local = c.bags[0].items.size() + c.bags[1].items.size() +
-                              c.bags[2].items.size();
-    if (local >= static_cast<std::size_t>(hw)) {
-      Counters::bump(Counter::kEbrPressureEvents);
-      try_advance();
-      reclaim_safe_bags(c, epoch_.load(std::memory_order_acquire));
-    }
   }
 }
 
 void Ebr::try_advance() {
   CBAT_FAULT_POINT("ebr.advance");
   // Advance is best-effort by design (any old announcement vetoes it), so
-  // a forced skip degrades to "reclaim later" — exactly what the limbo
-  // guardrail above and the chaos suite's pending() checks exercise.
+  // a forced skip degrades to "reclaim later": limbo grows until a later
+  // periodic attempt finds no veto, and the fault plan's per-site budget
+  // bounds how many attempts it can skip.
   if (CBAT_FAULT_FORCE("ebr.advance_skip")) return;
   const std::uint64_t e = epoch_.load(std::memory_order_seq_cst);
   const int n = ThreadRegistry::instance().max_id();

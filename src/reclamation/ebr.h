@@ -50,26 +50,6 @@ inline void ebr_assert_held() CBAT_ASSERT_CAPABILITY(ebr_capability) {}
 // shared: written once at exit, read on reclamation slow paths only.
 inline std::atomic<bool> g_reclaim_shutdown{false};
 
-// Limbo-pressure guardrail: when a thread's summed limbo bags reach this
-// many items, the next retire attempts an inline epoch advance and
-// reclaim (bumping Counter::kEbrPressureEvents) instead of waiting out the
-// periodic advance batch — bounding memory held hostage by a stalled or
-// fault-delayed epoch.  0 disables the guardrail.  Process-wide.
-// shared: read-mostly; written only by tests (set_ebr_limbo_high_water).
-inline std::atomic<std::int64_t> g_ebr_limbo_high_water{1 << 15};
-
-inline std::int64_t ebr_limbo_high_water() {
-  // relaxed: a tuning knob; any recently written value is acceptable.
-  return g_ebr_limbo_high_water.load(std::memory_order_relaxed);
-}
-
-// For tests only (the guardrail test lowers the mark to trip it): call
-// while no update runs.  Ignores negative values.
-inline void set_ebr_limbo_high_water(std::int64_t n) {
-  // relaxed: see ebr_limbo_high_water().
-  if (n >= 0) g_ebr_limbo_high_water.store(n, std::memory_order_relaxed);
-}
-
 class Ebr {
  public:
   using Deleter = void (*)(void*);
@@ -101,6 +81,10 @@ class Ebr {
  private:
   static constexpr std::uint64_t kQuiescent = ~0ULL;
   static constexpr int kBags = 3;
+  // The one reclamation schedule: each thread tries an epoch advance every
+  // kAdvanceThreshold of its retires and frees its safe bags then and at
+  // each outermost guard entry.  An older announcement vetoes the advance,
+  // so limbo grows behind a stalled guard until that guard ends.
   static constexpr std::size_t kAdvanceThreshold = 256;
 
   struct Bag {

@@ -42,11 +42,14 @@ class Pool {
       return p;
     }
     // Allocation-failure degradation: transient exhaustion (real, or forced
-    // by a fault plan) retries with exponential backoff instead of letting
-    // bad_alloc unwind mid-protocol — a grace period elapsing usually
-    // refills the free lists via EBR reclamation.  Only a *persistent*
-    // failure (every retry exhausted) surfaces as std::bad_alloc, before
-    // the caller has published anything, so the tree stays consistent.
+    // by a fault plan) retries ::operator new with exponential backoff
+    // instead of letting bad_alloc unwind mid-protocol.  The free list
+    // cannot refill meanwhile: only this thread's dealloc() pushes to it.
+    // Only a *persistent* failure (every retry exhausted) surfaces as
+    // std::bad_alloc.  Most callers allocate before they publish anything,
+    // but not all: BatTree::refresh allocates inside Propagate, after the
+    // update's SCX has published, so a throw there leaves that update
+    // unpropagated.
     Backoff bo;
     for (std::uint32_t attempt = 0; attempt < kAllocRetries; ++attempt) {
       if (!CBAT_FAULT_FORCE("pool.alloc_fail")) {
@@ -54,11 +57,6 @@ class Pool {
         if (p != nullptr) return p;
       }
       bo.pause();
-      if (!f.slots.empty()) {  // reclamation refilled us while backing off
-        void* p = f.slots.back();
-        f.slots.pop_back();
-        return p;
-      }
     }
     throw std::bad_alloc{};
   }

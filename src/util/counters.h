@@ -42,8 +42,9 @@ enum class Counter : int {
   kShardMigratedKeys,
   kShardImbalanceSumMilli,
   kShardImbalanceSamples,
-  // Robustness layer: EBR limbo bags crossing the high-water mark and
-  // triggering an inline reclaim attempt.
+  // No code bumps this: EBR reclaims on its periodic schedule alone.  The
+  // enumerator survives, as SnapshotPolicy does, because perfbench's
+  // `reclamation.ebr_pressure_events` metric names it.
   kEbrPressureEvents,
   kNumCounters
 };

@@ -2,8 +2,9 @@
 // transformation class (BLK, RB1, RB2, PUSH, W-FAR, W-NEAR, RED-SIB and
 // their mirrors) is exercised by adversarial insertion/deletion patterns,
 // and the weighted-path invariant is checked after every phase.  These are
-// the invariants DESIGN.md derives; a wrong weight in any transformation
-// breaks path_sums_equal immediately.
+// the invariants of Brown–Ellen–Ruppert (PPoPP 2014) and Nurmi &
+// Soisalon-Soininen (1996); a wrong weight in any transformation breaks
+// path_sums_equal immediately.
 #include <gtest/gtest.h>
 
 #include <algorithm>

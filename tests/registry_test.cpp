@@ -63,6 +63,25 @@ TEST(Registry, MakeStructureGoesThroughRegistry) {
   EXPECT_EQ(set->range_count(0, 100), 2);
 }
 
+// The two largest keys are the trees' sentinels, which the trees only
+// assert against.  The type-erased interface refuses every key above
+// kMaxUserKey, so no structure reports a sentinel as a member.
+TEST(Registry, KeysAboveTheUserRangeAreRejected) {
+  auto& reg = StructureRegistry::instance();
+  for (const std::string& name : reg.names()) {
+    auto set = reg.create(name);
+    ASSERT_NE(set, nullptr) << name;
+    for (Key k : {kMaxUserKey + 1, kInf2}) {
+      EXPECT_FALSE(set->contains(k)) << name << " " << k;
+      EXPECT_FALSE(set->insert(k)) << name << " " << k;
+      EXPECT_FALSE(set->erase(k)) << name << " " << k;
+      EXPECT_EQ(set->size(), 0) << name << " " << k;
+    }
+    EXPECT_TRUE(set->insert(kMaxUserKey)) << name;
+    EXPECT_TRUE(set->contains(kMaxUserKey)) << name;
+  }
+}
+
 // The keyspace a registry-created Sharded16-BAT currently uses.
 Key forest_keyspace(AbstractOrderedSet& set) {
   auto* m = dynamic_cast<api::SetModel<ShardedSet<Bat<SizeAug>, 16>>*>(&set);
