@@ -127,9 +127,9 @@ class AbstractOrderedSet {
   virtual bool configure(const SetOptions& o) = 0;
 
   // Advisory: the calling thread expects to run about this many updates.
-  // Structures backed by per-thread object pools pre-fault their free
-  // lists so a fresh thread's first operations do not pay cold allocation
-  // (first-touch jitter pollutes latency percentiles).  The benchmark
+  // Structures backed by per-thread object pools stock their free lists
+  // so a fresh thread's first operations do not pay cold allocation
+  // (first-allocation jitter pollutes latency percentiles).  The benchmark
   // driver calls this from every prefill and worker thread before its
   // first operation; the default is a no-op.
   virtual void warm_up(std::size_t /*expected_updates*/) {}

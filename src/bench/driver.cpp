@@ -28,9 +28,9 @@ void worker(api::AbstractOrderedSet& set, const RunConfig& cfg, int tid,
             std::atomic<bool>& stop, std::atomic<std::int64_t>& sorted_ctr,
             ThreadTotals& out) {
   const Workload& w = cfg.workload;
-  // Pre-fault this thread's object pools before the first sampled
-  // operation, so cold-allocation jitter stays out of the latency
-  // percentiles (the pools are per-thread; prefill warmed other threads).
+  // Stock this thread's object pools before the first sampled operation,
+  // so cold-allocation jitter stays out of the latency percentiles (the
+  // pools are per-thread; prefill warmed other threads).
   set.warm_up(1u << 12);
   OpStream stream(w, cfg.seed + 7919ULL * static_cast<std::uint64_t>(tid + 1),
                   &sorted_ctr);

@@ -307,10 +307,12 @@ class BatTree {
     delegation_timeout_spins_ = spins;
   }
 
-  // Pre-faults the calling thread's pool free lists for the object types
-  // this tree allocates on the update path (~one Node patch set plus
-  // ~path-length Versions per update).  Caps are modest: steady state
-  // recycles through the EBR, so only the initial working set matters.
+  // Stocks the calling thread's pool free lists for the object types this
+  // tree allocates on the update path (~one Node patch set plus
+  // ~path-length Versions per update), so its first updates neither take
+  // slab blocks nor draw from the pools' depots.  Caps are modest: steady
+  // state recycles through the EBR, so only the initial working set
+  // matters.
   void warm_up(std::size_t expected_updates) {
     const auto cap = [expected_updates](std::size_t mult, std::size_t limit) {
       return std::min(expected_updates * mult, limit);

@@ -23,7 +23,8 @@ namespace cbat {
 // Refresh created them so a beaten Refresh knows whom to wait for.
 struct PropStatus {
   // shared: one short-lived cell per Propagate; waiters spin on done by
-  // design, and padding would defeat the pool's size-class reuse.
+  // design.  Its pool slot is a whole cache line, so no other object
+  // shares the line.
   std::atomic<bool> done{false};
   std::atomic<PropStatus*> delegatee{nullptr};
 };

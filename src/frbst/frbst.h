@@ -92,7 +92,7 @@ class FrBst {
   FrBst() {
     FrNode* l1 = mk_leaf(kInf1);
     FrNode* l2 = mk_leaf(kInf2);
-    root_ = new FrNode(kInf2, l1, l2);
+    root_ = pool_new<FrNode>(kInf2, l1, l2);
     // The root is internal; give it a ready version like any other
     // internal node created with known children.
     set_internal_version(root_, version_of(l1), version_of(l2));

@@ -14,8 +14,10 @@ inline constexpr int kMaxScxNodes = 6;
 struct ScxRecord : RefCountedDescriptor {
   enum State : int { kInProgress = 0, kCommitted = 1, kAborted = 2 };
 
-  // shared: descriptors are short-lived and pool-recycled; padding them
-  // would defeat the pool's size-class reuse for a window of a few helps.
+  // shared: descriptors are short-lived and pool-recycled into slots that
+  // start on a cache line, so these words share a line only with this
+  // record's own fields; padding them apart would buy a window of a few
+  // helps with a fourth line per record.
   std::atomic<int> state{kInProgress};
   std::atomic<bool> all_frozen{false};
 

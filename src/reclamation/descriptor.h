@@ -34,8 +34,9 @@
 namespace cbat {
 
 struct RefCountedDescriptor {
-  // shared: refcount rides in the descriptor it guards; descriptors are
-  // pool-recycled size classes, so padding would fragment the pool.
+  // shared: refcount rides in the descriptor it guards; every pool slot
+  // starts on a cache line, so it shares a line only with that
+  // descriptor's own fields.
   std::atomic<std::int64_t> refs{1};  // creator's credit
   bool is_static = false;  // statically allocated sentinels are never freed
 };

@@ -604,7 +604,7 @@ class ShardedSet {
   const Inner& shard_at(int i) const { return *shards_[i]; }
 
   // Pool warm-up passthrough.  The object pools are type-keyed and
-  // per-thread (process-wide, not per-tree), so pre-faulting through one
+  // per-thread (process-wide, not per-tree), so stocking them through one
   // shard covers every shard of the forest.
   void warm_up(std::size_t expected_updates)
     requires requires(Inner t, std::size_t n) { t.warm_up(n); }

@@ -1,21 +1,93 @@
 // End-to-end reclamation tests (paper §6): the trees must neither leak nor
 // free early under churn.  Early frees are caught by the ASan jobs and the
-// poisoning checks here; leaks are caught by asserting that the EBR's limbo
-// count returns to zero at quiescence and that version chains are bounded.
+// poisoning checks here (a pooled slot is poisoned while it is free); leaks
+// are caught by asserting that the EBR's limbo count returns to zero at
+// quiescence and that version chains are bounded.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
 #include "core/bat_tree.h"
 #include "frbst/frbst.h"
 #include "reclamation/ebr.h"
+#include "reclamation/pool.h"
 #include "util/random.h"
+#include "vcasbst/vcas.h"
 #include "vcasbst/vcas_bst.h"
 
 namespace cbat {
 namespace {
+
+// 1,000 slots of T carved from blocks, then 1,000 popped from the free list
+// they were returned to: every one must start on a cache line.  A fresh
+// thread starts with an empty free list and no block; while no thread has
+// exited yet the depot is empty too, so the first round carves.  This is
+// why the test comes first in the file.
+template <class T>
+void expect_line_aligned_slots(const char* name) {
+  std::thread([name] {
+    std::vector<void*> slots(1000);
+    for (const char* path : {"carve", "free list"}) {
+      for (void*& p : slots) p = Pool<T>::alloc();
+      for (void* p : slots) {
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % kPoolLineBytes, 0u)
+            << name << " via the " << path << " path";
+        Pool<T>::dealloc(p);
+      }
+    }
+  }).join();
+}
+
+// Every type that src/ allocates with pool_new.  VcasBst's version nodes
+// are VersionedPtr<VbNode>::VNode, private to it; VersionedPtr<void>::VNode
+// (BundledTree's presence chains) has the same layout, since VNode holds
+// only a T*.
+TEST(Pool, EveryPooledTypeIsLineAligned) {
+  expect_line_aligned_slots<Node>("Node");
+  expect_line_aligned_slots<Version<SizeAug>>("Version<SizeAug>");
+  expect_line_aligned_slots<ScxRecord>("ScxRecord");
+  expect_line_aligned_slots<PropStatus>("PropStatus");
+  expect_line_aligned_slots<frbst_detail::FrNode>("FrNode");
+  expect_line_aligned_slots<frbst_detail::Info>("FrBst Info");
+  expect_line_aligned_slots<VersionedPtr<void>::VNode>("VNode");
+}
+
+// A thread that exits hands its free slots and the rest of its block to
+// the depot, and the next thread draws from there before it takes new
+// blocks: 32 threads in turn, each churning 10,000 versions, map at most
+// one chunk more than the first one did.
+TEST(Pool, DyingThreadsMemoryIsReused) {
+  using V = Version<SizeAug>;
+  const auto churn = [] {
+    std::vector<V*> vs(10000);
+    Key k = 0;
+    for (V*& v : vs) v = pool_new<V>(nullptr, nullptr, k++, 1, nullptr);
+    for (V* v : vs) pool_delete(v);
+  };
+  std::thread(churn).join();
+  const std::size_t after_first = pool_mapped_bytes();
+  for (int t = 1; t < 32; ++t) std::thread(churn).join();
+  EXPECT_LE(pool_mapped_bytes(), after_first + kPoolChunkBytes);
+}
+
+TEST(Pool, ReturnedSlotIsPoisonedUnderAsan) {
+#if defined(CBAT_ASAN)
+  using V = Version<SizeAug>;
+  V* v = pool_new<V>(nullptr, nullptr, Key{1}, 1, nullptr);
+  EXPECT_FALSE(__asan_address_is_poisoned(v));
+  pool_delete(v);
+  EXPECT_TRUE(__asan_address_is_poisoned(v));
+  V* w = pool_new<V>(nullptr, nullptr, Key{2}, 1, nullptr);
+  ASSERT_EQ(w, v);  // the same thread's LIFO free list
+  EXPECT_FALSE(__asan_address_is_poisoned(w));
+  pool_delete(w);
+#else
+  GTEST_SKIP() << "pool slots are poisoned only under AddressSanitizer";
+#endif
+}
 
 // After any amount of churn and a drain, nothing may remain in limbo.
 TEST(Reclamation, BatDrainsToZero) {
