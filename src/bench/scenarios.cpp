@@ -14,6 +14,7 @@
 #include "frbst/frbst.h"
 #include "llxscx/llx_scx.h"
 #include "reclamation/ebr.h"
+#include "reclamation/pool.h"
 #include "util/counters.h"
 #include "util/flat_set.h"
 #include "util/random.h"
@@ -914,6 +915,13 @@ void run_micro_components(ScenarioContext& ctx) {
   }
 }
 
+// Frees a node of the LLX/SCX micro-benchmarks and its descriptor
+// reference.
+void free_llxscx_node(Node* n) {
+  release_node_info(n);
+  pool_delete(n);
+}
+
 // Micro-benchmarks for the LLX/SCX substrate: an uncontended LLX, a full
 // LLX+SCX child swing, and chromatic-tree point operations on top.
 void run_micro_llxscx(ScenarioContext& ctx) {
@@ -925,19 +933,14 @@ void run_micro_llxscx(ScenarioContext& ctx) {
 
   {
     EbrGuard g;
-    Node* a = new Node(1, 1, nullptr, nullptr);
-    Node* b = new Node(5, 1, nullptr, nullptr);
-    Node* p = new Node(5, 1, a, b);
+    Node* a = pool_new<Node>(1, 1, nullptr, nullptr);
+    Node* b = pool_new<Node>(5, 1, nullptr, nullptr);
+    Node* p = pool_new<Node>(5, 1, a, b);
     record_micro(ctx, table, "LlxUncontended", ms, [&] {
       LlxSnap s;
       do_not_optimize(llx(p, &s));
     });
-    release_node_info(p);
-    release_node_info(a);
-    release_node_info(b);
-    delete p;
-    delete a;
-    delete b;
+    for (Node* x : {p, a, b}) free_llxscx_node(x);
   }
   {
     // Inner scope: Ebr::drain() requires quiescence, so the guard must
@@ -945,34 +948,25 @@ void run_micro_llxscx(ScenarioContext& ctx) {
     // nodes from the measurement loop.
     {
       EbrGuard g;
-      Node* cell = new Node(0, 1, nullptr, nullptr);
-      Node* right = new Node(100, 1, nullptr, nullptr);
-      Node* p = new Node(100, 1, cell, right);
+      Node* cell = pool_new<Node>(0, 1, nullptr, nullptr);
+      Node* right = pool_new<Node>(100, 1, nullptr, nullptr);
+      Node* p = pool_new<Node>(100, 1, cell, right);
       record_micro(ctx, table, "ScxChildSwing", ms, [&] {
         LlxSnap ps, cs;
         if (llx(p, &ps) != LlxStatus::kOk) return;
         Node* cur = ps.left();
         if (llx(cur, &cs) != LlxStatus::kOk) return;
-        Node* next = new Node(cur->key + 1, 1, nullptr, nullptr);
+        Node* next = pool_new<Node>(cur->key + 1, 1, nullptr, nullptr);
         LlxSnap v[2] = {ps, cs};
         if (scx(v, 2, 1, &p->child[0], next)) {
           Ebr::retire(cur, [](void* q) {
-            Node* nn = static_cast<Node*>(q);
-            release_node_info(nn);
-            delete nn;
+            free_llxscx_node(static_cast<Node*>(q));
           });
         } else {
-          release_node_info(next);
-          delete next;
+          free_llxscx_node(next);
         }
       });
-      release_node_info(p);
-      release_node_info(right);
-      Node* last = p->child[0].load();
-      release_node_info(last);
-      delete last;
-      delete p;
-      delete right;
+      for (Node* x : {p->child[0].load(), p, right}) free_llxscx_node(x);
     }
     Ebr::drain();
   }

@@ -34,6 +34,7 @@
 #include "util/backoff.h"
 #include "util/counters.h"
 #include "util/keys.h"
+#include "util/prefetch.h"
 
 namespace cbat {
 
@@ -93,7 +94,7 @@ class ChromaticTree {
 
   Node* root() const { return root_; }
 
-  // Leaf-oriented search; never blocks, reads only child pointers.
+  // Leaf-oriented search; never blocks, reads only the nodes' read halves.
   ChromaticSearch search(Key k) const {
     ChromaticSearch s;
     s.l = root_;
@@ -119,6 +120,7 @@ class ChromaticTree {
     while (true) {
       ChromaticSearch s = search(k);
       if (s.l->key == k) return false;
+      prefetch_hot_halves(k, s);
       LlxSnap ps, ls;
       if (llx(s.p, &ps) != LlxStatus::kOk) {
         bo.pause();
@@ -170,6 +172,7 @@ class ChromaticTree {
       // leaf under root.left is the kInf1 sentinel, so a real leaf can never
       // be root.left).
       assert(s.gp != nullptr);
+      prefetch_hot_halves(k, s);
       LlxSnap gps, ps, ls, sibs;
       if (llx(s.gp, &gps) != LlxStatus::kOk) {
         bo.pause();
@@ -284,6 +287,19 @@ class ChromaticTree {
   }
 
  private:
+  // Prefetches the hot halves (info, marked, version) of gp, p, l and l's
+  // sibling as soon as the search has found them: the update LLXs them,
+  // and BAT's Propagate then CASes gp's and p's versions and reads the
+  // sibling's.  Hints only, issued under the caller's EbrGuard; no
+  // prefetched value decides anything.
+  static void prefetch_hot_halves(Key k, const ChromaticSearch& s) {
+    if (s.gp != nullptr) prefetch_read(&s.gp->hot());
+    prefetch_read(&s.p->hot());
+    prefetch_read(&s.l->hot());
+    prefetch_read(
+        &s.p->child[dir_of(k, s.p) ^ 1].load(std::memory_order_acquire)->hot());
+  }
+
   // --- node lifecycle ----------------------------------------------------
 
   Node* mk_leaf(Key k, std::int32_t w) {

@@ -56,13 +56,13 @@ struct BatVersionPolicy {
     auto* v = pool_new<V>(
         nullptr, nullptr, n->key,
         is_sentinel_key(n->key) ? Aug::sentinel() : Aug::leaf(n->key), nullptr);
-    n->version.store(v, std::memory_order_release);
+    n->hot().version.store(v, std::memory_order_release);
   }
 
   static void init_internal(Node* n) {
     // relaxed: the node is thread-private until its SCX publishes it, and
     // the SCX's release store covers this initialization.
-    n->version.store(nullptr, std::memory_order_relaxed);
+    n->hot().version.store(nullptr, std::memory_order_relaxed);
   }
 
   // Insert patches: both children are freshly made leaves whose versions
@@ -73,18 +73,21 @@ struct BatVersionPolicy {
   static void init_internal_for_insert(Node* n, Node* left, Node* right) {
     // relaxed: left/right are freshly made leaves still private to this
     // thread; their versions were stored by the same thread in init_leaf.
-    auto* vl = static_cast<V*>(left->version.load(std::memory_order_relaxed));
-    auto* vr = static_cast<V*>(right->version.load(std::memory_order_relaxed));
+    auto* vl =
+        static_cast<V*>(left->hot().version.load(std::memory_order_relaxed));
+    auto* vr =
+        static_cast<V*>(right->hot().version.load(std::memory_order_relaxed));
     auto* v =
         pool_new<V>(vl, vr, n->key, Aug::combine(vl->aug, vr->aug), nullptr);
-    n->version.store(v, std::memory_order_release);
+    n->hot().version.store(v, std::memory_order_release);
   }
 
   // §6: a node's final version is retired immediately before the node is
   // freed — new operations can no longer reach it, while older snapshots
   // that still can are protected by their own epoch.
   static void on_node_free(Node* n) {
-    auto* v = static_cast<V*>(n->version.load(std::memory_order_acquire));
+    auto* v =
+        static_cast<V*>(n->hot().version.load(std::memory_order_acquire));
     if (v != nullptr) pool_retire(v);
   }
 };
@@ -340,7 +343,7 @@ class BatTree {
     // The root node is never replaced and its version is set in the
     // constructor and only ever CAS'd non-nil -> non-nil afterwards.
     return static_cast<V*>(
-        tree_.root()->version.load(std::memory_order_acquire));
+        tree_.root()->hot().version.load(std::memory_order_acquire));
   }
 
   // The root version a public read answers from.  With a clock attached it
@@ -355,7 +358,7 @@ class BatTree {
   }
 
   static V* version_of(const Node* n) CBAT_REQUIRES(ebr_capability) {
-    return static_cast<V*>(n->version.load(std::memory_order_acquire));
+    return static_cast<V*>(n->hot().version.load(std::memory_order_acquire));
   }
 
   // --- Refresh machinery (paper Fig. 3 lines 49-69; Fig. 12) -------------
@@ -389,9 +392,9 @@ class BatTree {
     auto* nv =
         pool_new<V>(vl, vr, x->key, Aug::combine(vl->aug, vr->aug), nullptr);
     void* expected = nullptr;
-    if (x->version.compare_exchange_strong(expected, nv,
-                                           std::memory_order_acq_rel,
-                                           std::memory_order_acquire)) {
+    if (x->hot().version.compare_exchange_strong(expected, nv,
+                                                 std::memory_order_acq_rel,
+                                                 std::memory_order_acquire)) {
       Counters::bump(Counter::kNilRefreshes);
     } else {
       pool_delete(nv);  // never published
@@ -437,9 +440,9 @@ class BatTree {
     if (stamped_root) nv->prev_root = old;
     Counters::bump(Counter::kRefreshCas);
     void* expected = old;
-    if (x->version.compare_exchange_strong(expected, nv,
-                                           std::memory_order_acq_rel,
-                                           std::memory_order_acquire)) {
+    if (x->hot().version.compare_exchange_strong(expected, nv,
+                                                 std::memory_order_acq_rel,
+                                                 std::memory_order_acquire)) {
       if (stamped_root) {
         if (root_install_hook_ != nullptr) {
           root_install_hook_(root_install_ctx_);
@@ -489,10 +492,12 @@ class BatTree {
       while (true) {
         const int d = dir_of(k, next);
         if (first_descent) {
-          // The off-path child's version word, which our refresh of
-          // `next` will read (see prefetch_refresh_inputs).
+          // The hot half of `next`, whose version our refresh will CAS, and
+          // of its off-path child, whose version that refresh will read
+          // (see prefetch_refresh_inputs).
+          prefetch_read(&next->hot());
           prefetch_read(
-              &next->child[d ^ 1].load(std::memory_order_acquire)->version);
+              &next->child[d ^ 1].load(std::memory_order_acquire)->hot());
         }
         next = next->child[d].load(std::memory_order_acquire);
         if (s.refreshed.contains(next) || next->is_leaf()) break;
@@ -538,10 +543,11 @@ class BatTree {
 
   // --- Memory-level parallelism for Propagate ---------------------------
   //
-  // Each bottom-up refresh reads its off-path child's version pointer and
-  // that version's aug, and writes one new Version: three lines that are
-  // usually cold, and that the refresh loop alone would wait for one level
-  // at a time.  The first descent prefetches every path node's off-path
+  // Each bottom-up refresh CASes its node's version pointer, reads its
+  // off-path child's version pointer and that version's aug, and writes
+  // one new Version: four lines that are usually cold, and that the
+  // refresh loop alone would wait for one level at a time.  The first
+  // descent prefetches the hot half of every path node and of its off-path
   // child; before the first refresh, one pass prefetches those children's
   // versions and the pool slots the refreshes will pop.  These are hints
   // only.  Every pointer they follow was read under the update's EbrGuard,

@@ -18,7 +18,9 @@
 #pragma once
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <new>
 #include <optional>
 #include <vector>
 
@@ -38,25 +40,53 @@ namespace frbst_detail {
 
 struct Info;  // forward
 
+// Split like the chromatic tree's Node (llxscx/node.h), for the same
+// reason: Propagate CASes the version of every node on an update's path.
+// The EFRB search reads `update` at every level, so it stays in the read
+// half with key and children, and only the version moves to the hot half,
+// kHotOffset bytes after the node.  A node exists only in a pool slot.
 struct FrNode {
+  static constexpr std::size_t kHotOffset = 64;
+
+  struct Hot {
+    // shared: CASed by every Propagate whose path crosses this node; its
+    // line holds one other node's hot half and no word a search reads,
+    // as in llxscx/node.h.
+    std::atomic<void*> version{nullptr};
+  };
+
   Key key;
   // shared: per-node words; see the padding tradeoff note in
   // llxscx/node.h — contention diffuses across the tree.
   std::atomic<FrNode*> child[2];       // null for leaves
   std::atomic<std::uintptr_t> update;  // Info* | state (internal nodes)
-  std::atomic<void*> version;
 
   FrNode(Key k, FrNode* l, FrNode* r) : key(k), update(0) {
+    ::new (static_cast<void*>(reinterpret_cast<std::byte*>(this) +
+                              kHotOffset)) Hot;
     // relaxed: constructor stores; the node is private until the CAS
     // that links it in publishes with release ordering.
     child[0].store(l, std::memory_order_relaxed);
     child[1].store(r, std::memory_order_relaxed);
-    version.store(nullptr, std::memory_order_relaxed);
   }
+
+  static void* operator new(std::size_t) = delete;
+
+  Hot& hot() {
+    return *std::launder(reinterpret_cast<Hot*>(
+        reinterpret_cast<std::byte*>(this) + kHotOffset));
+  }
+  const Hot& hot() const {
+    return *std::launder(reinterpret_cast<const Hot*>(
+        reinterpret_cast<const std::byte*>(this) + kHotOffset));
+  }
+
   bool is_leaf() const {
     return child[0].load(std::memory_order_acquire) == nullptr;
   }
 };
+static_assert(sizeof(FrNode) <= 32 && sizeof(FrNode::Hot) <= 32,
+              "each half of a node must fit in half a cache line");
 
 // Update-word states (low 2 bits of the word).
 enum State : std::uintptr_t { kClean = 0, kIFlag = 1, kDFlag = 2, kMark = 3 };
@@ -199,7 +229,7 @@ class FrBst {
   // --- node/version lifecycle ---------------------------------------------
 
   static V* version_of(const FrNode* n) {
-    return static_cast<V*>(n->version.load(std::memory_order_acquire));
+    return static_cast<V*>(n->hot().version.load(std::memory_order_acquire));
   }
 
   FrNode* mk_leaf(Key k) {
@@ -207,19 +237,19 @@ class FrBst {
     auto* v = pool_new<V>(nullptr, nullptr, k,
                           is_sentinel_key(k) ? Aug::sentinel() : Aug::leaf(k),
                           nullptr);
-    n->version.store(v, std::memory_order_release);
+    n->hot().version.store(v, std::memory_order_release);
     return n;
   }
 
   static void set_internal_version(FrNode* n, V* vl, V* vr) {
     auto* v =
         pool_new<V>(vl, vr, n->key, Aug::combine(vl->aug, vr->aug), nullptr);
-    n->version.store(v, std::memory_order_release);
+    n->hot().version.store(v, std::memory_order_release);
   }
 
   static void node_deleter(void* p) {
     auto* n = static_cast<FrNode*>(p);
-    auto* v = static_cast<V*>(n->version.load(std::memory_order_acquire));
+    V* v = version_of(n);
     if (v != nullptr) pool_retire(v);
     descriptor_unref(
         info_of(n->update.load(std::memory_order_acquire)));
@@ -250,10 +280,10 @@ class FrBst {
       r.pupdate = r.p->update.load(std::memory_order_acquire);
       const int d = k < r.l->key ? 0 : 1;
       scratch().path.push_back(r.p);
-      // Propagate's refresh of p reads its off-path child's version
-      // word: a hint, as in BatTree::propagate's first descent.
-      prefetch_read(
-          &r.l->child[d ^ 1].load(std::memory_order_acquire)->version);
+      // Propagate's refresh of p CASes p's version and reads its off-path
+      // child's: hints, as in BatTree::propagate's first descent.
+      prefetch_read(&r.p->hot());
+      prefetch_read(&r.l->child[d ^ 1].load(std::memory_order_acquire)->hot());
       r.l = r.l->child[d].load(std::memory_order_acquire);
     }
     return r;
@@ -432,13 +462,11 @@ class FrBst {
     return s;
   }
 
-  V* root_version() const {
-    return static_cast<V*>(root_->version.load(std::memory_order_acquire));
-  }
+  V* root_version() const { return version_of(root_); }
 
   // One refresh attempt; returns the replaced version on success.
   bool refresh(FrNode* x, V** replaced) {
-    V* old = static_cast<V*>(x->version.load(std::memory_order_acquire));
+    V* old = version_of(x);
     FrNode* xl;
     V* vl;
     do {
@@ -455,9 +483,9 @@ class FrBst {
         pool_new<V>(vl, vr, x->key, Aug::combine(vl->aug, vr->aug), nullptr);
     Counters::bump(Counter::kRefreshCas);
     void* expected = old;
-    if (x->version.compare_exchange_strong(expected, nv,
-                                           std::memory_order_acq_rel,
-                                           std::memory_order_acquire)) {
+    if (x->hot().version.compare_exchange_strong(expected, nv,
+                                                 std::memory_order_acq_rel,
+                                                 std::memory_order_acquire)) {
       *replaced = old;
       return true;
     }

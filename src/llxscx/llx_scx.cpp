@@ -1,5 +1,8 @@
 #include "llxscx/llx_scx.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 #include "reclamation/pool.h"
 
 #include "util/counters.h"
@@ -21,24 +24,28 @@ ScxRecord* const g_initial = make_initial();
 ScxRecord* scx_initial_record() { return g_initial; }
 
 Node::Node(Key k, std::int32_t w, Node* left, Node* right) : key(k), weight(w) {
+  // The hot half lives in the same pool slot, kHotOffset bytes on.
+  ::new (static_cast<void*>(reinterpret_cast<std::byte*>(this) + kHotOffset))
+      Hot;
   // relaxed: constructor stores; the node is private to this thread until
   // the SCX that links it in publishes with release ordering.
   child[0].store(left, std::memory_order_relaxed);
   child[1].store(right, std::memory_order_relaxed);
-  info.store(g_initial, std::memory_order_relaxed);
+  hot().info.store(g_initial, std::memory_order_relaxed);
 }
 
 LlxStatus llx(Node* r, LlxSnap* snap) {
-  const bool marked1 = r->marked.load(std::memory_order_acquire);
-  ScxRecord* rinfo = r->info.load(std::memory_order_acquire);
+  Node::Hot& h = r->hot();
+  const bool marked1 = h.marked.load(std::memory_order_acquire);
+  ScxRecord* rinfo = h.info.load(std::memory_order_acquire);
   const int state = rinfo->state.load(std::memory_order_acquire);
-  const bool marked2 = r->marked.load(std::memory_order_acquire);
+  const bool marked2 = h.marked.load(std::memory_order_acquire);
 
   if (state == ScxRecord::kAborted ||
       (state == ScxRecord::kCommitted && !marked2)) {
     Node* c0 = r->child[0].load(std::memory_order_acquire);
     Node* c1 = r->child[1].load(std::memory_order_acquire);
-    if (r->info.load(std::memory_order_acquire) == rinfo) {
+    if (h.info.load(std::memory_order_acquire) == rinfo) {
       snap->node = r;
       snap->info = rinfo;
       snap->children[0] = c0;
@@ -49,7 +56,7 @@ LlxStatus llx(Node* r, LlxSnap* snap) {
 
   // Could not snapshot: either an SCX is in progress (help it) or the node
   // has been finalized.
-  ScxRecord* cur = r->info.load(std::memory_order_acquire);
+  ScxRecord* cur = h.info.load(std::memory_order_acquire);
   if (cur->state.load(std::memory_order_acquire) == ScxRecord::kInProgress) {
     scx_help(cur);
   }
@@ -61,9 +68,9 @@ bool scx_help(ScxRecord* u) {
   for (int i = 0; i < u->num_nodes; ++i) {
     Node* r = u->nodes[i];
     ScxRecord* expected = u->infos[i];
-    if (!r->info.compare_exchange_strong(expected, u,
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_acquire)) {
+    if (!r->hot().info.compare_exchange_strong(expected, u,
+                                               std::memory_order_acq_rel,
+                                               std::memory_order_acquire)) {
       if (expected != u) {
         // Frozen by some other SCX since the caller's LLX.
         if (u->all_frozen.load(std::memory_order_acquire)) {
@@ -84,7 +91,7 @@ bool scx_help(ScxRecord* u) {
 
   u->all_frozen.store(true, std::memory_order_release);
   for (int i = u->finalize_from; i < u->num_nodes; ++i) {
-    u->nodes[i]->marked.store(true, std::memory_order_release);
+    u->nodes[i]->hot().marked.store(true, std::memory_order_release);
   }
   Node* expected = u->old_value;
   u->field->compare_exchange_strong(expected, u->new_value,
@@ -96,10 +103,16 @@ bool scx_help(ScxRecord* u) {
 
 bool scx(const LlxSnap* v, int num, int finalize_from,
          std::atomic<Node*>* field, Node* new_value) {
+  if (num < 1 || num > kMaxScxNodes || finalize_from < 0 ||
+      finalize_from > num) {
+    std::fprintf(stderr, "cbat: scx over %d records from %d (at most %d)\n",
+                 num, finalize_from, kMaxScxNodes);
+    std::abort();
+  }
   Counters::bump(Counter::kScxAttempts);
   auto* u = pool_new<ScxRecord>();
-  u->num_nodes = num;
-  u->finalize_from = finalize_from;
+  u->num_nodes = static_cast<std::uint8_t>(num);
+  u->finalize_from = static_cast<std::uint8_t>(finalize_from);
   for (int i = 0; i < num; ++i) {
     u->nodes[i] = v[i].node;
     u->infos[i] = v[i].info;
@@ -118,7 +131,7 @@ bool scx(const LlxSnap* v, int num, int finalize_from,
 }
 
 void release_node_info(Node* n) {
-  descriptor_unref(n->info.load(std::memory_order_acquire));
+  descriptor_unref(n->hot().info.load(std::memory_order_acquire));
 }
 
 }  // namespace cbat

@@ -5,8 +5,14 @@
 // SCX record and patch nodes), so allocation sits on every update and the
 // pooled objects make up most of a tree's memory.  A Pool<T> slot is
 // sizeof(T) rounded up to whole 64-byte cache lines and starts on a line
-// boundary, so a 56-byte Node or Version is fetched and written as one
-// line.  Slots come from three levels:
+// boundary, so a 56-byte Version is fetched and written as one line.  A
+// type that declares `static constexpr std::size_t kHotOffset` (64) is
+// split: the object itself is its read half, at most half a line, and its
+// hot half sits kHotOffset bytes after it.  Such slots are half lines
+// paired across two lines, so the read halves of two objects share one
+// line and their hot halves the next, and an object still costs one line
+// (Node and FrNode; see llxscx/node.h for why).  Slots come from three
+// levels:
 //   * each thread carves slots for T from its current 64 KiB block for T;
 //   * one process-wide arena cuts blocks, in turn, from its current chunk,
 //     so at most one chunk is ever part-used (a huge page is resident as
@@ -29,13 +35,15 @@
 //
 // Only trivially destructible types may be pooled (objects are reused by
 // placement-new without running destructors).  Under AddressSanitizer a
-// slot that is not handed out is poisoned, so reading a reclaimed object
-// reports use-after-poison instead of reading the slot's next tenant.
+// slot that is not handed out (both halves of a split slot) is poisoned,
+// so reading a reclaimed object reports use-after-poison instead of
+// reading the slot's next tenant.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <mutex>
 #include <new>
 #include <type_traits>
@@ -116,15 +124,25 @@ class Pool {
       p = take(f);
     }
     detail::asan_unpoison(p, sizeof(T));
+    if constexpr (kSplit) detail::asan_unpoison(hot_of(p), kHalfBytes);
     return p;
   }
 
   static void dealloc(void* p) {
-    detail::asan_poison(p, kSlotBytes);
+    if constexpr (kSplit) {
+      detail::asan_poison(p, kHalfBytes);
+      detail::asan_poison(hot_of(p), kHalfBytes);
+    } else {
+      detail::asan_poison(p, kSlotBytes);
+    }
     // relaxed: the exit flag is set when only one thread remains; any
     // pre-exit read correctly sees false.  After it, the thread-local free
     // lists are already destroyed and the slot simply stays in its chunk.
-    if (g_reclaim_shutdown.load(std::memory_order_relaxed)) return;
+    // The same holds for this thread once its own list is gone: a static
+    // object freed at exit runs after the exiting thread's thread_locals.
+    if (g_reclaim_shutdown.load(std::memory_order_relaxed) || list_gone_) {
+      return;
+    }
     FreeList& f = free_list();
     f.slots.push_back(p);
     if (f.slots.size() > kMaxFree) spill(f);
@@ -138,10 +156,10 @@ class Pool {
     const FreeList& f = free_list();
     const std::size_t m = std::min(n, f.slots.size());
     for (std::size_t i = f.slots.size() - m; i < f.slots.size(); ++i) {
-      prefetch_write(f.slots[i]);
+      prefetch_slot(f.slots[i]);
     }
-    for (std::byte* p = f.next; n > m && p != f.end; --n, p += kSlotBytes) {
-      prefetch_write(p);
+    for (std::byte* p = f.next; n > m && p != f.end; --n, p = after(p)) {
+      prefetch_slot(p);
     }
   }
 
@@ -161,10 +179,47 @@ class Pool {
   }
 
  private:
+  static constexpr std::size_t kHotOffset = [] {
+    if constexpr (requires { T::kHotOffset; }) {
+      return T::kHotOffset;
+    } else {
+      return std::size_t{0};
+    }
+  }();
+  static constexpr bool kSplit = kHotOffset != 0;
+  static constexpr std::size_t kHalfBytes = kPoolLineBytes / 2;
+  static_assert(!kSplit ||
+                (kHotOffset == kPoolLineBytes && sizeof(T) <= kHalfBytes));
+
+  // Slab bytes per object: whole lines, or for a split type half of two.
   static constexpr std::size_t kSlotBytes =
-      (sizeof(T) + kPoolLineBytes - 1) / kPoolLineBytes * kPoolLineBytes;
+      kSplit ? kPoolLineBytes
+             : (sizeof(T) + kPoolLineBytes - 1) / kPoolLineBytes *
+                   kPoolLineBytes;
   static constexpr std::size_t kMaxFree = 1 << 16;
   static constexpr std::size_t kSlotsPerBlock = kPoolBlockBytes / kSlotBytes;
+
+  static void* hot_of(void* p) {
+    return static_cast<std::byte*>(p) + kHotOffset;
+  }
+
+  // The slot carved after p.  Split slots go in pairs: two read halves on
+  // one line, their hot halves on the next, which the carve then skips.
+  static std::byte* after(std::byte* p) {
+    if constexpr (kSplit) {
+      p += kHalfBytes;
+      const bool line_done =
+          reinterpret_cast<std::uintptr_t>(p) % kPoolLineBytes == 0;
+      return line_done ? p + kPoolLineBytes : p;
+    } else {
+      return p + kSlotBytes;
+    }
+  }
+
+  static void prefetch_slot(void* p) {
+    prefetch_write(p);
+    if constexpr (kSplit) prefetch_write(hot_of(p));
+  }
 
   struct FreeList {
     std::vector<void*> slots;
@@ -173,11 +228,15 @@ class Pool {
     std::byte* end = nullptr;
     ~FreeList() {
       std::vector<void*> rest;
-      for (; next != end; next += kSlotBytes) rest.push_back(next);
+      for (; next != end; next = after(next)) rest.push_back(next);
       give(std::move(slots));
       give(std::move(rest));
+      list_gone_ = true;
     }
   };
+
+  // Set once this thread's free list for T is destroyed (see dealloc).
+  static constinit inline thread_local bool list_gone_ = false;
 
   struct Depot {
     std::mutex mu;
@@ -192,9 +251,12 @@ class Pool {
     return f;
   }
 
+  // Never destroyed, like the slab arena: a thread may hand back its list
+  // after static destructors have run, and a static object built before
+  // the depot may free slots during them.
   static Depot& depot() {
-    static Depot d;
-    return d;
+    static Depot* d = new Depot;
+    return *d;
   }
 
   // A slot carved from the thread's block.  Once the block is used up, a
@@ -208,7 +270,7 @@ class Pool {
       f.end = b + kSlotsPerBlock * kSlotBytes;
     }
     void* p = f.next;
-    f.next += kSlotBytes;
+    f.next = after(f.next);
     return p;
   }
 
@@ -248,10 +310,11 @@ class Pool {
   }
 };
 
-// Allocates a T from the pool, forwarding constructor arguments.
+// Allocates a T from the pool, forwarding constructor arguments.  Global
+// placement new: Node and FrNode delete their own operator new.
 template <class T, class... A>
 T* pool_new(A&&... args) {
-  return new (Pool<T>::alloc()) T{std::forward<A>(args)...};
+  return ::new (Pool<T>::alloc()) T{std::forward<A>(args)...};
 }
 
 // Immediate free for objects that were never published.

@@ -7,16 +7,36 @@
 
 #include "llxscx/llx_scx.h"
 #include "reclamation/ebr.h"
+#include "reclamation/pool.h"
 
 namespace cbat {
 namespace {
 
-Node* leaf(Key k) { return new Node(k, 1, nullptr, nullptr); }
-Node* internal(Key k, Node* l, Node* r) { return new Node(k, 1, l, r); }
+Node* leaf(Key k) { return pool_new<Node>(k, 1, nullptr, nullptr); }
+Node* internal(Key k, Node* l, Node* r) { return pool_new<Node>(k, 1, l, r); }
 
 void free_node(Node* n) {
   release_node_info(n);
-  delete n;
+  pool_delete(n);
+}
+
+// An SCX record holds at most kMaxScxNodes nodes; scx() refuses more in
+// every build type instead of writing past the record's arrays.
+TEST(ScxDeathTest, RejectsMoreThanMaxScxNodes) {
+  Node* a = leaf(1);
+  Node* b = leaf(5);
+  Node* p = internal(5, a, b);
+  EXPECT_DEATH(
+      {
+        EbrGuard g;
+        LlxSnap v[kMaxScxNodes + 1];
+        for (LlxSnap& s : v) llx(p, &s);
+        scx(v, kMaxScxNodes + 1, 1, &p->child[0], a);
+      },
+      "at most 5");
+  free_node(p);
+  free_node(a);
+  free_node(b);
 }
 
 TEST(Llx, SnapshotsQuiescentNode) {
@@ -38,7 +58,7 @@ TEST(Llx, SnapshotsQuiescentNode) {
 TEST(Llx, FinalizedNodeReported) {
   EbrGuard g;
   Node* a = leaf(1);
-  a->marked.store(true);
+  a->hot().marked.store(true);
   LlxSnap s;
   EXPECT_EQ(llx(a, &s), LlxStatus::kFinalized);
   free_node(a);
@@ -139,15 +159,10 @@ TEST(Scx, ConcurrentIncrementsAreAtomic) {
           LlxSnap v[2] = {ps, cs};
           if (scx(v, 2, 1, &p->child[0], next)) {
             successes.fetch_add(1);
-            Ebr::retire(cur, [](void* q) {
-              Node* n = static_cast<Node*>(q);
-              release_node_info(n);
-              delete n;
-            });
+            Ebr::retire(cur, [](void* q) { free_node(static_cast<Node*>(q)); });
             break;
           }
-          release_node_info(next);
-          delete next;
+          free_node(next);
         }
       }
     });

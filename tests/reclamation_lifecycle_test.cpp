@@ -5,9 +5,13 @@
 // quiescence and that version chains are bounded.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/bat_tree.h"
@@ -25,7 +29,7 @@ namespace {
 // they were returned to: every one must start on a cache line.  A fresh
 // thread starts with an empty free list and no block; while no thread has
 // exited yet the depot is empty too, so the first round carves.  This is
-// why the test comes first in the file.
+// why the layout tests come first among the file's non-death tests.
 template <class T>
 void expect_line_aligned_slots(const char* name) {
   std::thread([name] {
@@ -41,18 +45,81 @@ void expect_line_aligned_slots(const char* name) {
   }).join();
 }
 
+// The same two rounds for a split type (Node, FrNode), built by `make`:
+// each half must lie inside one cache line, the hot half exactly
+// kHotOffset past the node, and no two live nodes may overlap.
+template <class T, class Make>
+void expect_split_slots(const char* name, Make make) {
+  std::thread([name, make] {
+    std::vector<T*> nodes(1000);
+    for (const char* path : {"carve", "free list"}) {
+      std::vector<std::pair<std::uintptr_t, std::uintptr_t>> halves;
+      for (T*& n : nodes) {
+        n = make();
+        const auto read = reinterpret_cast<std::uintptr_t>(n);
+        const auto hot = reinterpret_cast<std::uintptr_t>(&n->hot());
+        EXPECT_EQ(hot, read + T::kHotOffset) << name << " via the " << path;
+        EXPECT_LE(read % kPoolLineBytes + sizeof(T), kPoolLineBytes)
+            << name << " read half via the " << path << " path";
+        EXPECT_LE(hot % kPoolLineBytes + sizeof(typename T::Hot),
+                  kPoolLineBytes)
+            << name << " hot half via the " << path << " path";
+        halves.emplace_back(read, read + sizeof(T));
+        halves.emplace_back(hot, hot + sizeof(typename T::Hot));
+      }
+      std::sort(halves.begin(), halves.end());
+      for (std::size_t i = 1; i < halves.size(); ++i) {
+        EXPECT_LE(halves[i - 1].second, halves[i].first)
+            << name << " halves overlap via the " << path << " path";
+      }
+      for (T* n : nodes) pool_delete(n);
+    }
+  }).join();
+}
+
 // Every type that src/ allocates with pool_new.  VcasBst's version nodes
 // are VersionedPtr<VbNode>::VNode, private to it; VersionedPtr<void>::VNode
 // (BundledTree's presence chains) has the same layout, since VNode holds
 // only a T*.
 TEST(Pool, EveryPooledTypeIsLineAligned) {
-  expect_line_aligned_slots<Node>("Node");
+  expect_split_slots<Node>(
+      "Node", [] { return pool_new<Node>(Key{1}, 1, nullptr, nullptr); });
   expect_line_aligned_slots<Version<SizeAug>>("Version<SizeAug>");
   expect_line_aligned_slots<ScxRecord>("ScxRecord");
   expect_line_aligned_slots<PropStatus>("PropStatus");
-  expect_line_aligned_slots<frbst_detail::FrNode>("FrNode");
+  expect_split_slots<frbst_detail::FrNode>("FrNode", [] {
+    return pool_new<frbst_detail::FrNode>(Key{1}, nullptr, nullptr);
+  });
   expect_line_aligned_slots<frbst_detail::Info>("FrBst Info");
   expect_line_aligned_slots<VersionedPtr<void>::VNode>("VNode");
+}
+
+// Exit order: a static object that frees pool slots in its destructor and
+// was built before the pool's depot, which the first carve builds (a
+// thread with no free slot looks there before it takes a block).  At exit
+// the main thread's free list is destroyed first, then the statics in
+// reverse order, depot before holder, so the holder frees its 70,000
+// versions after both: past the list's 65,536-slot cap a spill would
+// reach the depot.  Both must be left alone; under ASan a touch reports
+// heap-use-after-free.  Death tests run before the file's other tests, so
+// the child has built no version depot before the holder.
+[[noreturn]] void exit_after_static_frees() {
+  using V = Version<SizeAug>;
+  struct Holder {
+    std::vector<V*> vs;
+    ~Holder() {
+      for (V* v : vs) pool_delete(v);
+    }
+  };
+  static Holder holder;
+  for (Key k = 0; k < 70000; ++k) {
+    holder.vs.push_back(pool_new<V>(nullptr, nullptr, k, 1, nullptr));
+  }
+  std::exit(0);
+}
+
+TEST(PoolDeathTest, StaticFreesAtExitTouchNoDestroyedPoolState) {
+  EXPECT_EXIT(exit_after_static_frees(), testing::ExitedWithCode(0), "");
 }
 
 // A thread that exits hands its free slots and the rest of its block to
@@ -84,6 +151,23 @@ TEST(Pool, ReturnedSlotIsPoisonedUnderAsan) {
   ASSERT_EQ(w, v);  // the same thread's LIFO free list
   EXPECT_FALSE(__asan_address_is_poisoned(w));
   pool_delete(w);
+
+  // A split slot: both halves, one line apart.
+  const auto halves_poisoned = [](Node* n) {
+    std::byte* read = reinterpret_cast<std::byte*>(n);
+    std::byte* hot = read + Node::kHotOffset;
+    return std::make_pair(
+        __asan_region_is_poisoned(read, sizeof(Node)) != nullptr,
+        __asan_region_is_poisoned(hot, sizeof(Node::Hot)) != nullptr);
+  };
+  Node* n = pool_new<Node>(Key{1}, 1, nullptr, nullptr);
+  EXPECT_EQ(halves_poisoned(n), std::make_pair(false, false));
+  pool_delete(n);
+  EXPECT_EQ(halves_poisoned(n), std::make_pair(true, true));
+  Node* m = pool_new<Node>(Key{2}, 1, nullptr, nullptr);
+  ASSERT_EQ(m, n);
+  EXPECT_EQ(halves_poisoned(m), std::make_pair(false, false));
+  pool_delete(m);
 #else
   GTEST_SKIP() << "pool slots are poisoned only under AddressSanitizer";
 #endif
