@@ -474,6 +474,12 @@ void run_table3(ScenarioContext& ctx) {
           static_cast<double>(c[Counter::kRefreshCas]) / props;
       const double deleg_per_prop =
           static_cast<double>(c[Counter::kDelegations]) / props;
+      // A failed update whose root agrees answers from it without a
+      // Propagate, so the per-Propagate ratios above average over the
+      // updates that propagate; this is their share of all updates.
+      const double prop_per_update =
+          static_cast<double>(c[Counter::kPropagateCalls]) /
+          std::max<double>(1, static_cast<double>(run.updates));
 
       const std::string series = std::string(s) + " / " + d.name;
       RunRecord& rec =
@@ -482,7 +488,8 @@ void run_table3(ScenarioContext& ctx) {
                      {"extra_pct", extra_pct},
                      {"nil_per_prop", nil_per_prop},
                      {"cas_per_prop", cas_per_prop},
-                     {"deleg_per_prop", deleg_per_prop}};
+                     {"deleg_per_prop", deleg_per_prop},
+                     {"prop_per_update", prop_per_update}};
       char buf[32];
       auto cell = [&](const char* metric, const char* fmt, double v) {
         std::snprintf(buf, sizeof(buf), fmt, v);
@@ -493,6 +500,7 @@ void run_table3(ScenarioContext& ctx) {
       cell("nil/prop", "%.4f", nil_per_prop);
       cell("cas/prop", "%.2f", cas_per_prop);
       cell("deleg/prop", "%.4f", deleg_per_prop);
+      cell("prop/update", "%.3f", prop_per_update);
       std::fprintf(stderr, "  [%s] %.2f nodes/prop, %.2f cas/prop\n",
                    series.c_str(), nodes_per_prop, cas_per_prop);
     }
@@ -807,7 +815,8 @@ void record_micro(ScenarioContext& ctx, const std::string& table,
 // Micro-benchmarks for the building blocks whose costs drive the
 // end-to-end numbers: the EBR guard, the Zipf sampler, the flat pointer
 // set, Propagate-carrying updates beside the same updates on the bare
-// chromatic tree, and the order-statistic queries.
+// chromatic tree and beside failed updates, and the order-statistic
+// queries.
 void run_micro_components(ScenarioContext& ctx) {
   const Args& args = *ctx.args;
   const int ms = static_cast<int>(pick(args, "--ms", 500, 60, 100));
@@ -835,11 +844,23 @@ void run_micro_components(ScenarioContext& ctx) {
       set.clear();
     });
   }
+  // Returns which keys of [0, range) the tree holds.
   auto prefill_tree = [&](auto& t) {
+    std::vector<bool> present(static_cast<std::size_t>(range));
     Xoshiro256 rng(7);
     for (long i = 0; i < n; ++i) {
-      t.insert(static_cast<Key>(rng.below(static_cast<std::uint64_t>(range))));
+      const auto k = rng.below(static_cast<std::uint64_t>(range));
+      if (t.insert(static_cast<Key>(k))) present[k] = true;
     }
+    return present;
+  };
+  // Inserts a present key or erases an absent one: an update that fails
+  // and, single-threaded, answers from the root.
+  auto failed_update = [&](auto& t, const std::vector<bool>& present,
+                           Xoshiro256& rng) {
+    const auto k = rng.below(static_cast<std::uint64_t>(range));
+    do_not_optimize(present[k] ? t.insert(static_cast<Key>(k))
+                               : t.erase(static_cast<Key>(k)));
   };
   {
     Bat<SizeAug> t;
@@ -851,6 +872,13 @@ void run_micro_components(ScenarioContext& ctx) {
       t.insert(k);
       t.erase(k);
     });
+  }
+  {
+    Bat<SizeAug> t;
+    const std::vector<bool> present = prefill_tree(t);
+    Xoshiro256 rng(9);
+    record_micro(ctx, table, "BatFailedUpdate", ms,
+                 [&] { failed_update(t, present, rng); });
   }
   {
     // BatUpdateWithPropagate's tree size and key stream on the chromatic
@@ -877,6 +905,13 @@ void run_micro_components(ScenarioContext& ctx) {
       t.insert(k);
       t.erase(k);
     });
+  }
+  {
+    FrBst<SizeAug> t;
+    const std::vector<bool> present = prefill_tree(t);
+    Xoshiro256 rng(9);
+    record_micro(ctx, table, "FrBstFailedUpdate", ms,
+                 [&] { failed_update(t, present, rng); });
   }
   {
     Bat<SizeAug> t;

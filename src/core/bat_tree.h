@@ -2,9 +2,16 @@
 //
 // An update first runs the chromatic-tree routine (CTInsert/CTDelete, with
 // the Version Initialization Rules of Definition 1 applied to every node it
-// allocates), then calls Propagate to carry the update's effect on the
-// supplementary fields up to the root.  Queries read Root.version once and
-// run sequential algorithms on the resulting immutable snapshot
+// allocates).  A successful one then calls Propagate to carry its effect
+// on the supplementary fields up to the root.  A failed one (an insert
+// that found k, an erase that did not) changed nothing, but paper §4 still
+// propagates it, so that the update whose effect it saw in the node tree
+// reaches Root.version before it responds.  That already holds when the
+// root snapshot agrees with the failed result, so the failed update reads
+// Root.version first and, on agreement, returns linearized at that read,
+// as a query is; only a disagreeing root sends it through Propagate
+// (finish_failed_update).  Queries read Root.version once and run
+// sequential algorithms on the resulting immutable snapshot
 // (version_queries.h).  Every update carries one key: there is no bulk
 // path, and the shard layer's key migration moves keys with plain
 // insert/erase too.
@@ -112,22 +119,29 @@ class BatTree {
 
   bool insert(Key k) {
     EbrGuard g;
-    const bool result = tree_.insert(k);
-    propagate(k);  // even unsuccessful updates must propagate (§4)
-    return result;
+    if (tree_.insert(k)) {
+      propagate(k);
+      return true;
+    }
+    finish_failed_update(k, /*present=*/true);
+    return false;
   }
 
   bool erase(Key k) {
     EbrGuard g;
-    const bool result = tree_.erase(k);
-    propagate(k);
-    return result;
+    if (tree_.erase(k)) {
+      propagate(k);
+      return true;
+    }
+    finish_failed_update(k, /*present=*/false);
+    return false;
   }
 
   // --- queries (linearized at the read of Root.version) ------------------
   //
   // Every public read, Snapshot included, takes the root through
-  // read_root(), which help-stamps it when a clock is attached.
+  // read_root(), which help-stamps it when a clock is attached; so does a
+  // failed update that answers from the root.
 
   bool contains(Key k) const {
     EbrGuard g;
@@ -283,12 +297,13 @@ class BatTree {
   // replaced (`prev_root`) and the stamps follow the vcas discipline: the
   // superseded root's stamp is finalized before the install CAS, the new
   // root is stamped right after it, Propagate help-finalizes the current
-  // root's stamp before returning, and every public read help-finalizes
-  // the root it answers from (read_root) — so an update's stamp is
-  // assigned no later than its response or the first read that observes
-  // it, and stamps are monotone along every root's prev_root chain.  Each
-  // stamp mints a fresh epoch (EpochClock::finalize).  Null (the default)
-  // disables stamping; standalone trees pay only a dead branch.
+  // root's stamp before returning, and every public read, like every
+  // failed update that answers from the root, help-finalizes the root it
+  // answers from (read_root) — so an update's stamp is assigned no later
+  // than its response or the first read that observes it, and stamps are
+  // monotone along every root's prev_root chain.  Each stamp mints a
+  // fresh epoch (EpochClock::finalize).  Null (the default) disables
+  // stamping; standalone trees pay only a dead branch.
   void set_epoch_source(EpochClock* clock) { epoch_source_ = clock; }
 
   // Test-only seam: called on the installing thread right after a stamped
@@ -539,6 +554,51 @@ class BatTree {
     // delegatee), every version it replaced is unreachable from the current
     // version tree; older snapshots are protected by their epochs.
     for (V* v : s.to_retire) pool_retire(v);
+  }
+
+  // --- Failed updates ----------------------------------------------------
+  //
+  // A failed update found k present (insert) or absent (erase) in the node
+  // tree.  Fig. 3 propagates it anyway: the update that put the node tree
+  // in that state may not have reached Root.version yet, and a failed
+  // update that responded before it did could be followed by a read that
+  // contradicts it.  If the root snapshot already agrees, nothing is owed:
+  // the failed update is linearized at its read_root(), inside its
+  // interval and on a snapshot that agrees with its result, the read rule
+  // a query follows, and it writes nothing.  Otherwise it runs Propagate
+  // (Figs. 3, 13 and 14), which carries the lagging update to the root
+  // before this one responds.
+  void finish_failed_update(Key k, bool present)
+      CBAT_REQUIRES(ebr_capability) {
+    prefetch_root_path(k);
+    if (version_contains<Aug>(read_root(), k) == present) {
+      Counters::bump(Counter::kRootAnsweredUpdates);
+      return;
+    }
+    propagate(k);
+  }
+
+  // Left alone, the check above is a dependent descent through one version
+  // per level.  Those are usually the current versions of the nodes on k's
+  // path, whose read halves the failed search has just pulled in.  One
+  // pass walks the path into the scratch stack, prefetching each node's
+  // hot half; a second prefetches the version each points to, so the
+  // descent reads lines already in flight.  Hints only, as below: no
+  // prefetched value decides anything.
+  void prefetch_root_path(Key k) CBAT_REQUIRES(ebr_capability) {
+    Scratch& s = scratch();
+    s.stack.clear();
+    Node* x = tree_.root();
+    while (true) {
+      prefetch_read(&x->hot());
+      s.stack.push_back(x);
+      if (x->is_leaf()) break;
+      x = x->child[dir_of(k, x)].load(std::memory_order_acquire);
+    }
+    for (const Node* n : s.stack) {
+      const V* v = version_of(n);
+      if (v != nullptr) prefetch_read(v);
+    }
   }
 
   // --- Memory-level parallelism for Propagate ---------------------------

@@ -12,7 +12,9 @@
 // per node.  Unlike BAT there are no rotations, so new internal nodes can
 // be created with a ready version (their children's versions are known and
 // final at creation time) and Propagate never needs to re-descend or fill
-// nil versions.
+// nil versions.  A failed update follows BatTree's rule: it propagates
+// only when the root snapshot does not yet agree with its result, and
+// otherwise returns linearized at its read of the root.
 //
 // Queries reuse version_queries.h on the same Version<Aug> type as BAT.
 #pragma once
@@ -151,17 +153,23 @@ class FrBst {
   bool insert(Key k) {
     assert(k <= kMaxUserKey);
     EbrGuard g;
-    const bool result = do_insert(k);
-    propagate(k);
-    return result;
+    if (do_insert(k)) {
+      propagate(k);
+      return true;
+    }
+    finish_failed_update(k, /*present=*/true);
+    return false;
   }
 
   bool erase(Key k) {
     assert(k <= kMaxUserKey);
     EbrGuard g;
-    const bool result = do_erase(k);
-    propagate(k);
-    return result;
+    if (do_erase(k)) {
+      propagate(k);
+      return true;
+    }
+    finish_failed_update(k, /*present=*/false);
+    return false;
   }
 
   // --- queries (same snapshot semantics as BAT) ---------------------------
@@ -492,6 +500,28 @@ class FrBst {
     Counters::bump(Counter::kRefreshCasFail);
     pool_delete(nv);
     return false;
+  }
+
+  // BatTree::finish_failed_update's rule: a failed update whose root
+  // snapshot agrees with it is linearized at that read and writes nothing.
+  // The search already prefetched the hot halves of the path it recorded;
+  // the prefetches here add the leaf's and the versions they point to,
+  // the lines the root snapshot's descent for k usually reads.  Hints
+  // only.
+  void finish_failed_update(Key k, bool present)
+      CBAT_REQUIRES(ebr_capability) {
+    const Scratch& s = scratch();
+    const FrNode* p = s.path.back();
+    const FrNode* leaf = p->child[k < p->key ? 0 : 1].load(
+        std::memory_order_acquire);
+    prefetch_read(&leaf->hot());
+    for (const FrNode* x : s.path) prefetch_read(version_of(x));
+    prefetch_read(version_of(leaf));
+    if (version_contains<Aug>(root_version(), k) == present) {
+      Counters::bump(Counter::kRootAnsweredUpdates);
+      return;
+    }
+    propagate(k);
   }
 
   void propagate(Key k) {

@@ -25,6 +25,9 @@ enum class Counter : int {
   kNilRefreshes,         // RefreshNil version installs
   kDelegations,
   kDelegationTimeouts,
+  // Failed updates that returned on the root snapshot's agreement, with
+  // no Propagate (BatTree and FrBst, finish_failed_update).
+  kRootAnsweredUpdates,
   kScxAttempts,
   kScxFailures,
   kRebalanceSteps,

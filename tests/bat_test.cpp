@@ -8,6 +8,7 @@
 #include <numeric>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/bat_tree.h"
@@ -186,26 +187,34 @@ TEST(Bat, GenericAugmentationMinMax) {
 
 // --- Propagate's per-call work ---------------------------------------------
 //
-// Single-threaded, no refresh can lose, so each update's Propagate
-// refreshes exactly the internal nodes on k's search path (root
-// included), once each, with one successful CAS apiece.  Changes to how
-// Propagate reaches memory must change its cost, never this work.
+// Single-threaded, no refresh can lose, so each successful update's
+// Propagate refreshes exactly the internal nodes on k's search path (root
+// included), once each, with one successful CAS apiece.  No update is ever
+// in flight, so the root always agrees with a failed update, which then
+// answers from it: no Propagate, no refresh, one root-answered count.
+// Changes to how Propagate reaches memory must change its cost, never this
+// work.
 template <class T>
 void ExpectPropagateRefreshesSearchPathOnce() {
   T t;
   Xoshiro256 rng(17);
   constexpr std::uint64_t kRange = 10000;
   while (t.size() < 5000) t.insert(static_cast<Key>(rng.below(kRange)));
+  int failed = 0;
   for (int i = 0; i < 2000; ++i) {
     const Key k = static_cast<Key>(rng.below(kRange));
     const auto before = Counters::snapshot();
-    if (rng.below(2) == 0) {
-      t.insert(k);
-    } else {
-      t.erase(k);
-    }
+    const bool changed = rng.below(2) == 0 ? t.insert(k) : t.erase(k);
     const auto after = Counters::snapshot();
     const auto delta = [&](Counter c) { return after[c] - before[c]; };
+    if (!changed) {
+      ++failed;
+      ASSERT_EQ(delta(Counter::kPropagateCalls), 0u) << "op " << i;
+      ASSERT_EQ(delta(Counter::kPropagateNodes), 0u) << "op " << i;
+      ASSERT_EQ(delta(Counter::kRefreshCas), 0u) << "op " << i;
+      ASSERT_EQ(delta(Counter::kRootAnsweredUpdates), 1u) << "op " << i;
+      continue;
+    }
     EbrGuard g;
     const auto depth =
         static_cast<std::uint64_t>(t.node_tree().search(k).depth);
@@ -215,7 +224,11 @@ void ExpectPropagateRefreshesSearchPathOnce() {
         << "op " << i << " key " << k;
     ASSERT_EQ(delta(Counter::kRefreshCasFail), 0u) << "op " << i;
     ASSERT_EQ(delta(Counter::kPropagateExtraNodes), 0u) << "op " << i;
+    ASSERT_EQ(delta(Counter::kRootAnsweredUpdates), 0u) << "op " << i;
   }
+  // A uniform mix on a half-full range exercises both outcomes.
+  EXPECT_GT(failed, 0);
+  EXPECT_LT(failed, 2000);
 }
 
 TEST(BatPropagateWork, PlainRefreshesSearchPathOnce) {
@@ -224,6 +237,64 @@ TEST(BatPropagateWork, PlainRefreshesSearchPathOnce) {
 
 TEST(BatPropagateWork, EagerDelRefreshesSearchPathOnce) {
   ExpectPropagateRefreshesSearchPathOnce<BatEagerDel<SizeAug>>();
+}
+
+// --- failed updates whose root lags ----------------------------------------
+//
+// An update made on node_tree() alone skips Propagate, which leaves the
+// node tree ahead of Root.version: the state a failed update meets when
+// the update that made it fail has not yet propagated.  The failed update
+// must not answer from that root.  It must propagate, so that once it has
+// returned every read counts the lagging update.
+template <class T>
+class BatFailedUpdate : public ::testing::Test {};
+using BatVariants =
+    ::testing::Types<Bat<SizeAug>, BatDel<SizeAug>, BatEagerDel<SizeAug>>;
+TYPED_TEST_SUITE(BatFailedUpdate, BatVariants);
+
+TYPED_TEST(BatFailedUpdate, LaggingRootSendsAFailedUpdateThroughPropagate) {
+  TypeParam t;
+  for (Key k = 0; k < 100; k += 2) ASSERT_TRUE(t.insert(k));  // 50 evens
+  // Runs one update; returns its result and the Propagate calls it made.
+  const auto counted = [](auto&& update) {
+    const auto before = Counters::snapshot();
+    const bool result = update();
+    const auto after = Counters::snapshot();
+    EXPECT_EQ(after[Counter::kRootAnsweredUpdates],
+              before[Counter::kRootAnsweredUpdates]);
+    return std::make_pair(result, after[Counter::kPropagateCalls] -
+                                      before[Counter::kPropagateCalls]);
+  };
+
+  constexpr Key kAdded = 51;
+  {
+    EbrGuard g;
+    ASSERT_TRUE(t.node_tree().insert(kAdded));
+    ASSERT_TRUE(t.node_tree().contains(kAdded));
+  }
+  ASSERT_FALSE(t.contains(kAdded)) << "the root already counts the insert";
+  const auto [inserted, insert_props] =
+      counted([&] { return t.insert(kAdded); });
+  EXPECT_FALSE(inserted);
+  EXPECT_EQ(insert_props, 1u);
+  EXPECT_TRUE(t.contains(kAdded));
+  EXPECT_EQ(t.size(), 51);
+  EXPECT_EQ(t.rank(kAdded), 27);  // 0, 2, ..., 50 and 51
+
+  constexpr Key kRemoved = 50;
+  {
+    EbrGuard g;
+    ASSERT_TRUE(t.node_tree().erase(kRemoved));
+    ASSERT_FALSE(t.node_tree().contains(kRemoved));
+  }
+  ASSERT_TRUE(t.contains(kRemoved)) << "the root already counts the erase";
+  const auto [erased, erase_props] =
+      counted([&] { return t.erase(kRemoved); });
+  EXPECT_FALSE(erased);
+  EXPECT_EQ(erase_props, 1u);
+  EXPECT_FALSE(t.contains(kRemoved));
+  EXPECT_EQ(t.size(), 50);
+  EXPECT_EQ(t.rank(kRemoved), 25);  // 0, 2, ..., 48
 }
 
 // --- concurrency -----------------------------------------------------------

@@ -172,9 +172,10 @@ TEST(ScenarioDispatch, JsonDocumentContainsScenarioRuns) {
 
 // A cell's counters cover its timed window only (Table 3 divides by
 // them), for whichever repetition run_benchmark keeps.  Every BAT insert
-// or erase runs exactly one Propagate, so the counted calls equal the
-// kept run's updates; counting the prefill would add at least its
-// max_key/2 successful inserts.
+// or erase either runs exactly one Propagate or, failed with a root that
+// already agrees, answers from the root instead, never both, so the two
+// counts sum to the kept run's updates; counting the prefill would add at
+// least its max_key/2 successful inserts.
 TEST(RunBenchmark, CountsTheTimedWindowOnly) {
   RunConfig cfg;
   cfg.workload.insert_pct = 25;
@@ -190,7 +191,8 @@ TEST(RunBenchmark, CountsTheTimedWindowOnly) {
   for (int repeats : {1, 3}) {
     const RunResult r = run_benchmark("BAT", cfg, repeats);
     ASSERT_GT(r.updates, 0) << repeats;
-    EXPECT_EQ(r.counters[Counter::kPropagateCalls],
+    EXPECT_EQ(r.counters[Counter::kPropagateCalls] +
+                  r.counters[Counter::kRootAnsweredUpdates],
               static_cast<std::uint64_t>(r.updates))
         << repeats;
     EXPECT_TRUE(r.config.prefill) << repeats;
@@ -198,9 +200,10 @@ TEST(RunBenchmark, CountsTheTimedWindowOnly) {
 }
 
 // The three scenarios that read counters fill their metrics from the kept
-// run: Table 3's per-Propagate ratios, read_burst's cache hit rate (only
-// where the queries consult the cache), and rebalance's migration figures
-// (only with the controller on).
+// run: Table 3's per-Propagate ratios and the share of updates that
+// propagate, read_burst's cache hit rate (only where the queries consult
+// the cache), and rebalance's migration figures (only with the controller
+// on).
 TEST(ScenarioDispatch, CountedScenariosKeepTheirMetrics) {
   using Names = std::vector<std::string>;
   auto metric_names = [](const RunRecord& r) {
@@ -224,9 +227,11 @@ TEST(ScenarioDispatch, CountedScenariosKeepTheirMetrics) {
   for (const RunRecord& r : run("table3").runs) {
     ASSERT_EQ(metric_names(r),
               (Names{"nodes_per_prop", "extra_pct", "nil_per_prop",
-                     "cas_per_prop", "deleg_per_prop"}))
+                     "cas_per_prop", "deleg_per_prop", "prop_per_update"}))
         << r.series;
     EXPECT_GE(r.metrics[0].second, 1.0) << r.series;
+    EXPECT_GT(r.metrics[5].second, 0.0) << r.series;
+    EXPECT_LE(r.metrics[5].second, 1.0) << r.series;
   }
 
   const ScenarioOutput burst = run("read_burst");

@@ -105,27 +105,39 @@ TEST(FrBst, GenericAugmentationSum) {
   EXPECT_EQ(agg.second, (10 + 20) * 11 / 2);
 }
 
-// Single-threaded, every refresh CAS succeeds first time: Propagate does
-// one CAS per path node (see bat_test's BatPropagateWork).
+// Single-threaded, every refresh CAS succeeds first time: a successful
+// update's Propagate does one CAS per path node, and a failed update,
+// whose root always agrees with it, answers from the root with no
+// Propagate (see bat_test's BatPropagateWork).
 TEST(FrBst, PropagateCasesOncePerPathNode) {
   Tree t;
   Xoshiro256 rng(23);
   constexpr std::uint64_t kRange = 10000;
   while (t.size() < 5000) t.insert(static_cast<Key>(rng.below(kRange)));
+  int failed = 0;
   for (int i = 0; i < 2000; ++i) {
     const Key k = static_cast<Key>(rng.below(kRange));
     const auto before = Counters::snapshot();
-    if (rng.below(2) == 0) {
-      t.insert(k);
-    } else {
-      t.erase(k);
-    }
+    const bool changed = rng.below(2) == 0 ? t.insert(k) : t.erase(k);
     const auto after = Counters::snapshot();
     const auto delta = [&](Counter c) { return after[c] - before[c]; };
+    if (!changed) {
+      ++failed;
+      ASSERT_EQ(delta(Counter::kPropagateCalls), 0u) << "op " << i;
+      ASSERT_EQ(delta(Counter::kPropagateNodes), 0u) << "op " << i;
+      ASSERT_EQ(delta(Counter::kRefreshCas), 0u) << "op " << i;
+      ASSERT_EQ(delta(Counter::kRootAnsweredUpdates), 1u) << "op " << i;
+      continue;
+    }
+    ASSERT_EQ(delta(Counter::kPropagateCalls), 1u) << "op " << i;
     ASSERT_GT(delta(Counter::kPropagateNodes), 0u) << "op " << i;
     ASSERT_EQ(delta(Counter::kRefreshCas), delta(Counter::kPropagateNodes))
         << "op " << i << " key " << k;
+    ASSERT_EQ(delta(Counter::kRootAnsweredUpdates), 0u) << "op " << i;
   }
+  // A uniform mix on a half-full range exercises both outcomes.
+  EXPECT_GT(failed, 0);
+  EXPECT_LT(failed, 2000);
 }
 
 TEST(FrBstConcurrent, DisjointRangesDeterministic) {

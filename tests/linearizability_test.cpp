@@ -28,6 +28,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <iterator>
 #include <set>
 #include <thread>
@@ -35,6 +36,7 @@
 
 #include "core/bat_tree.h"
 #include "shard/sharded_set.h"
+#include "util/counters.h"
 #include "util/random.h"
 
 namespace cbat {
@@ -224,27 +226,45 @@ TEST(CrossShardLinearizability, ReadBurstSharesOneEpoch) {
 // and if a reader answered from the unstamped root, a cut taken next (by
 // the same thread, so strictly later) would help-stamp that root past its
 // own epoch and resolve back to the predecessor — losing an update the
-// reader already saw.  The root-install seam parks insert(a) right
-// between its root CAS and its stamp.
+// reader already saw.  The root-install seam parks an updater right
+// between its root CAS and its stamp.  Three first readers of such a root
+// are checked, each followed by a cut that must agree with it: contains(a)
+// beside a parked insert(a); a failed insert(a), beside a second parked
+// insert(a), which answers from the root it reads; and a failed erase(b),
+// beside a second updater parked inside erase(b).
 TEST(CrossShardLinearizability, ReadsFinalizeTheRootStampTheyObserve) {
   struct Park {
-    std::atomic<bool> armed{true};
+    std::atomic<bool> armed{false};
     std::atomic<bool> parked{false};
     std::atomic<bool> release{false};
+
+    // Arms the seam and runs `update` on a thread that parks in it.
+    std::thread start(std::function<void()> update) {
+      parked.store(false);
+      release.store(false);
+      armed.store(true);
+      std::thread t(std::move(update));
+      while (!parked.load()) std::this_thread::yield();
+      return t;
+    }
+  };
+  const auto hook = [](void* ctx) {
+    auto* p = static_cast<Park*>(ctx);
+    if (!p->armed.exchange(false)) return;
+    p->parked.store(true);
+    while (!p->release.load()) std::this_thread::yield();
   };
   Sharded4 set(kKeyspace);
-  Park park;
-  set.shard_at(0).set_root_install_hook(
-      [](void* ctx) {
-        auto* p = static_cast<Park*>(ctx);
-        if (!p->armed.exchange(false)) return;
-        p->parked.store(true);
-        while (!p->release.load()) std::this_thread::yield();
-      },
-      &park);
-  std::thread updater([&] { EXPECT_TRUE(set.insert(kKeyA)); });
-  while (!park.parked.load()) std::this_thread::yield();
+  Park park_a;  // shard 0
+  Park park_b;  // shard 3
+  set.shard_at(0).set_root_install_hook(hook, &park_a);
+  set.shard_at(3).set_root_install_hook(hook, &park_b);
+  const auto root_answers = [] {
+    return Counters::snapshot()[Counter::kRootAnsweredUpdates];
+  };
 
+  std::thread updater =
+      park_a.start([&] { EXPECT_TRUE(set.insert(kKeyA)); });
   // insert(a) is still running; its root is installed but unstamped.
   const bool seen = set.contains(kKeyA);
   EXPECT_TRUE(seen) << "the parked root already carries a";
@@ -255,10 +275,41 @@ TEST(CrossShardLinearizability, ReadsFinalizeTheRootStampTheyObserve) {
     EXPECT_EQ(snap.size(), 1);
   }
   EXPECT_EQ(set.range_count(0, kKeyspace - 1), 1);
-
-  park.release.store(true);
+  park_a.release.store(true);
   updater.join();
+
+  // A failed insert(a) is the first to read a parked insert(a)'s root.
+  ASSERT_TRUE(set.erase(kKeyA));
+  updater = park_a.start([&] { EXPECT_TRUE(set.insert(kKeyA)); });
+  std::uint64_t answered = root_answers();
+  EXPECT_FALSE(set.insert(kKeyA));
+  EXPECT_EQ(root_answers(), answered + 1) << "answered from the parked root";
+  {
+    Sharded4::Snapshot snap(set);
+    EXPECT_TRUE(snap.contains(kKeyA))
+        << "a cut taken after a failed insert(a) must see a";
+  }
+
+  // A failed erase(b) is the first to read a parked erase(b)'s root, while
+  // insert(a) stays parked in shard 0.
+  EXPECT_TRUE(set.insert(kKeyB));
+  std::thread eraser = park_b.start([&] { EXPECT_TRUE(set.erase(kKeyB)); });
+  answered = root_answers();
+  EXPECT_FALSE(set.erase(kKeyB));
+  EXPECT_EQ(root_answers(), answered + 1) << "answered from the parked root";
+  {
+    Sharded4::Snapshot snap(set);
+    EXPECT_FALSE(snap.contains(kKeyB))
+        << "a cut taken after a failed erase(b) must miss b";
+    EXPECT_TRUE(snap.contains(kKeyA));
+  }
+
+  park_a.release.store(true);
+  park_b.release.store(true);
+  updater.join();
+  eraser.join();
   set.shard_at(0).set_root_install_hook(nullptr, nullptr);
+  set.shard_at(3).set_root_install_hook(nullptr, nullptr);
 }
 
 // Resolution must hand back the current root in the no-race case even
