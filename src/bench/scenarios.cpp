@@ -776,22 +776,33 @@ inline void do_not_optimize(const T& v) {
 #endif
 }
 
-// Runs `fn` in batches until ~target_ms of wall clock has elapsed and
-// records one RunRecord + "ns/op" display cell for the kernel.
+// Timed windows per micro kernel; together they last the scenario's --ms.
+constexpr int kMicroWindows = 5;
+
+// Runs `fn` in batches over kMicroWindows windows of ~target_ms in all and
+// records one RunRecord + "ns/op" display cell for the kernel from the
+// median window, so one window that the host slowed down does not move
+// it.  The record's ops and seconds are that window's, so its throughput
+// agrees with its ns/op.  The min and max go to stderr.
 template <class Fn>
 void record_micro(ScenarioContext& ctx, const std::string& table,
                   const std::string& kernel, int target_ms, Fn&& fn) {
   for (int i = 0; i < 64; ++i) fn();  // warmup
-  const auto limit = std::chrono::milliseconds(target_ms);
-  std::int64_t iters = 0;
-  const auto t0 = Clock::now();
-  do {
-    for (int i = 0; i < 256; ++i) fn();
-    iters += 256;
-  } while (Clock::now() - t0 < limit);
-  const double secs =
-      std::chrono::duration<double>(Clock::now() - t0).count();
-  const double ns_per_op = secs * 1e9 / static_cast<double>(iters);
+  const std::chrono::duration<double, std::milli> window(
+      static_cast<double>(target_ms) / kMicroWindows);
+  std::vector<MicroWindow> windows;
+  for (int w = 0; w < kMicroWindows; ++w) {
+    MicroWindow mw;
+    const auto t0 = Clock::now();
+    do {
+      for (int i = 0; i < 256; ++i) fn();
+      mw.iters += 256;
+    } while (Clock::now() - t0 < window);
+    mw.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+    windows.push_back(mw);
+  }
+  const MicroTiming timing = summarize_micro_windows(std::move(windows));
+  const double ns_per_op = timing.median.ns_per_op();
 
   RunRecord rec;
   rec.table = table;
@@ -800,8 +811,8 @@ void record_micro(ScenarioContext& ctx, const std::string& table,
   rec.series = kernel;
   rec.has_result = true;
   rec.result.structure = kernel;
-  rec.result.seconds = secs;
-  rec.result.total_ops = iters;
+  rec.result.seconds = timing.median.seconds;
+  rec.result.total_ops = timing.median.iters;
   rec.result.config.threads = 1;
   rec.result.config.duration_ms = target_ms;
   rec.result.config.prefill = false;
@@ -809,7 +820,10 @@ void record_micro(ScenarioContext& ctx, const std::string& table,
   ctx.out->runs.push_back(std::move(rec));
   ctx.out->add_cell(table, "kernel", kernel, "ns/op",
                     fmt_latency_ns(ns_per_op));
-  std::fprintf(stderr, "  [%s] %.1f ns/op\n", kernel.c_str(), ns_per_op);
+  std::fprintf(stderr,
+               "  [%s] %.1f ns/op (median of %d windows; min %.1f, max %.1f)\n",
+               kernel.c_str(), ns_per_op, kMicroWindows, timing.min_ns,
+               timing.max_ns);
 }
 
 // Micro-benchmarks for the building blocks whose costs drive the
@@ -1034,6 +1048,18 @@ void run_micro_llxscx(ScenarioContext& ctx) {
 }
 
 }  // namespace
+
+MicroTiming summarize_micro_windows(std::vector<MicroWindow> windows) {
+  std::sort(windows.begin(), windows.end(),
+            [](const MicroWindow& a, const MicroWindow& b) {
+              return a.ns_per_op() < b.ns_per_op();
+            });
+  MicroTiming t;
+  t.median = windows[windows.size() / 2];
+  t.min_ns = windows.front().ns_per_op();
+  t.max_ns = windows.back().ns_per_op();
+  return t;
+}
 
 // ---------------------------------------------------------------------------
 // Registry

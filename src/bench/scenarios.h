@@ -4,6 +4,7 @@
 // runs one and emits the shared BENCH_*.json schema.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <utility>
@@ -91,6 +92,28 @@ class ScenarioRegistry {
 
   std::vector<Scenario> scenarios_;
 };
+
+// One timed window of a micro kernel.
+struct MicroWindow {
+  std::int64_t iters = 0;
+  double seconds = 0;
+  double ns_per_op() const {
+    return seconds * 1e9 / static_cast<double>(iters);
+  }
+};
+
+// A micro kernel's timing over its windows: the window with the median
+// ns/op, and the range of ns/op over all windows.
+struct MicroTiming {
+  MicroWindow median;
+  double min_ns = 0;
+  double max_ns = 0;
+};
+
+// Reduces a micro kernel's windows to the one with the median ns/op (the
+// upper of the middle two for an even count), and the min and max ns/op.
+// Requires at least one window.
+MicroTiming summarize_micro_windows(std::vector<MicroWindow> windows);
 
 // Renders the display cells as the familiar per-plot console tables
 // (or CSV with --csv), identical in shape to the old binaries' output.

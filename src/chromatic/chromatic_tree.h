@@ -18,8 +18,9 @@
 //
 // The Policy template parameter lets BAT apply the paper's Version
 // Initialization Rules (Definition 1) whenever the tree allocates a node,
-// and retire version objects when nodes are freed.  The plain set uses
-// NoVersionPolicy.
+// retire version objects when nodes are freed, and keep unlinked leaves for
+// a second grace period, since BAT's version trees name leaf nodes.  The
+// plain set uses NoVersionPolicy.
 #pragma once
 
 #include <algorithm>
@@ -40,6 +41,9 @@ namespace cbat {
 
 // Policy with no augmentation: version pointers stay null.
 struct NoVersionPolicy {
+  // No version tree names a leaf, so an unlinked leaf is freed after one
+  // grace period, like every other node (see node_deleter).
+  static constexpr bool kVersionTreesNameLeaves = false;
   static void init_leaf(Node*) {}
   static void init_internal(Node*) {}
   // Insertion patches have both children's versions available at creation
@@ -87,7 +91,7 @@ class ChromaticTree {
         stack.push_back(n->child[0].load(std::memory_order_relaxed));
         stack.push_back(n->child[1].load(std::memory_order_relaxed));
       }
-      node_deleter(n);
+      free_node(n);
     }
     Ebr::drain();
   }
@@ -319,17 +323,39 @@ class ChromaticTree {
     return mk_internal(n->key, w, snap.child(0), snap.child(1));
   }
 
-  static void node_deleter(void* p) {
-    Node* n = static_cast<Node*>(p);
+  // Frees n now: the policy retires what n owns (BAT: an internal node's
+  // final version), then n's descriptor reference and its slot go.
+  static void free_node(Node* n) {
     Policy::on_node_free(n);
     release_node_info(n);
     pool_delete(n);
   }
 
+  // Runs one grace period after retire_node (§6), when no operation can
+  // reach n through the node tree.  A leaf that version trees name
+  // (Policy::kVersionTreesNameLeaves) can still be reached through a root
+  // version that a reader pinned after the unlink, so it is retired once
+  // more and its slot freed a grace period later.  Such a reader reads only
+  // the leaf's key, and a leaf owns no version, so its descriptor
+  // reference goes now, while its hot half is as warm as an internal
+  // node's.
+  static void node_deleter(void* p) {
+    Node* n = static_cast<Node*>(p);
+    if constexpr (Policy::kVersionTreesNameLeaves) {
+      if (n->is_leaf()) {
+        release_node_info(n);
+        Ebr::retire(n, [](void* q) { pool_delete(static_cast<Node*>(q)); });
+        return;
+      }
+    }
+    free_node(n);
+  }
+
   void retire_node(Node* n) { Ebr::retire(n, &node_deleter); }
 
-  // For patch nodes that were never published (failed SCX).
-  void dispose_unpublished(Node* n) { node_deleter(n); }
+  // For patch nodes that were never published (failed SCX): no reader can
+  // have reached them, so they are freed at once.
+  void dispose_unpublished(Node* n) { free_node(n); }
 
   // --- rebalancing -------------------------------------------------------
   // The transformations and their weight rules follow Brown–Ellen–Ruppert

@@ -49,7 +49,10 @@ namespace detail {
 // Version Initialization Rules (Definition 1): leaves get a ready version
 // (size 1, or 0 for sentinels); new internal nodes get nil so their
 // supplementary fields are recomputed from current information when needed
-// (this is what makes rotations safe, §4.1).
+// (this is what makes rotations safe, §4.1).  A leaf's ready version is a
+// pure function of its immutable key, so the leaf node stands in for it: its
+// version word is its own tagged address (VersionRef, core/version.h), and
+// no leaf version is allocated.
 // Runs inside the chromatic layer's SCX machinery, always within the
 // EbrGuard the enclosing BatTree operation opened.  The chromatic layer is
 // outside the thread-safety-annotation boundary (see
@@ -58,12 +61,19 @@ namespace detail {
 template <Augmentation Aug>
 struct BatVersionPolicy {
   using V = Version<Aug>;
+  using R = VersionRef<Aug>;
+
+  // Version trees name leaf nodes, so an unlinked leaf lives two grace
+  // periods (ChromaticTree::node_deleter): a reader that pins its epoch
+  // after the unlink can still read a root naming the leaf until Propagate
+  // catches up, and the leaf's final version lived that long before leaves
+  // stood in for it (§6).
+  static constexpr bool kVersionTreesNameLeaves = true;
 
   static void init_leaf(Node* n) {
-    auto* v = pool_new<V>(
-        nullptr, nullptr, n->key,
-        is_sentinel_key(n->key) ? Aug::sentinel() : Aug::leaf(n->key), nullptr);
-    n->hot().version.store(v, std::memory_order_release);
+    // relaxed: the leaf is thread-private until its SCX publishes it, and
+    // the SCX's release store covers this initialization and the key.
+    n->hot().version.store(R::leaf(n).word(), std::memory_order_relaxed);
   }
 
   static void init_internal(Node* n) {
@@ -72,30 +82,34 @@ struct BatVersionPolicy {
     n->hot().version.store(nullptr, std::memory_order_relaxed);
   }
 
-  // Insert patches: both children are freshly made leaves whose versions
-  // are final, so the internal node's version is computable immediately and
-  // reflects exactly the operations that will have arrived at it when the
-  // insertion's SCX succeeds (Definition 7, part 2).  Rotation patches must
-  // stay nil (§4.1); they go through init_internal above.
+  // Insert patches: both children are freshly made leaves, whose versions
+  // are the leaves themselves, so the internal node's version is
+  // computable immediately and reflects exactly the operations that will
+  // have arrived at it when the insertion's SCX succeeds (Definition 7,
+  // part 2).  Rotation patches must stay nil (§4.1); they go through
+  // init_internal above.
   static void init_internal_for_insert(Node* n, Node* left, Node* right) {
     // relaxed: left/right are freshly made leaves still private to this
-    // thread; their versions were stored by the same thread in init_leaf.
-    auto* vl =
-        static_cast<V*>(left->hot().version.load(std::memory_order_relaxed));
-    auto* vr =
-        static_cast<V*>(right->hot().version.load(std::memory_order_relaxed));
-    auto* v =
-        pool_new<V>(vl, vr, n->key, Aug::combine(vl->aug, vr->aug), nullptr);
+    // thread; their version words were stored by the same thread in
+    // init_leaf.
+    const R vl =
+        R::of_word(left->hot().version.load(std::memory_order_relaxed));
+    const R vr =
+        R::of_word(right->hot().version.load(std::memory_order_relaxed));
+    auto* v = pool_new<V>(vl, vr, n->key, Aug::combine(vl.aug(), vr.aug()),
+                          nullptr);
     n->hot().version.store(v, std::memory_order_release);
   }
 
-  // §6: a node's final version is retired immediately before the node is
-  // freed — new operations can no longer reach it, while older snapshots
-  // that still can are protected by their own epoch.
+  // §6: an internal node's final version is retired immediately before the
+  // node is freed — new operations can no longer reach it, while older
+  // snapshots that still can are protected by their own epoch.  A leaf's
+  // word names the leaf itself, which the node deleter frees.
   static void on_node_free(Node* n) {
-    auto* v =
-        static_cast<V*>(n->hot().version.load(std::memory_order_acquire));
-    if (v != nullptr) pool_retire(v);
+    void* w = n->hot().version.load(std::memory_order_acquire);
+    if (w != nullptr && !R::of_word(w).is_leaf()) {
+      pool_retire(static_cast<V*>(w));
+    }
   }
 };
 
@@ -107,6 +121,7 @@ class BatTree {
   using AugType = Aug;
   using AugValue = typename Aug::Value;
   using V = Version<Aug>;
+  using R = VersionRef<Aug>;
 
   BatTree() {
     // The root is internal, so Definition 1 leaves its version nil; fill it
@@ -372,13 +387,21 @@ class BatTree {
     return r;
   }
 
+  // An internal node's version (nil until refresh_nil fills it).
   static V* version_of(const Node* n) CBAT_REQUIRES(ebr_capability) {
     return static_cast<V*>(n->hot().version.load(std::memory_order_acquire));
   }
 
+  // Any node's version word: an internal node's version, or a leaf's own
+  // tagged address.
+  static R ref_of(const Node* n) CBAT_REQUIRES(ebr_capability) {
+    return R::of_word(n->hot().version.load(std::memory_order_acquire));
+  }
+
   // --- Refresh machinery (paper Fig. 3 lines 49-69; Fig. 12) -------------
 
-  // Reads x's version, first fixing it if nil (recursive refresh).
+  // Reads internal node x's version, first fixing it if nil (recursive
+  // refresh).
   V* read_version(Node* x) CBAT_REQUIRES(ebr_capability) {
     V* v = version_of(x);
     if (v == nullptr) {
@@ -388,24 +411,31 @@ class BatTree {
     return v;
   }
 
+  // Reads child x's version word: the leaf itself, or an internal child's
+  // version (read_version).
+  R read_child(Node* x) CBAT_REQUIRES(ebr_capability) {
+    const R c = ref_of(x);
+    return c ? c : R(read_version(x));
+  }
+
   // Recursive refresh: only ever changes a version pointer nil -> non-nil
   // (the separation from top-level refreshes matters for delegation
   // correctness and reclamation, §5/§6).
   void refresh_nil(Node* x) CBAT_REQUIRES(ebr_capability) {
     Node* xl;
-    V* vl;
+    R vl;
     do {
       xl = x->child[0].load(std::memory_order_acquire);
-      vl = read_version(xl);
+      vl = read_child(xl);
     } while (x->child[0].load(std::memory_order_acquire) != xl);
     Node* xr;
-    V* vr;
+    R vr;
     do {
       xr = x->child[1].load(std::memory_order_acquire);
-      vr = read_version(xr);
+      vr = read_child(xr);
     } while (x->child[1].load(std::memory_order_acquire) != xr);
     auto* nv =
-        pool_new<V>(vl, vr, x->key, Aug::combine(vl->aug, vr->aug), nullptr);
+        pool_new<V>(vl, vr, x->key, Aug::combine(vl.aug(), vr.aug()), nullptr);
     void* expected = nullptr;
     if (x->hot().version.compare_exchange_strong(expected, nv,
                                                  std::memory_order_acq_rel,
@@ -419,8 +449,8 @@ class BatTree {
   struct RefreshResult {
     bool success = false;
     PropStatus* blocker = nullptr;  // status of the Refresh that beat us
-    V* vl = nullptr;                // child versions we read
-    V* vr = nullptr;
+    R vl;                           // child version words we read
+    R vr;
     V* old = nullptr;               // the version we replaced (on success)
   };
 
@@ -439,19 +469,19 @@ class BatTree {
     Node* xl;
     do {
       xl = x->child[0].load(std::memory_order_acquire);
-      r.vl = read_version(xl);
+      r.vl = read_child(xl);
     } while (x->child[0].load(std::memory_order_acquire) != xl);
     Node* xr;
     do {
       xr = x->child[1].load(std::memory_order_acquire);
-      r.vr = read_version(xr);
+      r.vr = read_child(xr);
     } while (x->child[1].load(std::memory_order_acquire) != xr);
     // Stretching the read-to-CAS window here raises the *organic* CAS
     // failure rate under concurrency — the honest way to exercise the
     // blocker/help protocol.
     CBAT_FAULT_POINT("bat.refresh_build");
     auto* nv = pool_new<V>(r.vl, r.vr, x->key,
-                           Aug::combine(r.vl->aug, r.vr->aug), ps);
+                           Aug::combine(r.vl.aug(), r.vr.aug()), ps);
     if (stamped_root) nv->prev_root = old;
     Counters::bump(Counter::kRefreshCas);
     void* expected = old;
@@ -508,8 +538,8 @@ class BatTree {
         const int d = dir_of(k, next);
         if (first_descent) {
           // The hot half of `next`, whose version our refresh will CAS, and
-          // of its off-path child, whose version that refresh will read
-          // (see prefetch_refresh_inputs).
+          // of its off-path child, whose version word that refresh will
+          // read (see prefetch_refresh_inputs).
           prefetch_read(&next->hot());
           prefetch_read(
               &next->child[d ^ 1].load(std::memory_order_acquire)->hot());
@@ -579,21 +609,20 @@ class BatTree {
   }
 
   // Left alone, the check above is a dependent descent through one version
-  // per level.  Those are usually the current versions of the nodes on k's
-  // path, whose read halves the failed search has just pulled in.  One
-  // pass walks the path into the scratch stack, prefetching each node's
-  // hot half; a second prefetches the version each points to, so the
-  // descent reads lines already in flight.  Hints only, as below: no
-  // prefetched value decides anything.
+  // per level.  Those are usually the current versions of the internal
+  // nodes on k's path, whose read halves the failed search has just pulled
+  // in.  One pass walks those nodes into the scratch stack, prefetching
+  // each one's hot half; a second prefetches the version each points to,
+  // so the descent reads lines already in flight.  The descent ends on the
+  // leaf's key, in the read half the search read last, so the leaf needs no
+  // hint.  Hints only, as below: no prefetched value decides anything.
   void prefetch_root_path(Key k) CBAT_REQUIRES(ebr_capability) {
     Scratch& s = scratch();
     s.stack.clear();
-    Node* x = tree_.root();
-    while (true) {
+    for (Node* x = tree_.root(); !x->is_leaf();
+         x = x->child[dir_of(k, x)].load(std::memory_order_acquire)) {
       prefetch_read(&x->hot());
       s.stack.push_back(x);
-      if (x->is_leaf()) break;
-      x = x->child[dir_of(k, x)].load(std::memory_order_acquire);
     }
     for (const Node* n : s.stack) {
       const V* v = version_of(n);
@@ -604,26 +633,27 @@ class BatTree {
   // --- Memory-level parallelism for Propagate ---------------------------
   //
   // Each bottom-up refresh CASes its node's version pointer, reads its
-  // off-path child's version pointer and that version's aug, and writes
-  // one new Version: four lines that are usually cold, and that the
-  // refresh loop alone would wait for one level at a time.  The first
-  // descent prefetches the hot half of every path node and of its off-path
-  // child; before the first refresh, one pass prefetches those children's
-  // versions and the pool slots the refreshes will pop.  These are hints
-  // only.  Every pointer they follow was read under the update's EbrGuard,
-  // so the memory is live, and no value they load decides anything:
-  // refresh() reloads each pointer it uses.
+  // off-path child's version word and that child's aug (in its version, or
+  // for a leaf in its read half), and writes one new Version: four lines
+  // that are usually cold, and that the refresh loop alone would wait for
+  // one level at a time.  The first descent prefetches the hot half of
+  // every path node and of its off-path child; before the first refresh,
+  // one pass prefetches the lines those children's augs live on and the
+  // pool slots the refreshes will pop.  These are hints only.  Every
+  // pointer they follow was read under the update's EbrGuard, so the
+  // memory is live, and no value they load decides anything: refresh()
+  // reloads each pointer it uses.
 
-  // Prefetches each path node's off-path child's version (the refresh
-  // combines its aug) and the stack-depth pool slots the refreshes will
-  // write their new versions into.
+  // Prefetches the aug of each path node's off-path child (the refresh
+  // combines it) and the stack-depth pool slots the refreshes will write
+  // their new versions into.
   static void prefetch_refresh_inputs(Key k, const Scratch& s)
       CBAT_REQUIRES(ebr_capability) {
     for (const Node* x : s.stack) {
       const Node* sibling =
           x->child[dir_of(k, x) ^ 1].load(std::memory_order_acquire);
-      const V* v = version_of(sibling);
-      if (v != nullptr) prefetch_read(&v->aug);
+      const R c = ref_of(sibling);
+      if (c) c.prefetch();
     }
     Pool<V>::prefetch(s.stack.size());
   }
@@ -685,7 +715,7 @@ class BatTree {
         // saw every arrival point a beaten Refresh was propagating (§5).
         Node* xl = top->child[0].load(std::memory_order_acquire);
         Node* xr = top->child[1].load(std::memory_order_acquire);
-        if (version_of(xl) == r.vl && version_of(xr) == r.vr) return true;
+        if (ref_of(xl) == r.vl && ref_of(xr) == r.vr) return true;
       }
     }
   }

@@ -1,20 +1,34 @@
 // Version objects and PropStatus (paper §3.2, §4, Appendix A Fig. 11).
 //
-// Every tree node points at a Version holding the current value of its
-// supplementary fields.  Versions are immutable once published and point to
-// the child versions they were computed from, so the versions themselves
-// form a BST (the *version tree*) mirroring the node tree; reading the
-// root's version pointer therefore yields an atomic snapshot on which any
+// Every internal tree node points at a Version holding the current value of
+// its supplementary fields.  Versions are immutable once published and name
+// the children they were computed from, so the versions themselves form a
+// BST (the *version tree*) mirroring the node tree; reading the root's
+// version pointer therefore yields an atomic snapshot on which any
 // sequential query can run unmodified.
+//
+// A version's child word (VersionRef) names one of two things.  For an
+// internal child it is that child's Version.  For a leaf child it is the
+// leaf node itself, tagged in bit 0.  Definition 1 gives a leaf a ready
+// version that is a pure function of its immutable key (Aug::leaf(key), or
+// the sentinel's), and no refresh ever replaces it.  So the leaf stands in
+// for that version, and no leaf version is ever allocated.  A leaf node's
+// own version word holds the same tagged address, so a refresh copies it
+// into the new version exactly as it copies an internal child's Version.
+// Because a version tree names leaf nodes, a leaf lives two grace periods
+// after its unlink, the lifetime its final version had (§6; the trees'
+// node deleters retire a leaf a second time).
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 
 #include "core/augmentations.h"
 #include "core/epoch_clock.h"
 #include "reclamation/ebr.h"
 #include "util/keys.h"
+#include "util/prefetch.h"
 
 namespace cbat {
 
@@ -30,11 +44,82 @@ struct PropStatus {
 };
 
 template <Augmentation Aug>
+struct Version;
+
+// A version's child word, and a tree node's version word: an internal
+// node's Version, or a leaf node's own address tagged in bit 0.  A leaf is
+// read only for its key, which every node type a version tree names keeps
+// first in a standard-layout struct (the static_asserts beside Node and
+// FrNode), so key() and aug() need not know the node type.  The key is
+// immutable and published by the update that linked the leaf, before any
+// refresh can read the leaf's word.  Null only for an internal node whose
+// version is still nil (Definition 1).
+template <Augmentation Aug>
+class VersionRef {
+ public:
+  VersionRef() = default;
+  VersionRef(const Version<Aug>* v)
+      : word_(reinterpret_cast<std::uintptr_t>(v)) {}
+
+  // The word a leaf node keeps as its version, and its parents' versions
+  // keep as their child word.
+  static VersionRef leaf(const void* node) {
+    VersionRef r;
+    r.word_ = reinterpret_cast<std::uintptr_t>(node) | kLeafTag;
+    return r;
+  }
+  // A node's type-erased version word, and back.
+  static VersionRef of_word(const void* w) {
+    VersionRef r;
+    r.word_ = reinterpret_cast<std::uintptr_t>(w);
+    return r;
+  }
+  void* word() const { return reinterpret_cast<void*>(word_); }
+
+  explicit operator bool() const { return word_ != 0; }
+  bool operator==(const VersionRef&) const = default;
+
+  bool is_leaf() const { return (word_ & kLeafTag) != 0; }
+  // The internal child's version.  Requires !is_leaf().
+  const Version<Aug>* version() const {
+    return reinterpret_cast<const Version<Aug>*>(word_);
+  }
+
+  Key key() const { return is_leaf() ? *leaf_key() : version()->key; }
+  typename Aug::Value aug() const {
+    if (!is_leaf()) return version()->aug;
+    const Key k = *leaf_key();
+    return is_sentinel_key(k) ? Aug::sentinel() : Aug::leaf(k);
+  }
+
+  // Prefetches the line key() and aug() read: the version's, or the leaf
+  // node's read half.  A hint only (util/prefetch.h).
+  void prefetch() const {
+    if (is_leaf()) {
+      prefetch_read(leaf_key());
+    } else {
+      prefetch_read(&version()->aug);
+    }
+  }
+
+ private:
+  static constexpr std::uintptr_t kLeafTag = 1;
+
+  const Key* leaf_key() const {
+    return reinterpret_cast<const Key*>(word_ & ~kLeafTag);
+  }
+
+  std::uintptr_t word_ = 0;
+};
+
+template <Augmentation Aug>
 struct Version {
   using Value = typename Aug::Value;
 
-  Version* left;   // child versions; null iff this is a leaf version
-  Version* right;
+  // The children this version was computed from (VersionRef): never null in
+  // a published version.
+  VersionRef<Aug> left;
+  VersionRef<Aug> right;
   Key key;         // key of the node this version was created for
   Value aug;       // the supplementary fields
   PropStatus* status;  // Propagate that installed this version (may be null)
@@ -48,7 +133,7 @@ struct Version {
   // pointers.  Both stay zero/null on non-root versions.
   //
   // Deliberate tradeoff: these 16 bytes ride on EVERY version, including
-  // the interior/leaf versions that never use them, rather than splitting
+  // the ones below the root that never use them, rather than splitting
   // roots into an extended record — the refresh path, the retire path,
   // and the pools would all have to distinguish two version types flowing
   // through one CAS slot (returning an extended record to the plain pool
@@ -58,8 +143,6 @@ struct Version {
   // shared: per-version stamp, written at most once past kEpochTbd;
   // padding every version would double the dominant allocation.
   mutable std::atomic<std::uint64_t> epoch{kEpochTbd};
-
-  bool is_leaf() const { return left == nullptr; }
 };
 
 // Finalizes v's epoch stamp if still unassigned and returns the stamp.

@@ -21,14 +21,20 @@
 
 namespace cbat {
 
+// Every walk starts at a root version, which is always internal (kInf2 over
+// two sentinel leaves), and reads each child through its VersionRef, so the
+// last step of a descent reads the leaf node's key.
+
 // Standard BST search on the version tree (paper Fig. 3, Find).
 template <Augmentation Aug>
-bool version_contains(const Version<Aug>* v, Key k)
+bool version_contains(const Version<Aug>* root, Key k)
     CBAT_REQUIRES(ebr_capability) {
-  while (!v->is_leaf()) {
-    v = (k < v->key) ? v->left : v->right;
+  VersionRef<Aug> c = root;
+  while (!c.is_leaf()) {
+    const Version<Aug>* v = c.version();
+    c = (k < v->key) ? v->left : v->right;
   }
-  return v->key == k;
+  return c.key() == k;
 }
 
 // Number of keys in the whole snapshot.
@@ -40,53 +46,61 @@ std::int64_t version_size(const Version<Aug>* root)
 
 // Number of keys <= k (the paper's rank query).
 template <SizedAugmentation Aug>
-std::int64_t version_rank(const Version<Aug>* v, Key k)
+std::int64_t version_rank(const Version<Aug>* root, Key k)
     CBAT_REQUIRES(ebr_capability) {
   std::int64_t acc = 0;
-  while (!v->is_leaf()) {
+  VersionRef<Aug> c = root;
+  while (!c.is_leaf()) {
+    const Version<Aug>* v = c.version();
     if (k < v->key) {
-      v = v->left;
+      c = v->left;
     } else {
-      acc += Aug::size_of(v->left->aug);
-      v = v->right;
+      acc += Aug::size_of(v->left.aug());
+      c = v->right;
     }
   }
-  if (!is_sentinel_key(v->key) && v->key <= k) acc += Aug::size_of(v->aug);
+  const Key lk = c.key();
+  if (!is_sentinel_key(lk) && lk <= k) acc += Aug::size_of(c.aug());
   return acc;
 }
 
 // Number of keys strictly less than k.
 template <SizedAugmentation Aug>
-std::int64_t version_rank_less(const Version<Aug>* v, Key k)
+std::int64_t version_rank_less(const Version<Aug>* root, Key k)
     CBAT_REQUIRES(ebr_capability) {
   std::int64_t acc = 0;
-  while (!v->is_leaf()) {
+  VersionRef<Aug> c = root;
+  while (!c.is_leaf()) {
+    const Version<Aug>* v = c.version();
     if (k <= v->key) {
-      v = v->left;
+      c = v->left;
     } else {
-      acc += Aug::size_of(v->left->aug);
-      v = v->right;
+      acc += Aug::size_of(v->left.aug());
+      c = v->right;
     }
   }
-  if (!is_sentinel_key(v->key) && v->key < k) acc += Aug::size_of(v->aug);
+  const Key lk = c.key();
+  if (!is_sentinel_key(lk) && lk < k) acc += Aug::size_of(c.aug());
   return acc;
 }
 
 // The i-th smallest key, 1-based (the paper's select query).
 template <SizedAugmentation Aug>
-std::optional<Key> version_select(const Version<Aug>* v, std::int64_t i)
+std::optional<Key> version_select(const Version<Aug>* root, std::int64_t i)
     CBAT_REQUIRES(ebr_capability) {
-  if (i < 1 || i > Aug::size_of(v->aug)) return std::nullopt;
-  while (!v->is_leaf()) {
-    const std::int64_t ls = Aug::size_of(v->left->aug);
+  if (i < 1 || i > Aug::size_of(root->aug)) return std::nullopt;
+  VersionRef<Aug> c = root;
+  while (!c.is_leaf()) {
+    const Version<Aug>* v = c.version();
+    const std::int64_t ls = Aug::size_of(v->left.aug());
     if (i <= ls) {
-      v = v->left;
+      c = v->left;
     } else {
       i -= ls;
-      v = v->right;
+      c = v->right;
     }
   }
-  return v->key;
+  return c.key();
 }
 
 // Number of keys in [lo, hi]; two root-to-leaf descents (paper §7 "range
@@ -101,14 +115,16 @@ std::int64_t version_range_count(const Version<Aug>* root, Key lo, Key hi)
 namespace detail {
 
 template <Augmentation Aug>
-typename Aug::Value range_agg_rec(const Version<Aug>* v, Key lo, Key hi,
+typename Aug::Value range_agg_rec(VersionRef<Aug> c, Key lo, Key hi,
                                   Key vmin, Key vmax)
     CBAT_REQUIRES(ebr_capability) {
   if (hi < vmin || vmax < lo) return Aug::sentinel();
-  if (lo <= vmin && vmax <= hi) return v->aug;
-  if (v->is_leaf()) {
-    return (lo <= v->key && v->key <= hi) ? v->aug : Aug::sentinel();
+  if (lo <= vmin && vmax <= hi) return c.aug();
+  if (c.is_leaf()) {
+    const Key k = c.key();
+    return (lo <= k && k <= hi) ? c.aug() : Aug::sentinel();
   }
+  const Version<Aug>* v = c.version();
   return Aug::combine(
       range_agg_rec<Aug>(v->left, lo, hi, vmin, v->key - 1),
       range_agg_rec<Aug>(v->right, lo, hi, v->key, vmax));
@@ -131,16 +147,16 @@ typename Aug::Value version_range_aggregate(const Version<Aug>* root, Key lo,
 // Appends all keys in [lo, hi] to out, in order; stops after limit keys if
 // limit > 0.  Cost Theta(reported + height).
 template <Augmentation Aug>
-void version_collect_range(const Version<Aug>* v, Key lo, Key hi,
+void version_collect_range(VersionRef<Aug> c, Key lo, Key hi,
                            std::vector<Key>* out, std::size_t limit = 0)
     CBAT_REQUIRES(ebr_capability) {
   if (limit > 0 && out->size() >= limit) return;
-  if (v->is_leaf()) {
-    if (!is_sentinel_key(v->key) && lo <= v->key && v->key <= hi) {
-      out->push_back(v->key);
-    }
+  if (c.is_leaf()) {
+    const Key k = c.key();
+    if (!is_sentinel_key(k) && lo <= k && k <= hi) out->push_back(k);
     return;
   }
+  const Version<Aug>* v = c.version();
   if (lo < v->key) version_collect_range<Aug>(v->left, lo, hi, out, limit);
   if (hi >= v->key) version_collect_range<Aug>(v->right, lo, hi, out, limit);
 }
@@ -149,45 +165,52 @@ void version_collect_range(const Version<Aug>* v, Key lo, Key hi,
 // Two chained descents: remember the last left subtree we skipped past,
 // then resolve its rightmost leaf only if the main descent missed.
 template <Augmentation Aug>
-std::optional<Key> version_floor(const Version<Aug>* v, Key k)
+std::optional<Key> version_floor(const Version<Aug>* root, Key k)
     CBAT_REQUIRES(ebr_capability) {
-  const Version<Aug>* cand = nullptr;  // subtree entirely <= k, if any
-  while (!v->is_leaf()) {
+  VersionRef<Aug> c = root;
+  VersionRef<Aug> cand;  // subtree entirely <= k, if any
+  while (!c.is_leaf()) {
+    const Version<Aug>* v = c.version();
     if (k < v->key) {
-      v = v->left;
+      c = v->left;
     } else {
       cand = v->left;
-      v = v->right;
+      c = v->right;
     }
   }
-  if (!is_sentinel_key(v->key) && v->key <= k) return v->key;
-  if (cand == nullptr) return std::nullopt;
+  const Key lk = c.key();
+  if (!is_sentinel_key(lk) && lk <= k) return lk;
+  if (!cand) return std::nullopt;
   // cand hangs left of a node with key <= k, so its rightmost leaf is a
   // real key < kInf1 (sentinels live only on the tree's far right spine).
-  while (!cand->is_leaf()) cand = cand->right;
-  return cand->key;
+  while (!cand.is_leaf()) cand = cand.version()->right;
+  return cand.key();
 }
 
 // Smallest key >= k, if any.
 template <Augmentation Aug>
-std::optional<Key> version_ceiling(const Version<Aug>* v, Key k)
+std::optional<Key> version_ceiling(const Version<Aug>* root, Key k)
     CBAT_REQUIRES(ebr_capability) {
-  const Version<Aug>* cand = nullptr;  // subtree entirely >= k, if any
-  while (!v->is_leaf()) {
+  VersionRef<Aug> c = root;
+  VersionRef<Aug> cand;  // subtree entirely >= k, if any
+  while (!c.is_leaf()) {
+    const Version<Aug>* v = c.version();
     if (k < v->key) {
       cand = v->right;
-      v = v->left;
+      c = v->left;
     } else {
-      v = v->right;
+      c = v->right;
     }
   }
-  if (!is_sentinel_key(v->key) && v->key >= k) return v->key;
-  if (cand == nullptr) return std::nullopt;
-  while (!cand->is_leaf()) cand = cand->left;
+  const Key lk = c.key();
+  if (!is_sentinel_key(lk) && lk >= k) return lk;
+  if (!cand) return std::nullopt;
+  while (!cand.is_leaf()) cand = cand.version()->left;
   // The candidate's minimum can still be a sentinel (the kInf1 leaf sits in
   // the rightmost real subtree); that means no real key >= k exists.
-  if (is_sentinel_key(cand->key)) return std::nullopt;
-  return cand->key;
+  const Key ck = cand.key();
+  if (is_sentinel_key(ck)) return std::nullopt;
+  return ck;
 }
 
 // i-th smallest key within [lo, hi] (1-based): a composite order-statistic
@@ -207,18 +230,20 @@ std::optional<Key> version_select_in_range(const Version<Aug>* root, Key lo,
 // --- validation helpers (used by tests) ------------------------------------
 
 // Checks paper Invariant 24 (v.aug == combine(children)) and the BST order
-// of the version tree.  Returns false on any violation.
+// of the version tree, and that every child word names either an internal
+// child's version or a leaf whose key lies within the subtree's bounds.  A
+// null child word fails.  Returns false on any violation.
 template <Augmentation Aug>
-bool version_tree_valid(const Version<Aug>* v, Key lo, Key hi)
+bool version_tree_valid(VersionRef<Aug> c, Key lo, Key hi)
     CBAT_REQUIRES(ebr_capability) {
-  if (v->is_leaf()) {
-    if (v->right != nullptr) return false;
-    return v->key >= lo && v->key <= hi;
+  if (c.is_leaf()) {
+    const Key k = c.key();
+    return k >= lo && k <= hi;
   }
-  if (v->right == nullptr) return false;
-  if (!(v->aug == Aug::combine(v->left->aug, v->right->aug))) return false;
-  return version_tree_valid<Aug>(v->left, lo,
-                                 std::min<Key>(hi, v->key - 1)) &&
+  const Version<Aug>* v = c.version();
+  if (!v->left || !v->right) return false;
+  if (!(v->aug == Aug::combine(v->left.aug(), v->right.aug()))) return false;
+  return version_tree_valid<Aug>(v->left, lo, std::min<Key>(hi, v->key - 1)) &&
          version_tree_valid<Aug>(v->right, std::max<Key>(lo, v->key), hi);
 }
 

@@ -7,9 +7,12 @@
 // with a pointer to an Info record; updates flag/mark the affected nodes
 // with CAS and are helped to completion by anyone who encounters them.
 //
-// Augmentation follows §3.2: every node points to an immutable Version;
-// updates Propagate along their recorded search path with a double Refresh
-// per node.  Unlike BAT there are no rotations, so new internal nodes can
+// Augmentation follows §3.2: every internal node points to an immutable
+// Version; updates Propagate along their recorded search path with a double
+// Refresh per node.  As in BAT, a leaf stands in for its own ready version:
+// its version word is its tagged address (VersionRef, core/version.h), so
+// no leaf version is allocated, and an unlinked leaf lives two grace
+// periods.  Unlike BAT there are no rotations, so new internal nodes can
 // be created with a ready version (their children's versions are known and
 // final at creation time) and Propagate never needs to re-descend or fill
 // nil versions.  A failed update follows BatTree's rule: it propagates
@@ -24,6 +27,7 @@
 #include <cstdint>
 #include <new>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "core/version.h"
@@ -89,6 +93,11 @@ struct FrNode {
 };
 static_assert(sizeof(FrNode) <= 32 && sizeof(FrNode::Hot) <= 32,
               "each half of a node must fit in half a cache line");
+// A version tree names a leaf by its address tagged in bit 0 and reads its
+// key at that address (VersionRef, core/version.h).
+static_assert(std::is_standard_layout_v<FrNode> &&
+                  offsetof(FrNode, key) == 0 && alignof(FrNode) >= 2,
+              "a leaf's tagged address must lead to its key");
 
 // Update-word states (low 2 bits of the word).
 enum State : std::uintptr_t { kClean = 0, kIFlag = 1, kDFlag = 2, kMark = 3 };
@@ -119,6 +128,7 @@ class FrBst {
  public:
   using AugValue = typename Aug::Value;
   using V = Version<Aug>;
+  using R = VersionRef<Aug>;
   using FrNode = frbst_detail::FrNode;
 
   FrBst() {
@@ -127,7 +137,7 @@ class FrBst {
     root_ = pool_new<FrNode>(kInf2, l1, l2);
     // The root is internal; give it a ready version like any other
     // internal node created with known children.
-    set_internal_version(root_, version_of(l1), version_of(l2));
+    set_internal_version(root_, ref_of(l1), ref_of(l2));
   }
 
   FrBst(const FrBst&) = delete;
@@ -143,7 +153,7 @@ class FrBst {
         stack.push_back(n->child[0].load(std::memory_order_relaxed));
         stack.push_back(n->child[1].load(std::memory_order_relaxed));
       }
-      node_deleter(n);
+      free_node(n);
     }
     Ebr::drain();
   }
@@ -214,6 +224,8 @@ class FrBst {
   }
 
   const V* root_version_unsafe() const { return root_version(); }
+  // The root node, for tests that walk the node tree at quiescence.
+  const FrNode* root_node() const { return root_; }
 
   // Height of the node tree (sequential; the whole point of BAT is that
   // this can degenerate to O(n) here while staying O(log n) there).
@@ -236,32 +248,58 @@ class FrBst {
 
   // --- node/version lifecycle ---------------------------------------------
 
+  // An internal node's version.
   static V* version_of(const FrNode* n) {
     return static_cast<V*>(n->hot().version.load(std::memory_order_acquire));
   }
 
+  // Any node's version word: an internal node's version, or a leaf's own
+  // tagged address.
+  static R ref_of(const FrNode* n) {
+    return R::of_word(n->hot().version.load(std::memory_order_acquire));
+  }
+
+  // A leaf's ready version (Definition 1) is a pure function of its key, so
+  // the leaf stands in for it: its version word is its own tagged address.
   FrNode* mk_leaf(Key k) {
     auto* n = pool_new<FrNode>(k, nullptr, nullptr);
-    auto* v = pool_new<V>(nullptr, nullptr, k,
-                          is_sentinel_key(k) ? Aug::sentinel() : Aug::leaf(k),
-                          nullptr);
-    n->hot().version.store(v, std::memory_order_release);
+    // relaxed: the leaf is private until the CAS that links it in
+    // publishes it, and its key with it, with release ordering.
+    n->hot().version.store(R::leaf(n).word(), std::memory_order_relaxed);
     return n;
   }
 
-  static void set_internal_version(FrNode* n, V* vl, V* vr) {
+  static void set_internal_version(FrNode* n, R vl, R vr) {
     auto* v =
-        pool_new<V>(vl, vr, n->key, Aug::combine(vl->aug, vr->aug), nullptr);
+        pool_new<V>(vl, vr, n->key, Aug::combine(vl.aug(), vr.aug()), nullptr);
     n->hot().version.store(v, std::memory_order_release);
   }
 
-  static void node_deleter(void* p) {
-    auto* n = static_cast<FrNode*>(p);
-    V* v = version_of(n);
-    if (v != nullptr) pool_retire(v);
+  // Frees n now: an internal node's final version is retired first (§6);
+  // a leaf's word names the leaf itself.
+  static void free_node(FrNode* n) {
+    void* w = n->hot().version.load(std::memory_order_acquire);
+    if (w != nullptr && !R::of_word(w).is_leaf()) {
+      pool_retire(static_cast<V*>(w));
+    }
     descriptor_unref(
         info_of(n->update.load(std::memory_order_acquire)));
     pool_delete(n);
+  }
+
+  // Runs one grace period after retire_node.  Version trees name leaves,
+  // so a leaf is retired once more: a reader that pinned its epoch after
+  // the unlink can still read a root naming it until Propagate catches up
+  // (BatVersionPolicy::kVersionTreesNameLeaves).  A leaf owns no version
+  // and no Info (EFRB flags only internal nodes), so the second retire
+  // only frees its slot.
+  static void node_deleter(void* p) {
+    auto* n = static_cast<FrNode*>(p);
+    if (n->is_leaf()) {
+      Ebr::retire(n, [](void* q) { pool_delete(static_cast<FrNode*>(q)); });
+      return;
+    }
+    free_node(n);
   }
 
   static void retire_node(FrNode* n) { Ebr::retire(n, &node_deleter); }
@@ -312,12 +350,13 @@ class FrBst {
       FrNode* ni = (k < s.l->key)
                        ? pool_new<FrNode>(std::max(k, s.l->key), nl, lc)
                        : pool_new<FrNode>(std::max(k, s.l->key), lc, nl);
-      // Both children are fresh leaves with final versions: the internal
-      // node's version is computable right now (no nil versions in
-      // FR-BST).  relaxed: ni is private until the CAS publishes it.
+      // Both children are fresh leaves, which stand in for their own
+      // versions: the internal node's version is computable right now (no
+      // nil versions in FR-BST).  relaxed: ni is private until the CAS
+      // publishes it.
       set_internal_version(
-          ni, version_of(ni->child[0].load(std::memory_order_relaxed)),
-          version_of(ni->child[1].load(std::memory_order_relaxed)));
+          ni, ref_of(ni->child[0].load(std::memory_order_relaxed)),
+          ref_of(ni->child[1].load(std::memory_order_relaxed)));
       auto* op = pool_new<Info>();
       op->is_insert = true;
       op->p = s.p;
@@ -335,9 +374,9 @@ class FrBst {
         return true;
       }
       descriptor_retire_unref(op);  // never installed; credit sinks to zero
-      node_deleter(nl);
-      node_deleter(lc);
-      node_deleter(ni);
+      free_node(nl);  // never published: freed at once
+      free_node(lc);
+      free_node(ni);
       help(expected);
       bo.pause();
     }
@@ -476,19 +515,19 @@ class FrBst {
   bool refresh(FrNode* x, V** replaced) {
     V* old = version_of(x);
     FrNode* xl;
-    V* vl;
+    R vl;
     do {
       xl = x->child[0].load(std::memory_order_acquire);
-      vl = version_of(xl);
+      vl = ref_of(xl);
     } while (x->child[0].load(std::memory_order_acquire) != xl);
     FrNode* xr;
-    V* vr;
+    R vr;
     do {
       xr = x->child[1].load(std::memory_order_acquire);
-      vr = version_of(xr);
+      vr = ref_of(xr);
     } while (x->child[1].load(std::memory_order_acquire) != xr);
     auto* nv =
-        pool_new<V>(vl, vr, x->key, Aug::combine(vl->aug, vr->aug), nullptr);
+        pool_new<V>(vl, vr, x->key, Aug::combine(vl.aug(), vr.aug()), nullptr);
     Counters::bump(Counter::kRefreshCas);
     void* expected = old;
     if (x->hot().version.compare_exchange_strong(expected, nv,
@@ -505,18 +544,12 @@ class FrBst {
   // BatTree::finish_failed_update's rule: a failed update whose root
   // snapshot agrees with it is linearized at that read and writes nothing.
   // The search already prefetched the hot halves of the path it recorded;
-  // the prefetches here add the leaf's and the versions they point to,
-  // the lines the root snapshot's descent for k usually reads.  Hints
-  // only.
+  // the prefetches here add the versions they point to, the lines the
+  // root snapshot's descent for k usually reads.  The descent ends on the
+  // leaf's key, which the search read last.  Hints only.
   void finish_failed_update(Key k, bool present)
       CBAT_REQUIRES(ebr_capability) {
-    const Scratch& s = scratch();
-    const FrNode* p = s.path.back();
-    const FrNode* leaf = p->child[k < p->key ? 0 : 1].load(
-        std::memory_order_acquire);
-    prefetch_read(&leaf->hot());
-    for (const FrNode* x : s.path) prefetch_read(version_of(x));
-    prefetch_read(version_of(leaf));
+    for (const FrNode* x : scratch().path) prefetch_read(version_of(x));
     if (version_contains<Aug>(root_version(), k) == present) {
       Counters::bump(Counter::kRootAnsweredUpdates);
       return;
@@ -529,11 +562,10 @@ class FrBst {
     Scratch& s = scratch();
     s.to_retire.clear();
     // Hints only, as in BatTree::prefetch_refresh_inputs: the off-path
-    // children's versions and the pool slots the refreshes will write.
+    // children's augs and the pool slots the refreshes will write.
     for (const FrNode* x : s.path) {
-      const V* v = version_of(
-          x->child[k < x->key ? 1 : 0].load(std::memory_order_acquire));
-      if (v != nullptr) prefetch_read(&v->aug);
+      ref_of(x->child[k < x->key ? 1 : 0].load(std::memory_order_acquire))
+          .prefetch();
     }
     Pool<V>::prefetch(s.path.size());
     // Pop the recorded root-to-leaf path: deepest internal node first.

@@ -27,6 +27,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <new>
+#include <type_traits>
 
 #include "util/keys.h"
 
@@ -45,8 +46,9 @@ struct Node {
     // half a line per node for a pair that is rarely written at once.
     std::atomic<ScxRecord*> info;
     std::atomic<bool> marked{false};
-    // shared: BAT's version pointer (type-erased; the augmented tree knows
-    // the type), CASed by every Propagate whose path crosses this node;
+    // shared: BAT's version word (type-erased; the augmented tree knows
+    // the type: an internal node's Version, or a leaf's own tagged
+    // address), CASed by every Propagate whose path crosses this node;
     // same line tradeoff as above.
     std::atomic<void*> version{nullptr};
   };
@@ -83,6 +85,11 @@ struct Node {
 };
 static_assert(sizeof(Node) <= 32 && sizeof(Node::Hot) <= 32,
               "each half of a node must fit in half a cache line");
+// A version tree names a leaf by its address tagged in bit 0 and reads its
+// key at that address (VersionRef, core/version.h).
+static_assert(std::is_standard_layout_v<Node> && offsetof(Node, key) == 0 &&
+                  alignof(Node) >= 2,
+              "a leaf's tagged address must lead to its key");
 
 // Direction helpers: children are indexed so that the search for key k at
 // internal node n steps to child[ k < n->key ? 0 : 1 ].

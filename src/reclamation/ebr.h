@@ -12,8 +12,9 @@
 //
 // Usage: every public tree operation opens an `EbrGuard` (re-entrant).
 // Unlinked objects are passed to `Ebr::retire(ptr, deleter)`.  Deleters may
-// themselves call `retire` (e.g. freeing a node retires its final version,
-// exactly as §6 prescribes).
+// themselves call `retire` (e.g. freeing an internal node retires its final
+// version, exactly as §6 prescribes, and BAT's deleter retires an unlinked
+// leaf once more, so that the leaf outlives the version trees naming it).
 #pragma once
 
 #include <atomic>

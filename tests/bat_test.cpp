@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <limits>
 #include <numeric>
 #include <set>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "core/bat_tree.h"
+#include "frbst/frbst.h"
 #include "util/counters.h"
 #include "util/random.h"
 
@@ -295,6 +297,121 @@ TYPED_TEST(BatFailedUpdate, LaggingRootSendsAFailedUpdateThroughPropagate) {
   EXPECT_FALSE(t.contains(kRemoved));
   EXPECT_EQ(t.size(), 50);
   EXPECT_EQ(t.rank(kRemoved), 25);  // 0, 2, ..., 48
+}
+
+// --- leaves in version trees -----------------------------------------------
+//
+// A version names a leaf child by the leaf node itself (VersionRef), so a
+// leaf must outlive its unlink for as long as a reader can still reach it
+// through a root version.
+
+// Retires n throwaway objects on a fresh thread.  Every 256th retire tries
+// an epoch advance, which succeeds while no thread holds a guard from an
+// older epoch.
+void retire_on_helper_thread(int n) {
+  std::thread([n] {
+    for (int i = 0; i < n; ++i) pool_retire(pool_new<PropStatus>());
+  }).join();
+}
+
+template <class T>
+class BatLeafLifetime : public ::testing::Test {};
+TYPED_TEST_SUITE(BatLeafLifetime, BatVariants);
+
+// node_tree().erase(k) alone unlinks and retires k's leaf while the root
+// still names it, since nothing propagates.  After the epoch moves past the
+// unlink, this thread's bags are reclaimed at its next outermost guard
+// entry, the Snapshot's, which is when a leaf kept one grace period would
+// be freed.  The snapshot then reads that root, so the leaf must survive
+// until the snapshot ends.  Under ASan a freed leaf is poisoned, and the
+// walks report use-after-poison; elsewhere, nodes allocated after the
+// snapshot would reuse a freed leaf's slot and change its key.
+TYPED_TEST(BatLeafLifetime, PinnedSnapshotKeepsAnUnlinkedLeafReadable) {
+  TypeParam t;
+  for (Key k = 0; k < 64; ++k) ASSERT_TRUE(t.insert(k));
+  constexpr Key kGone = 21;
+  {
+    EbrGuard g;
+    ASSERT_TRUE(t.node_tree().erase(kGone));
+  }
+  retire_on_helper_thread(1024);
+  typename TypeParam::Snapshot s(t);
+  retire_on_helper_thread(4096);
+  EXPECT_TRUE(s.contains(kGone));
+  EXPECT_EQ(s.rank(kGone), kGone + 1);
+  EXPECT_EQ(s.range_count(kGone, kGone), 1);
+  std::vector<Node*> reused(1024);
+  for (Node*& n : reused) n = pool_new<Node>(Key{-1}, 1, nullptr, nullptr);
+  EXPECT_TRUE(s.contains(kGone));
+  EXPECT_EQ(s.rank(kGone), kGone + 1);
+  for (Node* n : reused) pool_delete(n);
+}
+
+// Walks a node tree beside the version tree that names it, at quiescence:
+// each internal node's version carries the node's key, and each leaf
+// position holds the leaf node's own tagged address.  Counts the internal
+// nodes.
+template <class N, class Aug>
+void ExpectVersionTreeMirrors(const N* n, VersionRef<Aug> c,
+                              std::size_t* internal) {
+  if (n->is_leaf()) {
+    EXPECT_EQ(c, VersionRef<Aug>::leaf(n)) << "leaf " << n->key;
+    return;
+  }
+  ++*internal;
+  ASSERT_TRUE(c && !c.is_leaf()) << "internal node " << n->key;
+  EXPECT_EQ(c.version()->key, n->key);
+  // relaxed: single-threaded walk at quiescence.
+  ExpectVersionTreeMirrors(n->child[0].load(std::memory_order_relaxed),
+                           c.version()->left, internal);
+  ExpectVersionTreeMirrors(n->child[1].load(std::memory_order_relaxed),
+                           c.version()->right, internal);
+}
+
+// Number of Version objects reachable from c.
+template <class Aug>
+std::size_t CountVersions(VersionRef<Aug> c) {
+  if (c.is_leaf()) return 0;
+  return 1 + CountVersions(c.version()->left) +
+         CountVersions(c.version()->right);
+}
+
+template <class T>
+const auto* NodeRoot(const T& t) {
+  return t.node_tree().root();
+}
+template <class Aug>
+const auto* NodeRoot(const FrBst<Aug>& t) {
+  return t.root_node();
+}
+
+template <class T>
+class VersionTreeShape : public ::testing::Test {};
+using AugmentedTrees =
+    ::testing::Types<Bat<SizeAug>, BatDel<SizeAug>, BatEagerDel<SizeAug>,
+                     FrBst<SizeAug>>;
+TYPED_TEST_SUITE(VersionTreeShape, AugmentedTrees);
+
+TYPED_TEST(VersionTreeShape, OneVersionPerInternalNodeAndNonePerLeaf) {
+  TypeParam t;
+  Xoshiro256 rng(29);
+  constexpr std::uint64_t kRange = 10000;
+  while (t.size() < 5000) t.insert(static_cast<Key>(rng.below(kRange)));
+  for (int i = 0; i < 2000; ++i) {
+    const Key k = static_cast<Key>(rng.below(kRange));
+    if (rng.below(2) == 0) {
+      t.insert(k);
+    } else {
+      t.erase(k);
+    }
+  }
+  EbrGuard g;
+  const auto* root = t.root_version_unsafe();
+  std::size_t internal = 0;
+  ExpectVersionTreeMirrors<>(NodeRoot(t), VersionRef<SizeAug>(root),
+                             &internal);
+  EXPECT_EQ(CountVersions(VersionRef<SizeAug>(root)), internal);
+  EXPECT_GT(internal, 4000u);
 }
 
 // --- concurrency -----------------------------------------------------------

@@ -49,6 +49,27 @@ TEST(ScenarioRegistry, ListsAllPaperScenarios) {
   }
 }
 
+TEST(MicroTiming, ReportsTheMedianWindowAndItsRange) {
+  // {iters, seconds}: 9, 3, 7, 100 and 5 ns/op.  The windows differ in
+  // length, so the median is chosen by ns/op, not by iters or seconds.
+  const MicroTiming odd = summarize_micro_windows(
+      {{1000, 9e-6}, {4000, 12e-6}, {2000, 14e-6}, {100, 10e-6},
+       {3000, 15e-6}});
+  EXPECT_EQ(odd.median.iters, 2000);
+  EXPECT_DOUBLE_EQ(odd.median.seconds, 14e-6);
+  EXPECT_DOUBLE_EQ(odd.median.ns_per_op(), 7.0);
+  EXPECT_DOUBLE_EQ(odd.min_ns, 3.0);
+  EXPECT_DOUBLE_EQ(odd.max_ns, 100.0);
+  // An even count reports the upper of the middle two.
+  const MicroTiming even = summarize_micro_windows(
+      {{1000, 4e-6}, {1000, 1e-6}, {1000, 3e-6}, {1000, 2e-6}});
+  EXPECT_DOUBLE_EQ(even.median.ns_per_op(), 3.0);
+  EXPECT_DOUBLE_EQ(even.min_ns, 1.0);
+  EXPECT_DOUBLE_EQ(even.max_ns, 4.0);
+  const MicroTiming one = summarize_micro_windows({{500, 3e-6}});
+  EXPECT_DOUBLE_EQ(one.median.ns_per_op(), 6.0);
+}
+
 TEST(ScenarioRegistry, FindIsExactAndUnknownIsNull) {
   EXPECT_NE(ScenarioRegistry::instance().find("fig8"), nullptr);
   EXPECT_NE(ScenarioRegistry::instance().find("table3"), nullptr);
