@@ -58,13 +58,12 @@ RETIRE_ALLOWLIST = {
     "src/core/bat_tree.h",             # version/root retirement (§6)
     "src/chromatic/chromatic_tree.h",  # node/version unlink sites
     "src/frbst/frbst.h",               # baseline tree unlink sites
-    "src/llxscx/llx_scx.cpp",          # SCX descriptor retirement
     "src/vcasbst/vcas.h",              # vCAS version chains
     "src/vcasbst/vcas_bst.h",          # vCAS-BST node unlinks
     "src/shard/sharded_set.h",         # ShardMap flip retirement
     "src/bench/scenarios.cpp",         # reclamation_churn scenario
     "tests/ebr_test.cpp",              # tests the reclamation layer
-    "tests/llxscx_test.cpp",           # exercises SCX retirement
+    "tests/llxscx_test.cpp",           # retires the nodes SCXs unlink
     "tests/reclamation_lifecycle_test.cpp",
 }
 

@@ -964,13 +964,6 @@ void run_micro_components(ScenarioContext& ctx) {
   }
 }
 
-// Frees a node of the LLX/SCX micro-benchmarks and its descriptor
-// reference.
-void free_llxscx_node(Node* n) {
-  release_node_info(n);
-  pool_delete(n);
-}
-
 // Micro-benchmarks for the LLX/SCX substrate: an uncontended LLX, a full
 // LLX+SCX child swing, and chromatic-tree point operations on top.
 void run_micro_llxscx(ScenarioContext& ctx) {
@@ -989,7 +982,7 @@ void run_micro_llxscx(ScenarioContext& ctx) {
       LlxSnap s;
       do_not_optimize(llx(p, &s));
     });
-    for (Node* x : {p, a, b}) free_llxscx_node(x);
+    for (Node* x : {p, a, b}) pool_delete(x);
   }
   {
     // Inner scope: Ebr::drain() requires quiescence, so the guard must
@@ -1008,14 +1001,13 @@ void run_micro_llxscx(ScenarioContext& ctx) {
         Node* next = pool_new<Node>(cur->key + 1, 1, nullptr, nullptr);
         LlxSnap v[2] = {ps, cs};
         if (scx(v, 2, 1, &p->child[0], next)) {
-          Ebr::retire(cur, [](void* q) {
-            free_llxscx_node(static_cast<Node*>(q));
-          });
+          Ebr::retire(cur,
+                      [](void* q) { pool_delete(static_cast<Node*>(q)); });
         } else {
-          free_llxscx_node(next);
+          pool_delete(next);
         }
       });
-      for (Node* x : {p->child[0].load(), p, right}) free_llxscx_node(x);
+      for (Node* x : {p->child[0].load(), p, right}) pool_delete(x);
     }
     Ebr::drain();
   }

@@ -324,10 +324,9 @@ class ChromaticTree {
   }
 
   // Frees n now: the policy retires what n owns (BAT: an internal node's
-  // final version), then n's descriptor reference and its slot go.
+  // final version), then n's slot goes.
   static void free_node(Node* n) {
     Policy::on_node_free(n);
-    release_node_info(n);
     pool_delete(n);
   }
 
@@ -336,14 +335,12 @@ class ChromaticTree {
   // (Policy::kVersionTreesNameLeaves) can still be reached through a root
   // version that a reader pinned after the unlink, so it is retired once
   // more and its slot freed a grace period later.  Such a reader reads only
-  // the leaf's key, and a leaf owns no version, so its descriptor
-  // reference goes now, while its hot half is as warm as an internal
-  // node's.
+  // the leaf's key, and a leaf owns no version, so its first grace period
+  // only re-retires it.
   static void node_deleter(void* p) {
     Node* n = static_cast<Node*>(p);
     if constexpr (Policy::kVersionTreesNameLeaves) {
       if (n->is_leaf()) {
-        release_node_info(n);
         Ebr::retire(n, [](void* q) { pool_delete(static_cast<Node*>(q)); });
         return;
       }

@@ -352,7 +352,6 @@ class BatTree {
     };
     pool_reserve<V>(cap(4, 1u << 12));
     pool_reserve<Node>(cap(4, 1u << 11));
-    pool_reserve<ScxRecord>(cap(1, 1u << 10));
     if constexpr (Del != Delegation::kNone) {
       pool_reserve<PropStatus>(cap(1, 1u << 8));
     }

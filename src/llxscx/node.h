@@ -2,8 +2,8 @@
 //
 // A node is an LLX/SCX *record* (paper §3.1): its mutable fields (the two
 // child pointers) may only change through a successful SCX, its `info`
-// pointer names the last SCX that froze it, and `marked` is the finalized
-// bit set when the node is removed from the tree.
+// word names the last SCX that froze it (an ScxId, scx_record.h), and
+// `marked` is the finalized bit set when the node is removed from the tree.
 //
 // The `version` pointer (BAT's supplementary fields, paper §4) is *not*
 // part of the record: it is manipulated directly with CAS so augmentation
@@ -29,22 +29,23 @@
 #include <new>
 #include <type_traits>
 
+#include "llxscx/scx_record.h"
 #include "util/keys.h"
 
 namespace cbat {
-
-struct ScxRecord;
 
 struct Node {
   // The hot half starts exactly one line after the node (see pool.h).
   static constexpr std::size_t kHotOffset = 64;
 
   struct Hot {
+    // `info` names the last SCX that froze this node by (slot, sequence),
+    // kNoScx until one does; it holds no reference to release.
     // shared: LLX/SCX bookkeeping, written by every SCX that freezes or
     // finalizes this node.  The line holds one other node's hot half and
     // no word a search reads; padding each hot half to a line would add
     // half a line per node for a pair that is rarely written at once.
-    std::atomic<ScxRecord*> info;
+    std::atomic<ScxId> info{kNoScx};
     std::atomic<bool> marked{false};
     // shared: BAT's version word (type-erased; the augmented tree knows
     // the type: an internal node's Version, or a leaf's own tagged
@@ -63,7 +64,15 @@ struct Node {
   // that swing a child; contention diffuses across the tree.
   std::atomic<Node*> child[2];
 
-  Node(Key k, std::int32_t w, Node* left, Node* right);
+  Node(Key k, std::int32_t w, Node* left, Node* right) : key(k), weight(w) {
+    // The hot half lives in the same pool slot, kHotOffset bytes on.
+    ::new (static_cast<void*>(reinterpret_cast<std::byte*>(this) +
+                              kHotOffset)) Hot;
+    // relaxed: constructor stores; the node is private to this thread
+    // until the SCX that links it in publishes with release ordering.
+    child[0].store(left, std::memory_order_relaxed);
+    child[1].store(right, std::memory_order_relaxed);
+  }
 
   static void* operator new(std::size_t) = delete;
 

@@ -1,48 +1,44 @@
-// SCX operation descriptors (paper §3.1; Brown–Ellen–Ruppert 2013).
+// SCX identities (paper §3.1; Brown–Ellen–Ruppert 2013).
+//
+// Each ThreadRegistry slot owns one SCX descriptor, and the slot's thread
+// reuses it for every SCX it runs (Brown, "Reuse, don't recycle", DISC
+// 2017): nothing is allocated per SCX, and nothing is left to reclaim.  A
+// node's `info` word names the last SCX that froze it by (slot, sequence),
+// an ScxId; kNoScx names no SCX, the word of a node no SCX has frozen.  An
+// SCX's owner bumps its descriptor's sequence before it rewrites the
+// descriptor for that SCX, and a slot's sequence is never reset, not even
+// when the slot passes to a new thread.  So an ScxId names one SCX for the
+// life of the process, and an `info` word that moves away from a value
+// never returns to it, which is all the LLX/SCX argument asks of a
+// descriptor's identity.  The descriptor itself (ScxRecord) is private to
+// llx_scx.cpp.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 
-#include "llxscx/node.h"
-#include "reclamation/descriptor.h"
+#include "util/thread_registry.h"
 
 namespace cbat {
 
 // The chromatic tree's largest SCXs (W-FAR, W-NEAR) depend on 5 records.
 inline constexpr int kMaxScxNodes = 5;
 
-struct ScxRecord : RefCountedDescriptor {
-  enum State : int { kInProgress = 0, kCommitted = 1, kAborted = 2 };
+using ScxId = std::uint64_t;
+inline constexpr ScxId kNoScx = 0;
 
-  // shared: descriptors are short-lived and pool-recycled into slots that
-  // start on a cache line, so these words share a line only with this
-  // record's own fields; padding them apart would buy a window of a few
-  // helps with a third line per record.
-  std::atomic<int> state{kInProgress};
-  std::atomic<bool> all_frozen{false};
+// The slot sits in the low bits and the sequence above them.  Sequences
+// start at 1, so no SCX's id is kNoScx; 55 bits of sequence outlast any
+// run.
+inline constexpr int kScxSlotBits = 9;
+static_assert(kMaxThreads <= (1 << kScxSlotBits),
+              "every ThreadRegistry slot must fit an ScxId's slot bits");
 
-  // |V|, and R's first index: nodes[finalize_from .. num_nodes) are
-  // finalized on commit.  Both at most kMaxScxNodes (scx() checks).
-  std::uint8_t num_nodes = 0;
-  std::uint8_t finalize_from = 1;
-
-  // V: the records this SCX depends on, in freeze order; infos[i] is the
-  // descriptor observed by the caller's LLX of nodes[i].
-  Node* nodes[kMaxScxNodes] = {};
-  ScxRecord* infos[kMaxScxNodes] = {};
-
-  // The single field update: *field goes old_value -> new_value.
-  std::atomic<Node*>* field = nullptr;
-  Node* old_value = nullptr;
-  Node* new_value = nullptr;
-};
-// Two cache lines: every node an SCX freezes and leaves in place keeps
-// its record alive through `info` until its next freeze.
-static_assert(sizeof(ScxRecord) <= 128);
-
-// Statically allocated descriptor used as the initial `info` value of fresh
-// nodes: permanently Committed, never reclaimed.
-ScxRecord* scx_initial_record();
+constexpr ScxId scx_id(int slot, std::uint64_t seq) {
+  return seq << kScxSlotBits | static_cast<ScxId>(slot);
+}
+constexpr int scx_slot(ScxId id) {
+  return static_cast<int>(id & ((ScxId{1} << kScxSlotBits) - 1));
+}
+constexpr std::uint64_t scx_sequence(ScxId id) { return id >> kScxSlotBits; }
 
 }  // namespace cbat

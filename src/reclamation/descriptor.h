@@ -1,11 +1,13 @@
-// Reference-counted operation descriptors.
+// Reference-counted operation descriptors, for the EFRB `Info` records of
+// FR-BST (src/frbst/) and VcasBST (src/vcasbst/).
 //
-// LLX/SCX records and FR-BST Info records are published through per-node
-// descriptor pointers (`info` / `update` fields) and can stay referenced
-// long after the operation that created them finishes: a node keeps pointing
-// at the descriptor of its last update until its *next* update replaces it.
-// Retiring the descriptor when the operation completes (as one would for
-// data nodes) would therefore leave dangling pointers.
+// An Info record is published through per-node `update` fields and can stay
+// referenced long after the operation that created it finishes: a node
+// keeps pointing at the descriptor of its last update until its *next*
+// update replaces it.  Retiring the descriptor when the operation completes
+// (as one would for data nodes) would therefore leave dangling pointers.
+// The chromatic tree's LLX/SCX needs none of this: each thread reuses one
+// SCX descriptor, named by (slot, sequence) (src/llxscx/scx_record.h).
 //
 // Scheme:
 //   * a descriptor is created with refs = 1 (the creator's credit);

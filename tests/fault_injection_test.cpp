@@ -299,7 +299,7 @@ TEST(FaultInjection, AllSiteShapesShardedSet) {
 TEST(FaultInjection, PerSiteFailuresBat) {
   const char* sites[] = {
       "pool.alloc_fail", "bat.refresh_build", "ebr.advance_skip",
-      "ebr.advance",     "ebr.retire",
+      "ebr.advance",     "ebr.retire",        "scx.help_copy",
   };
   for (std::uint64_t seed : kSeeds) {
     for (const char* site : sites) chaos_plan<BT>(one_site_plan(seed, site));
@@ -331,6 +331,7 @@ TEST(FaultInjection, SweepCoversThePlanMatrixAndTheInstrumentedSites) {
   const char* must_see[] = {
       "pool.alloc_fail",  "ebr.retire",  "ebr.advance", "bat.refresh_build",
       "cache.fill_range", "mig.copied",  "mig.flipped", "mig.cleaned",
+      "scx.help_copy",
   };
   for (const char* site : must_see) {
     EXPECT_TRUE(g_sites_union.count(site) != 0) << "never visited: " << site;

@@ -8,17 +8,13 @@
 #include "llxscx/llx_scx.h"
 #include "reclamation/ebr.h"
 #include "reclamation/pool.h"
+#include "util/thread_registry.h"
 
 namespace cbat {
 namespace {
 
 Node* leaf(Key k) { return pool_new<Node>(k, 1, nullptr, nullptr); }
 Node* internal(Key k, Node* l, Node* r) { return pool_new<Node>(k, 1, l, r); }
-
-void free_node(Node* n) {
-  release_node_info(n);
-  pool_delete(n);
-}
 
 // An SCX record holds at most kMaxScxNodes nodes; scx() refuses more in
 // every build type instead of writing past the record's arrays.
@@ -34,9 +30,9 @@ TEST(ScxDeathTest, RejectsMoreThanMaxScxNodes) {
         scx(v, kMaxScxNodes + 1, 1, &p->child[0], a);
       },
       "at most 5");
-  free_node(p);
-  free_node(a);
-  free_node(b);
+  pool_delete(p);
+  pool_delete(a);
+  pool_delete(b);
 }
 
 TEST(Llx, SnapshotsQuiescentNode) {
@@ -49,10 +45,10 @@ TEST(Llx, SnapshotsQuiescentNode) {
   EXPECT_EQ(s.node, p);
   EXPECT_EQ(s.left(), a);
   EXPECT_EQ(s.right(), b);
-  EXPECT_EQ(s.info, scx_initial_record());
-  free_node(p);
-  free_node(a);
-  free_node(b);
+  EXPECT_EQ(s.info, kNoScx);
+  pool_delete(p);
+  pool_delete(a);
+  pool_delete(b);
 }
 
 TEST(Llx, FinalizedNodeReported) {
@@ -61,7 +57,7 @@ TEST(Llx, FinalizedNodeReported) {
   a->hot().marked.store(true);
   LlxSnap s;
   EXPECT_EQ(llx(a, &s), LlxStatus::kFinalized);
-  free_node(a);
+  pool_delete(a);
 }
 
 TEST(Scx, SingleThreadedChildSwing) {
@@ -78,10 +74,10 @@ TEST(Scx, SingleThreadedChildSwing) {
   EXPECT_EQ(p->child[0].load(), a2);
   EXPECT_TRUE(a->is_finalized());
   EXPECT_FALSE(p->is_finalized());
-  free_node(p);
-  free_node(a);
-  free_node(b);
-  free_node(a2);
+  pool_delete(p);
+  pool_delete(a);
+  pool_delete(b);
+  pool_delete(a2);
 }
 
 TEST(Scx, FailsAfterConflictingScx) {
@@ -106,11 +102,11 @@ TEST(Scx, FailsAfterConflictingScx) {
   LlxSnap v1[2] = {ps1, as1};
   EXPECT_FALSE(scx(v1, 2, 1, &p->child[0], y));
   EXPECT_EQ(p->child[0].load(), x);
-  free_node(p);
-  free_node(a);
-  free_node(b);
-  free_node(x);
-  free_node(y);
+  pool_delete(p);
+  pool_delete(a);
+  pool_delete(b);
+  pool_delete(x);
+  pool_delete(y);
 }
 
 TEST(Scx, LlxFailsOrFinalizedOnRemovedNode) {
@@ -128,10 +124,10 @@ TEST(Scx, LlxFailsOrFinalizedOnRemovedNode) {
   EXPECT_EQ(llx(a, &s), LlxStatus::kFinalized);
   // The surviving node is LLX-able again.
   EXPECT_EQ(llx(p, &s), LlxStatus::kOk);
-  free_node(p);
-  free_node(a);
-  free_node(b);
-  free_node(a2);
+  pool_delete(p);
+  pool_delete(a);
+  pool_delete(b);
+  pool_delete(a2);
 }
 
 // Concurrent counter built from LLX/SCX: N threads repeatedly replace the
@@ -159,10 +155,11 @@ TEST(Scx, ConcurrentIncrementsAreAtomic) {
           LlxSnap v[2] = {ps, cs};
           if (scx(v, 2, 1, &p->child[0], next)) {
             successes.fetch_add(1);
-            Ebr::retire(cur, [](void* q) { free_node(static_cast<Node*>(q)); });
+            Ebr::retire(cur,
+                        [](void* q) { pool_delete(static_cast<Node*>(q)); });
             break;
           }
-          free_node(next);
+          pool_delete(next);
         }
       }
     });
@@ -171,9 +168,9 @@ TEST(Scx, ConcurrentIncrementsAreAtomic) {
   EXPECT_EQ(successes.load(), kThreads * kIncrPerThread);
   EXPECT_EQ(p->child[0].load()->key,
             static_cast<Key>(kThreads * kIncrPerThread));
-  free_node(p->child[0].load());
-  free_node(p);
-  free_node(right);
+  pool_delete(p->child[0].load());
+  pool_delete(p);
+  pool_delete(right);
   Ebr::drain();
 }
 
@@ -207,7 +204,180 @@ TEST(Scx, DisjointScxesDoNotConflict) {
 
   EXPECT_EQ(pl->child[0].load(), a2);
   EXPECT_EQ(pr->child[0].load(), c2);
-  for (Node* n : {top, pl, pr, a, b, c, d, a2, c2}) free_node(n);
+  for (Node* n : {top, pl, pr, a, b, c, d, a2, c2}) pool_delete(n);
+}
+
+// --- descriptor reuse ------------------------------------------------------
+// Each thread reuses its registry slot's one descriptor, and a node's info
+// word names an SCX by (slot, sequence) (llxscx/scx_record.h).
+
+// SCXs leaf `a`, p's left child, out for `a2`: p stays in V unmarked, a is
+// finalized.  Returns the SCX's id, which both now hold.
+ScxId swing_left(Node* p, Node* a2) {
+  LlxSnap ps, as;
+  EXPECT_EQ(llx(p, &ps), LlxStatus::kOk);
+  EXPECT_EQ(llx(ps.left(), &as), LlxStatus::kOk);
+  LlxSnap v[2] = {ps, as};
+  EXPECT_TRUE(scx(v, 2, 1, &p->child[0], a2));
+  return p->hot().info.load();
+}
+
+// Three nodes p(k) over leaves (k - 1) and k, plus a spare leaf (k - 2)
+// for a swing.
+struct Cell {
+  Node* a;
+  Node* b;
+  Node* p;
+  Node* a2;
+  explicit Cell(Key k)
+      : a(leaf(k - 1)), b(leaf(k)), p(internal(k, a, b)), a2(leaf(k - 2)) {}
+  void free_all() {
+    for (Node* n : {a, b, p, a2}) pool_delete(n);
+  }
+};
+
+// An SCX whose owner has started another has finished.  LLX reads a node
+// it froze by the node's mark alone: unmarked snapshots, marked is
+// finalized.
+TEST(ScxReuse, LlxReadsAMovedOnScxByTheMark) {
+  EbrGuard g;
+  Cell c(10);
+  const ScxId u1 = swing_left(c.p, c.a2);
+  ASSERT_EQ(c.a->hot().info.load(), u1);
+  ASSERT_TRUE(c.a->is_finalized());
+
+  Cell next(20);  // the owner's next SCX, on other nodes
+  const ScxId u2 = swing_left(next.p, next.a2);
+  ASSERT_EQ(scx_slot(u2), scx_slot(u1));
+  ASSERT_GT(scx_sequence(u2), scx_sequence(u1));
+
+  LlxSnap s;
+  ASSERT_EQ(llx(c.p, &s), LlxStatus::kOk);
+  EXPECT_EQ(s.info, u1);
+  EXPECT_EQ(s.left(), c.a2);
+  EXPECT_EQ(s.right(), c.b);
+  EXPECT_EQ(llx(c.a, &s), LlxStatus::kFinalized);
+  c.free_all();
+  next.free_all();
+}
+
+// An aborted SCX marks nothing, so the nodes it froze before its conflict
+// snapshot, both while it is its owner's latest SCX and after.
+TEST(ScxReuse, NodesAnAbortedScxFrozeStaySnapshotable) {
+  EbrGuard g;
+  Cell c(10);
+  LlxSnap ps, as;
+  ASSERT_EQ(llx(c.p, &ps), LlxStatus::kOk);
+  ASSERT_EQ(llx(c.a, &as), LlxStatus::kOk);
+  // Another SCX freezes `a` alone between our LLXs and our SCX.
+  LlxSnap as2;
+  ASSERT_EQ(llx(c.a, &as2), LlxStatus::kOk);
+  ASSERT_TRUE(scx(&as2, 1, 1, &c.a->child[0], nullptr));
+  LlxSnap v[2] = {ps, as};
+  ASSERT_FALSE(scx(v, 2, 1, &c.p->child[0], c.a2));
+  const ScxId aborted = c.p->hot().info.load();
+  ASSERT_NE(aborted, ps.info);  // p was frozen before `a` failed
+
+  LlxSnap s;
+  ASSERT_EQ(llx(c.p, &s), LlxStatus::kOk);
+  EXPECT_EQ(s.info, aborted);
+  Cell next(20);
+  swing_left(next.p, next.a2);
+  ASSERT_EQ(llx(c.p, &s), LlxStatus::kOk);
+  EXPECT_EQ(s.info, aborted);
+  EXPECT_EQ(s.left(), c.a);
+  EXPECT_EQ(llx(c.a, &s), LlxStatus::kOk);
+  c.free_all();
+  next.free_all();
+}
+
+// A helper copies a descriptor and then re-reads its sequence.  An owner
+// that starts another SCX in between may have torn the copy, so the helper
+// must refuse it; here the owner's next SCX runs in exactly that window.
+TEST(ScxReuse, HelperRefusesACopyTheOwnerMovedOnFrom) {
+  EbrGuard g;
+  Cell c(10);
+  const ScxId u1 = swing_left(c.p, c.a2);
+  // Nothing in the window: the copy stands (and finds u1 committed).
+  EXPECT_TRUE(scx_help(u1));
+
+  Cell next(20);
+  EXPECT_FALSE(scx_help(
+      u1,
+      [](void* ctx) {
+        Cell* n = static_cast<Cell*>(ctx);
+        swing_left(n->p, n->a2);
+      },
+      &next));
+  EXPECT_EQ(next.p->child[0].load(), next.a2);  // the window's SCX ran
+  // Moved on before the copy: refused as well.
+  EXPECT_FALSE(scx_help(u1));
+
+  // The refused helps changed nothing.
+  LlxSnap s;
+  ASSERT_EQ(llx(c.p, &s), LlxStatus::kOk);
+  EXPECT_EQ(s.info, u1);
+  EXPECT_EQ(s.left(), c.a2);
+  EXPECT_EQ(llx(c.a, &s), LlxStatus::kFinalized);
+  c.free_all();
+  next.free_all();
+}
+
+// A slot keeps its sequence when it passes to a new thread, so the new
+// thread's SCX ids never repeat the old thread's.  Were the sequence to
+// restart, the new thread's aborted SCX would carry the id that a finalized
+// node of the old thread names, and LLX would read that node as free.
+TEST(ScxReuse, ANewThreadOnASlotContinuesItsSequence) {
+  constexpr int kCells = 4;
+  std::vector<Cell> cells;
+  for (int i = 0; i < kCells; ++i) cells.emplace_back(10 * (i + 1));
+  // q's snapshot goes stale when this thread's SCX freezes q: an SCX over
+  // it always aborts.
+  Node* q = leaf(100);
+  LlxSnap q_stale, qs;
+  {
+    EbrGuard g;
+    ASSERT_EQ(llx(q, &q_stale), LlxStatus::kOk);
+    ASSERT_EQ(llx(q, &qs), LlxStatus::kOk);
+    ASSERT_TRUE(scx(&qs, 1, 1, &q->child[0], nullptr));
+  }
+
+  int slot_old = -1;
+  std::uint64_t last_old = 0;
+  std::thread([&] {
+    slot_old = ThreadRegistry::thread_id();
+    EbrGuard g;
+    for (Cell& c : cells) last_old = scx_sequence(swing_left(c.p, c.a2));
+  }).join();
+
+  // The new thread aborts SCXs until its sequence passes the old thread's
+  // last one (once, unless the sequence restarted), freezing r first to
+  // learn each SCX's id, and checks the old SCXs' nodes after each.
+  Node* r = leaf(200);
+  int slot_new = -1;
+  std::thread([&] {
+    slot_new = ThreadRegistry::thread_id();
+    EbrGuard g;
+    std::uint64_t seq = 0;
+    do {
+      LlxSnap rs;
+      ASSERT_EQ(llx(r, &rs), LlxStatus::kOk);
+      LlxSnap v[2] = {rs, q_stale};
+      ASSERT_FALSE(scx(v, 2, 2, &r->child[0], nullptr));
+      seq = scx_sequence(r->hot().info.load());
+      for (Cell& c : cells) {
+        LlxSnap s;
+        ASSERT_EQ(llx(c.p, &s), LlxStatus::kOk) << "at sequence " << seq;
+        ASSERT_EQ(s.left(), c.a2);
+        ASSERT_EQ(llx(c.a, &s), LlxStatus::kFinalized)
+            << "at sequence " << seq;
+      }
+    } while (seq <= last_old);
+  }).join();
+  EXPECT_EQ(slot_new, slot_old);
+  for (Cell& c : cells) c.free_all();
+  pool_delete(q);
+  pool_delete(r);
 }
 
 }  // namespace

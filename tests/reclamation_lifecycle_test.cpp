@@ -85,7 +85,6 @@ TEST(Pool, EveryPooledTypeIsLineAligned) {
   expect_split_slots<Node>(
       "Node", [] { return pool_new<Node>(Key{1}, 1, nullptr, nullptr); });
   expect_line_aligned_slots<Version<SizeAug>>("Version<SizeAug>");
-  expect_line_aligned_slots<ScxRecord>("ScxRecord");
   expect_line_aligned_slots<PropStatus>("PropStatus");
   expect_split_slots<frbst_detail::FrNode>("FrNode", [] {
     return pool_new<frbst_detail::FrNode>(Key{1}, nullptr, nullptr);
